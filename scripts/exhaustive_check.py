@@ -5,11 +5,11 @@ By default scans the bundled connected catalogs for n = 5, 6, 7 under both
 selection conventions and reports counterexample counts, the closest calls
 (smallest improvement margins), and paper-constant witnesses.
 
-Long-run mode: the n = 8 catalog (11117 connected graphs) and the n = 9 one
-are not bundled; download them from a geng/nauty catalog distribution and
-pass the files explicitly:
+Long-run mode: the n = 8 catalog (11117 connected graphs) ships with the
+benchmark as perfbench/data/graph8c.g6 (regenerate it offline with
+python3 perfbench/make_graph8c.py); pass it explicitly:
 
-    python scripts/exhaustive_check.py --catalog /path/to/graph8c.g6 --parallel 8
+    python scripts/exhaustive_check.py --catalog perfbench/data/graph8c.g6 --parallel 2
 """
 
 import argparse

@@ -8,9 +8,10 @@ graph6 writer so the round-trip tests cross two implementations.
 
 Expected connected counts: n=3: 2, n=4: 6, n=5: 21, n=6: 112, n=7: 853.
 
-Catalogs for n = 8 (11117 graphs) and n = 9 are not generated here; fetch
-them from the usual geng/nauty distributions and point `rwj scan --catalog`
-at the file for the long-run mode.
+The n = 8 catalog (11117 graphs) is not generated here: it ships as
+perfbench/data/graph8c.g6 and is regenerated offline from data/graph7c.g6 by
+perfbench/make_graph8c.py. Point `rwj scan --catalog` at it for the long-run
+mode.
 """
 
 import sys

@@ -70,11 +70,9 @@ from .spectral import (
     build_transition,
     dobrushin,
     dobrushin_bound,
-    dobrushin_min_form,
     mixing_time_bounds,
     relaxation,
     spectrum,
-    split_form_transition,
     track_branch,
 )
 

@@ -126,10 +126,16 @@ def summary_text(s: search.ScanSummary) -> str:
 # analyze / conditions
 # ---------------------------------------------------------------------------
 
-def _analyze_text(g, alpha, convention, epsilon, h, conditions_only=False):
+def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_record=False):
+    """The analyze report text and, with ``with_record``, the scan row built from the same results.
+
+    The alpha=0 spectrum, the small-alpha verdict and the condition report are
+    computed once and shared by the text and the row.
+    """
     out = []
     stats = graphs.degree_stats(g)
     conv = spectral.normalize_convention(convention)
+    base = report = None
     out.append(f"graph: {g.name or '<unnamed>'}  n={g.n}  volume={fmt(stats.volume)}")
     out.append("degrees: " + " ".join(fmt(x) for x in stats.d))
     out.append(
@@ -171,7 +177,8 @@ def _analyze_text(g, alpha, convention, epsilon, h, conditions_only=False):
             f"bound alpha/(d_max+alpha)={fmt(bound)}"
         )
 
-        report = perturb.classify_small_alpha(g, conv, h=h)
+        base = summary if ts.alpha == 0.0 else spectral.spectrum(spectral.build_transition(g, 0.0), conv)
+        report = perturb.classify_small_alpha(g, conv, h=h, summary=base)
         out.append(
             "small-alpha (at alpha=0): "
             f"lambda_star={fmt(report.lambda_star)} lambda_first={fmt(report.lambda_first)} "
@@ -184,7 +191,9 @@ def _analyze_text(g, alpha, convention, epsilon, h, conditions_only=False):
             + (" [tied]" if report.tied_sign else "")
         )
 
-    cond = cond_mod.full_report(g, conv)
+    if base is None:
+        base = spectral.spectrum(spectral.build_transition(g, 0.0), conv)
+    cond = cond_mod.full_report(g, conv, summary=base)
     out.append(f"conditions (alpha=0, gamma={fmt(cond.gamma)}):")
     out.append(f"  cor1: gap < 1/n = {fmt(cond.cor1.threshold)} -> {_fmt_bool(cond.cor1.holds)}")
     out.append(
@@ -216,19 +225,25 @@ def _analyze_text(g, alpha, convention, epsilon, h, conditions_only=False):
     out.append(
         "  consistency: " + ("ok" if not cond.consistency else "; ".join(cond.consistency))
     )
-    return "\n".join(out) + "\n"
+    record = None
+    if with_record:
+        if report is None:
+            report = perturb.classify_small_alpha(g, conv, h=h, summary=base)
+        record = search.scan_record(g, base, report, cond)
+    return "\n".join(out) + "\n", record
 
 
 def cmd_analyze(args, conditions_only=False) -> int:
     g = load_graph(args.input, args.format)
     conditions_only = conditions_only or getattr(args, "conditions_only", False)
-    text = _analyze_text(
-        g, args.alpha, args.convention, args.epsilon, args.h, conditions_only=conditions_only
+    csv_path = getattr(args, "csv", None)
+    text, record = _analyze(
+        g, args.alpha, args.convention, args.epsilon, args.h,
+        conditions_only=conditions_only, with_record=bool(csv_path),
     )
     sys.stdout.write(text)
-    if getattr(args, "csv", None):
-        record = search.analyze_graph(g, args.convention)
-        Path(args.csv).write_text(records_to_csv([record]))
+    if csv_path:
+        Path(csv_path).write_text(records_to_csv([record]))
     return EXIT_OK
 
 
@@ -397,7 +412,7 @@ def cmd_two_node(args) -> int:
     p = search.TwoNodeParams(args.a11, args.a12, args.a22)
     cf = search.two_node_closed_form(p)
     g = p.graph()
-    record = search.analyze_graph(g, "slem", search_alpha_bar=False)
+    record = search.analyze_graph(g, "slem")
     out = [
         f"two-node weights: a11={fmt(p.a11)} a12={fmt(p.a12)} a22={fmt(p.a22)}",
         f"closed form: lambda_star={fmt(cf.lambda_star)} v_star=({fmt(cf.v_star[0])}, {fmt(cf.v_star[1])})",

@@ -14,13 +14,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, GenerationError, GraphFormatError
 
-GRAPH6_MAX_N = 62  # single-byte size header only
+GRAPH6_MAX_N = 258047  # largest n with a 1-byte or 4-byte size header
+_GRAPH6_SHORT_MAX_N = 62  # largest n with a 1-byte size header
 
 GENERATOR_MODELS = ("path", "cycle", "star", "complete", "er", "sbm")
 
@@ -31,7 +33,8 @@ class WeightedGraph:
 
     ``edges`` holds triples (u, v, w) with 0 <= u <= v < n and w > 0; u == v
     encodes a self-loop of weight a_uu. Absent pairs have weight zero.
-    Equality and hashing ignore ``name``.
+    Equality and hashing ignore ``name``. The dense adjacency, the degree
+    vector and connectivity are derived once, on first use, and cached.
     """
 
     n: int
@@ -64,16 +67,48 @@ class WeightedGraph:
         return cls(n, tuple((u, v, 1.0) for u, v in pairs), name)
 
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix (fresh array each call)."""
+        """Dense symmetric adjacency matrix (cached, read-only)."""
+        return self._adjacency
+
+    def degrees(self) -> np.ndarray:
+        """Weighted degree vector d = A 1, self-loops counted once (cached, read-only)."""
+        return self._degrees
+
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for u, v, w in self.edges:
             a[u, v] = w
             a[v, u] = w
+        a.flags.writeable = False
         return a
 
-    def degrees(self) -> np.ndarray:
-        """Weighted degree vector d = A 1 (self-loops counted once)."""
-        return self.adjacency().sum(axis=1)
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        d = self._adjacency.sum(axis=1)
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def connected(self) -> bool:
+        """True iff the positive-weight adjacency has one component (self-loops ignored)."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v, _ in self.edges:
+            if u != v:
+                adj[u].append(v)
+                adj[v].append(u)
+        seen = [False] * self.n
+        seen[0] = True
+        queue = deque([0])
+        count = 1
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    count += 1
+                    queue.append(v)
+        return count == self.n
 
     @property
     def volume(self) -> float:
@@ -113,38 +148,49 @@ def degree_stats(g: WeightedGraph) -> DegreeStats:
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """True iff the positive-weight adjacency has one component (self-loops ignored)."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        if u != v:
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == g.n
+    """True iff the positive-weight adjacency has one component (self-loops ignored).
+
+    The search runs once per graph; later checks read ``g.connected``.
+    """
+    return g.connected
 
 
 # ---------------------------------------------------------------------------
-# graph6 (McKay's format, single-byte header, n <= 62)
+# graph6 (McKay's format; 1-byte size header for n <= 62, 4-byte for n <= 258047)
 # ---------------------------------------------------------------------------
+
+def _graph6_size(line: bytes) -> tuple[int, bytes]:
+    """Split a graph6 line into (n, body).
+
+    n <= 62 is one byte 63+n; 63 <= n <= 258047 is '~' followed by n as 18
+    bits, big-endian, in three bytes of 6 bits each offset by 63. The 8-byte
+    form ('~~', n > 258047) is rejected.
+    """
+    header = line[0]
+    if not 63 <= header <= 126:
+        raise GraphFormatError(f"graph6 header byte {header} outside [63, 126]")
+    if header != 126:
+        return header - 63, line[1:]
+    size = line[1:4]
+    if size[:1] == b"~":
+        raise GraphFormatError(f"8-byte graph6 size header (n > {GRAPH6_MAX_N}) is not supported")
+    if len(size) != 3 or any(not 63 <= b <= 126 for b in size):
+        raise GraphFormatError("truncated or invalid 4-byte graph6 size header")
+    n = ((size[0] - 63) << 12) | ((size[1] - 63) << 6) | (size[2] - 63)
+    if n <= _GRAPH6_SHORT_MAX_N:
+        raise GraphFormatError(f"4-byte graph6 size header encodes n={n}; n <= 62 takes one byte")
+    return n, line[4:]
+
 
 def parse_graph6(data: bytes | str) -> WeightedGraph:
     """Parse one graph6 line into an unweighted graph.
 
-    Layout: header byte 63+n, then the upper triangle read column by column
-    (x01, x02, x12, x03, ...), packed big-endian 6 bits per byte, each byte
-    offset by 63. Trailing padding bits must be zero. Disconnected graphs are
-    rejected with :class:`DisconnectedGraphError` so catalog scans can count
-    them as skips rather than failures.
+    Layout: the size header (see :func:`_graph6_size`), then the upper
+    triangle read column by column (x01, x02, x12, x03, ...), packed
+    big-endian 6 bits per byte, each byte offset by 63. Trailing padding bits
+    must be zero. Disconnected graphs are rejected with
+    :class:`DisconnectedGraphError` so catalog scans can count them as skips
+    rather than failures.
     """
     if isinstance(data, str):
         try:
@@ -154,17 +200,11 @@ def parse_graph6(data: bytes | str) -> WeightedGraph:
     line = data.rstrip(b"\r\n")
     if not line:
         raise GraphFormatError("empty graph6 line")
-    header = line[0]
-    if header == 126:
-        raise GraphFormatError("multi-byte graph6 size header (n > 62) is not supported")
-    if not 63 <= header <= 126:
-        raise GraphFormatError(f"graph6 header byte {header} outside [63, 126]")
-    n = header - 63
+    n, body = _graph6_size(line)
     if n < 2:
         raise GraphFormatError(f"graph6 line encodes n={n}; need n >= 2")
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    body = line[1:]
     if len(body) != nbytes:
         raise GraphFormatError(f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}")
     bits = []
@@ -191,7 +231,7 @@ def parse_graph6(data: bytes | str) -> WeightedGraph:
 def write_graph6(g: WeightedGraph) -> bytes:
     """Encode an unweighted graph without self-loops as one graph6 line (no newline)."""
     if g.n > GRAPH6_MAX_N:
-        raise GraphFormatError(f"graph6 v1 supports n <= {GRAPH6_MAX_N}, got n={g.n}")
+        raise GraphFormatError(f"graph6 with a 1- or 4-byte size header supports n <= {GRAPH6_MAX_N}, got n={g.n}")
     if g.has_self_loops():
         raise GraphFormatError("graph6 cannot encode self-loops")
     if not g.is_unweighted():
@@ -203,7 +243,10 @@ def write_graph6(g: WeightedGraph) -> bytes:
             bits.append(1 if (u, v) in present else 0)
     while len(bits) % 6:
         bits.append(0)
-    out = bytearray([63 + g.n])
+    if g.n <= _GRAPH6_SHORT_MAX_N:
+        out = bytearray([63 + g.n])
+    else:
+        out = bytearray([126] + [63 + ((g.n >> shift) & 63) for shift in (12, 6, 0)])
     for i in range(0, len(bits), 6):
         val = 0
         for b in bits[i:i + 6]:

@@ -51,7 +51,7 @@ def lambda_first_order(g: WeightedGraph, lambda_star: float, v_star: np.ndarray)
     """
     v = np.asarray(v_star, dtype=float)
     a = g.adjacency()
-    d = a.sum(axis=1)
+    d = g.degrees()
     resid = np.linalg.norm(a @ v - lambda_star * d * v)
     if resid > 1e-7 * np.linalg.norm(d * v):
         raise ValueError(f"(lambda, v) is not an eigenpair of D^-1 A (residual {resid:.2e})")
@@ -67,13 +67,18 @@ def degenerate_first_order(g: WeightedGraph, lambda_star: float, basis: np.ndarr
     (V^T D V = I). Returns the eigenvalues of V^T((1/n)11^T - lambda I)V;
     for a single column this equals :func:`lambda_first_order` exactly.
     """
+    return np.linalg.eigvalsh(_reduced_pencil(g, lambda_star, basis))
+
+
+def _reduced_pencil(g: WeightedGraph, lambda_star: float, basis: np.ndarray) -> np.ndarray:
+    """V^T((1/n)11^T - lambda I)V, symmetrised, after checking V as :func:`degenerate_first_order` requires."""
     v = np.asarray(basis, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
     if v.ndim != 2 or v.shape[0] != g.n or v.shape[1] < 1:
         raise ValueError(f"basis must be n x k with n={g.n}, got shape {v.shape}")
     a = g.adjacency()
-    d = a.sum(axis=1)
+    d = g.degrees()
     gram = v.T @ (d[:, None] * v)
     if np.abs(gram - np.eye(v.shape[1])).max() > 1e-10:
         raise ValueError("basis is not D-orthonormal (V^T D V != I within 1e-10)")
@@ -82,8 +87,7 @@ def degenerate_first_order(g: WeightedGraph, lambda_star: float, basis: np.ndarr
         raise ValueError(f"basis does not span the eigenspace (residual {resid:.2e})")
     ones_proj = v.T @ np.ones(g.n)
     reduced = np.outer(ones_proj, ones_proj) / g.n - lambda_star * (v.T @ v)
-    reduced = (reduced + reduced.T) / 2.0
-    return np.linalg.eigvalsh(reduced)
+    return (reduced + reduced.T) / 2.0
 
 
 def finite_difference_derivative(
@@ -196,12 +200,9 @@ def _level_branches(g: WeightedGraph, summary: SpectralSummary) -> list[_Branch]
             continue
         level_value = float(w[idx[0]])
         basis = vecs[:, idx]
-        derivs = degenerate_first_order(g, level_value, basis)
-        # eigenvectors of the reduced pencil give the adapted branch vectors
-        ones_proj = basis.T @ np.ones(g.n)
-        reduced = np.outer(ones_proj, ones_proj) / g.n - level_value * (basis.T @ basis)
-        reduced = (reduced + reduced.T) / 2.0
-        _, y = np.linalg.eigh(reduced)
+        # eigenvalues of the reduced pencil are the branch derivatives, its
+        # eigenvectors give the adapted branch vectors
+        derivs, y = np.linalg.eigh(_reduced_pencil(g, level_value, basis))
         for k, deriv in enumerate(derivs):
             if zero_case:
                 rate = abs(deriv)

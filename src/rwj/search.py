@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conditions import full_report
+from .conditions import ConditionReport, full_report
 from .errors import DisconnectedGraphError, GenerationError, GraphFormatError
 from .graphs import WeightedGraph, generate, parse_graph6, write_edgelist
 from .perturb import (
@@ -27,10 +27,11 @@ from .perturb import (
     TOL_SIGN,
     TOL_STATIONARY,
     WORSENS,
+    PerturbationReport,
     classify_small_alpha,
     sweep_confirms,
 )
-from .spectral import SLEM, build_transition, normalize_convention, spectrum
+from .spectral import SLEM, SpectralSummary, build_transition, normalize_convention, spectrum
 
 SWEEP_ALPHAS = (1e-3, 1e-2)
 
@@ -164,20 +165,33 @@ class ScanSummary:
     elapsed: float = 0.0
 
 
-def analyze_graph(g: WeightedGraph, convention: str = SLEM, graph_id: str | None = None,
-                  search_alpha_bar: bool = True) -> ScanRecord:
+def analyze_graph(g: WeightedGraph, convention: str = SLEM, graph_id: str | None = None) -> ScanRecord:
     """Classify one graph and evaluate its condition ladder; sweep-confirm WORSENS verdicts."""
     conv = normalize_convention(convention)
     summary = spectrum(build_transition(g, 0.0), conv)
     report = classify_small_alpha(g, conv, summary=summary)
-    cond = full_report(g, conv, summary=summary, search_alpha_bar=search_alpha_bar)
+    cond = full_report(g, conv, summary=summary, search_alpha_bar=False)
+    return scan_record(g, summary, report, cond, graph_id)
+
+
+def scan_record(
+    g: WeightedGraph,
+    summary: SpectralSummary,
+    report: PerturbationReport,
+    cond: ConditionReport,
+    graph_id: str | None = None,
+) -> ScanRecord:
+    """The scan row of one graph from its alpha=0 spectrum, verdict and condition report.
+
+    A WORSENS verdict is sweep-confirmed here; nothing else is recomputed.
+    """
     confirmed = None
     if report.classification == WORSENS:
         confirmed = sweep_confirms(g, summary, worsens=True, alphas=SWEEP_ALPHAS)
     return ScanRecord(
         id=graph_id or g.name or "<anonymous>",
         n=g.n,
-        convention=conv,
+        convention=report.convention,
         lambda_star=report.lambda_star,
         lambda_first=report.lambda_first,
         classification=report.classification,

@@ -26,7 +26,7 @@ from .errors import (
     DisconnectedGraphError,
     NumericalError,
 )
-from .graphs import WeightedGraph, is_connected
+from .graphs import WeightedGraph
 
 SLEM = "slem"
 PAPER = "paper-literal"
@@ -61,34 +61,15 @@ def build_transition(g: WeightedGraph, alpha: float) -> TransitionSystem:
     alpha = float(alpha)
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not is_connected(g):
+    if not g.connected:
         raise DisconnectedGraphError("transition system requires a connected graph")
     a = g.adjacency()
-    d = a.sum(axis=1)
+    d = g.degrees()
     a_alpha = a + alpha / g.n
     d_alpha = d + alpha
     p = a_alpha / d_alpha[:, None]
     pi = (d + alpha) / (d.sum() + alpha * g.n)
     return TransitionSystem(graph=g, alpha=alpha, P=p, pi=pi)
-
-
-def split_form_transition(g: WeightedGraph, alpha: float) -> np.ndarray:
-    """The same matrix assembled the other way:
-
-    (D+aI)^{-1} D P  +  (D+aI)^{-1} a I 1 (1/n) 1^T,   P = D^{-1} A.
-
-    Kept as an independent construction; tests require entrywise agreement
-    with :func:`build_transition` to 1e-14.
-    """
-    alpha = float(alpha)
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    a = g.adjacency()
-    d = a.sum(axis=1)
-    p_srw = a / d[:, None]
-    scale = d / (d + alpha)
-    jump = alpha / (d + alpha)
-    return scale[:, None] * p_srw + np.outer(jump, np.full(g.n, 1.0 / g.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +98,26 @@ class SpectralSummary:
     near_unit: bool
 
 
+def _similarity(g: WeightedGraph, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """N(alpha) = D(alpha)^{-1/2} A(alpha) D(alpha)^{-1/2}, symmetrised, and sqrt(d(alpha)).
+
+    A 1-D array of rates gives one matrix per rate, stacked along a leading
+    axis for a single batched ``eigh``.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    root = np.sqrt(g.degrees() + alpha[..., None])
+    inv = 1.0 / root
+    sym = inv[..., :, None] * (g.adjacency() + (alpha / g.n)[..., None, None]) * inv[..., None, :]
+    return (sym + np.swapaxes(sym, -1, -2)) / 2.0, root
+
+
+def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    try:
+        return np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
+
+
 def _gap_trel(lambda_star: float) -> tuple[float, float]:
     mod = abs(lambda_star)
     if mod >= 1.0 - TOL_UNIT:
@@ -135,15 +136,8 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
     """
     conv = normalize_convention(convention)
     g, alpha = ts.graph, ts.alpha
-    a_alpha = g.adjacency() + alpha / g.n
-    d_alpha = g.degrees() + alpha
-    s = 1.0 / np.sqrt(d_alpha)
-    sym = s[:, None] * a_alpha * s[None, :]
-    sym = (sym + sym.T) / 2.0
-    try:
-        w, u = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
+    sym, root = _similarity(g, alpha)
+    w, u = _eigh(sym)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     u = u[:, order]
@@ -156,7 +150,7 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
         )
     perron = int(unit[0])
 
-    vecs = s[:, None] * u  # columns are D(alpha)-orthonormal eigenvectors of P(alpha)
+    vecs = (1.0 / root)[:, None] * u  # columns are D(alpha)-orthonormal eigenvectors of P(alpha)
 
     candidates = np.ones(g.n, dtype=bool)
     candidates[perron] = False
@@ -229,17 +223,18 @@ def mixing_time_bounds(t_rel: float, pi_min: float, epsilon: float) -> tuple[flo
 
 
 def dobrushin(ts: TransitionSystem) -> float:
-    """Dobrushin ergodic coefficient: half the max total-variation row distance."""
-    p = ts.P
-    diff = np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2)
-    return float(diff.max()) / 2.0
+    """Dobrushin ergodic coefficient: half the max total-variation row distance.
 
-
-def dobrushin_min_form(ts: TransitionSystem) -> float:
-    """Equivalent overlap form 1 - min_{i,j} sum_k min(p_ik, p_jk); tested against :func:`dobrushin`."""
+    Row i is compared with the rows after it, one block at a time, so memory
+    stays O(n^2); each distance sums over columns exactly as the full
+    n x n x n difference would, and the distance matrix is symmetric with a
+    zero diagonal, so the maximum is unchanged.
+    """
     p = ts.P
-    overlap = np.minimum(p[:, None, :], p[None, :, :]).sum(axis=2)
-    return 1.0 - float(overlap.min())
+    worst = 0.0
+    for i in range(p.shape[0] - 1):
+        worst = max(worst, float(np.abs(p[i + 1:] - p[i]).sum(axis=1).max()))
+    return worst / 2.0
 
 
 def dobrushin_bound(alpha: float, d_max: float) -> float:
@@ -314,19 +309,11 @@ def track_branch(
         raise ValueError("alpha grid must be nonnegative")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")
-    a_base = g.adjacency()
-    d_base = a_base.sum(axis=1)
+    syms, roots = _similarity(g, alphas)
+    ws, us = _eigh(syms)
     v_prev = np.asarray(v_ref, dtype=float)
     out: list[tuple[float, float, np.ndarray]] = []
-    for alpha in alphas:
-        d_alpha = d_base + alpha
-        s = np.sqrt(d_alpha)
-        sym = (1.0 / s)[:, None] * (a_base + alpha / g.n) * (1.0 / s)[None, :]
-        sym = (sym + sym.T) / 2.0
-        try:
-            w, u = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
+    for alpha, w, u, s in zip(alphas, ws, us, roots):
         u_prev = s * v_prev
         u_prev /= np.linalg.norm(u_prev)
         overlaps = u.T @ u_prev

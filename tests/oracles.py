@@ -1,0 +1,41 @@
+"""Independent constructions that tests compare the library against.
+
+Each builds the same quantity as a library function by a different route,
+so agreement checks the library's arithmetic rather than repeating it.
+"""
+
+import numpy as np
+
+from rwj import TransitionSystem, WeightedGraph
+
+
+def split_form_transition(g: WeightedGraph, alpha: float) -> np.ndarray:
+    """P(alpha) assembled the other way:
+
+    (D+aI)^{-1} D P  +  (D+aI)^{-1} a I 1 (1/n) 1^T,   P = D^{-1} A.
+
+    Tests require entrywise agreement with ``build_transition`` to 1e-14.
+    """
+    alpha = float(alpha)
+    if alpha < 0.0:
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    a = g.adjacency()
+    d = a.sum(axis=1)
+    p_srw = a / d[:, None]
+    scale = d / (d + alpha)
+    jump = alpha / (d + alpha)
+    return scale[:, None] * p_srw + np.outer(jump, np.full(g.n, 1.0 / g.n))
+
+
+def dobrushin_min_form(ts: TransitionSystem) -> float:
+    """Overlap form 1 - min_{i,j} sum_k min(p_ik, p_jk) of the Dobrushin coefficient."""
+    p = ts.P
+    overlap = np.minimum(p[:, None, :], p[None, :, :]).sum(axis=2)
+    return 1.0 - float(overlap.min())
+
+
+def dobrushin_full_difference(ts: TransitionSystem) -> float:
+    """The Dobrushin coefficient from the full n x n x n row-difference array (O(n^3) memory)."""
+    p = ts.P
+    diff = np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2)
+    return float(diff.max()) / 2.0

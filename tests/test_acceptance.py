@@ -26,13 +26,13 @@ from rwj import (
     parse_graph6,
     rayleigh_minimum,
     spectrum,
-    split_form_transition,
     write_edgelist,
     write_graph6,
 )
 from rwj.cli import main as cli_main
 
 from conftest import DET_ZERO_PAIR_TEXT, random_connected_weighted
+from oracles import split_form_transition
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CATALOG_SIZES = {5: 21, 6: 112, 7: 853}

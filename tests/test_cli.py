@@ -1,6 +1,8 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from rwj.cli import (
     EXIT_PARSE,
     fmt,
     main,
+    records_to_csv,
 )
 
 from conftest import DET_ZERO_PAIR_TEXT
@@ -109,6 +112,30 @@ def test_analyze_csv_row(det_zero_pair_file, tmp_path, capsys):
     assert ",WORSENS," in lines[1]
 
 
+def test_analyze_csv_reuses_the_text_pipeline(det_zero_pair_file, tmp_path, capsys, monkeypatch):
+    import rwj.perturb as perturb_mod
+    import rwj.search as search_mod
+    from rwj import analyze_graph, parse_edgelist
+
+    real = perturb_mod.classify_small_alpha
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (perturb_mod, search_mod):
+        monkeypatch.setattr(module, "classify_small_alpha", counting)
+    csv_path = tmp_path / "row.csv"
+    rc = main(["analyze", "--input", det_zero_pair_file, "--format", "edgelist", "--csv", str(csv_path)])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+    assert len(calls) == 1
+    g = parse_edgelist(Path(det_zero_pair_file).read_text())
+    g = dataclasses.replace(g, name=Path(det_zero_pair_file).stem)
+    assert csv_path.read_text() == records_to_csv([analyze_graph(g, "paper")])
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -189,8 +216,8 @@ def test_scan_counterexample_exit_code(monkeypatch, tmp_path, capsys):
 
     real = search_mod.analyze_graph
 
-    def fake(g, convention="slem", graph_id=None, search_alpha_bar=True):
-        record = real(g, convention, graph_id, search_alpha_bar)
+    def fake(g, convention="slem", graph_id=None):
+        record = real(g, convention, graph_id)
         import dataclasses
 
         return dataclasses.replace(record, classification="WORSENS", sweep_confirmed=True)
@@ -254,6 +281,16 @@ def test_gen_er_edgelist_records_seed(tmp_path, capsys):
     from rwj import is_connected, parse_edgelist
 
     assert is_connected(parse_edgelist(text))
+
+
+def test_gen_er_n100_graph6(tmp_path, capsys):
+    out = tmp_path / "er.g6"
+    rc = main(["gen", "--model", "er", "--n", "100", "--p", "0.1", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == EXIT_OK
+    from rwj import generate, parse_graph6
+
+    assert parse_graph6(out.read_bytes()) == generate("er", n=100, p=0.1, seed=0)
 
 
 def test_gen_invalid_params(capsys):

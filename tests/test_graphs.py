@@ -54,6 +54,21 @@ def test_adjacency_symmetric_with_self_loop(det_zero_pair):
     assert det_zero_pair.volume == 9.0
 
 
+@given(connected_weighted(max_n=8))
+@settings(max_examples=30)
+def test_adjacency_and_degrees_cached_read_only(g):
+    a = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        a[u, v] = a[v, u] = w
+    assert np.array_equal(g.adjacency(), a)
+    assert np.array_equal(g.degrees(), a.sum(axis=1))
+    assert g.adjacency() is g.adjacency() and g.degrees() is g.degrees()
+    with pytest.raises(ValueError):
+        g.adjacency()[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.degrees()[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # graph6
 # ---------------------------------------------------------------------------
@@ -73,6 +88,18 @@ def test_parse_graph6_hand_encoded(line, n, pairs):
     assert write_graph6(g) == line
 
 
+@pytest.mark.parametrize("g", [generate("path", n=63), generate("er", n=100, p=0.1, seed=0)],
+                         ids=["path63", "er100"])
+def test_graph6_four_byte_header_round_trip(g):
+    line = write_graph6(g)
+    assert line[:4] == b"~" + bytes(63 + ((g.n >> k) & 63) for k in (12, 6, 0))
+    assert parse_graph6(line) == g
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from((u, v) for u, v, _ in g.edges)
+    assert nx.to_graph6_bytes(ref, header=False) == line + b"\n"
+
+
 def test_parse_graph6_tolerates_newline_and_str():
     assert parse_graph6(b"Bw\n").n == 3
     assert parse_graph6("Bw").n == 3
@@ -82,7 +109,9 @@ def test_parse_graph6_tolerates_newline_and_str():
     "line",
     [
         b"",                # empty
-        b"~??",             # multi-byte size header
+        b"~??",             # truncated 4-byte size header
+        b"~??E",            # 4-byte size header for n = 6, which takes one byte
+        b"~~??????",        # 8-byte size header (n > 258047)
         b"\x20w",           # header below 63
         b"B\x20",           # body byte below 63
         b"B",               # body too short

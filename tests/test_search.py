@@ -1,5 +1,7 @@
 """Two-vertex closed forms, catalog scanning, random-model scanning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rwj import (
     analyze_graph,
     build_transition,
     generate,
+    parse_graph6,
     scan_catalog,
     scan_random,
     spectrum,
@@ -148,6 +151,18 @@ def test_scan_catalog_limit_and_topk(data_dir):
     assert len(summary.min_margin_records) == 3
     margins = [r.margin for r in summary.min_margin_records]
     assert margins == sorted(margins)
+
+
+def test_analyze_graph_rows_byte_identical_on_bundled_catalogs(data_dir):
+    # sha256 of every row of the n = 3..7 catalogs, graph by graph, slem then
+    # paper; any change to a verdict, flag or printed digit changes it
+    digest = hashlib.sha256()
+    for n in range(3, 8):
+        for line in (data_dir / f"graph{n}c.g6").read_bytes().splitlines():
+            g = parse_graph6(line)
+            for convention in ("slem", "paper"):
+                digest.update(records_to_csv([analyze_graph(g, convention)]).encode())
+    assert digest.hexdigest() == "7223819019f8361f1eba7d0693a38faf55728017626376f4091e43707547e875"
 
 
 def test_scan_catalog_deterministic_csv(data_dir):

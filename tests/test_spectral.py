@@ -1,6 +1,7 @@
 """Transition systems, spectra, conventions, Dobrushin machinery, branch tracking."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,17 +16,16 @@ from rwj import (
     build_transition,
     dobrushin,
     dobrushin_bound,
-    dobrushin_min_form,
     generate,
     mixing_time_bounds,
     relaxation,
     spectrum,
-    split_form_transition,
     track_branch,
 )
 from rwj.spectral import alpha_bar_closed_form
 
 from conftest import connected_weighted, random_connected_weighted
+from oracles import dobrushin_full_difference, dobrushin_min_form, split_form_transition
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +219,31 @@ def test_dobrushin_forms_agree_and_chain(g):
     for alpha in (0.0, 0.1, 1.0, 10.0):
         ts = build_transition(g, alpha)
         delta = dobrushin(ts)
+        assert delta == dobrushin_full_difference(ts)
         assert abs(delta - dobrushin_min_form(ts)) <= 1e-12
         gap = spectrum(ts, "slem").gap
         bound = dobrushin_bound(alpha, d_max)
         assert gap - (1.0 - delta) >= -1e-12
         assert (1.0 - delta) - bound >= -1e-12
+
+
+def test_dobrushin_row_wise_equals_full_difference_er120():
+    g = generate("er", n=120, p=0.1, seed=4)
+    for alpha in (0.0, 0.5, 7.0):
+        ts = build_transition(g, alpha)
+        assert dobrushin(ts) == dobrushin_full_difference(ts)
+
+
+def test_dobrushin_memory_is_quadratic():
+    # the n x n x n difference array alone would take 512 MB at n = 400
+    ts = build_transition(generate("er", n=400, p=0.05, seed=0), 0.0)
+    tracemalloc.start()
+    try:
+        dobrushin(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
 
 
 def test_dobrushin_bound_values():
