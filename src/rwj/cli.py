@@ -3,7 +3,7 @@
 Commands: analyze, conditions, sweep, scan, gen, two-node. Numbers print with
 12 significant digits; CSV uses '.' decimals and no locale. Exit codes:
 0 success, 2 parse error or invalid parameters, 3 disconnected input,
-4 numerical failure, 10 scan found a counterexample.
+4 numerical failure, 10 a scan or two-node grid found a sweep-confirmed counterexample.
 """
 
 from __future__ import annotations
@@ -217,11 +217,9 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
             f"(laplacian form: {fmt(cond.nand_s.laplacian_lhs)} < {fmt(cond.nand_s.laplacian_rhs)})"
         )
     out.append(f"  rayleigh minimum: {fmt(cond.rayleigh_min)}")
-    if cond.alpha_bar is not None:
-        searched = "none" if cond.alpha_bar.searched is None else fmt(cond.alpha_bar.searched)
-        out.append(
-            f"  alpha_bar: closed_form={fmt(cond.alpha_bar.closed_form)} searched={searched}"
-        )
+    bar = spectral.alpha_bar(g, conv)
+    searched = "none" if bar.searched is None else fmt(bar.searched)
+    out.append(f"  alpha_bar: closed_form={fmt(bar.closed_form)} searched={searched}")
     out.append(
         "  consistency: " + ("ok" if not cond.consistency else "; ".join(cond.consistency))
     )
@@ -402,24 +400,24 @@ def cmd_two_node(args) -> int:
             Path(args.out).write_text(csv)
         else:
             sys.stdout.write(csv)
-        sys.stderr.write(f"worsening grid points: {len(records)}\n")
+        confirmed = sum(bool(r.sweep_confirmed) for r in records)
+        sys.stderr.write(f"worsening grid points: {len(records)}  sweep-confirmed: {confirmed}\n")
         if args.dump_dir and records:
             search.dump_counterexamples(records, args.dump_dir)
-        return EXIT_COUNTEREXAMPLE if records else EXIT_OK
+        return EXIT_COUNTEREXAMPLE if confirmed else EXIT_OK
 
     if args.a11 is None or args.a12 is None or args.a22 is None:
         raise GraphFormatError("two-node needs --a11/--a12/--a22 or the three --grid-* options")
     p = search.TwoNodeParams(args.a11, args.a12, args.a22)
     cf = search.two_node_closed_form(p)
-    g = p.graph()
-    record = search.analyze_graph(g, "slem")
+    numeric = perturb.classify_small_alpha(p.graph(), "slem")
     out = [
         f"two-node weights: a11={fmt(p.a11)} a12={fmt(p.a12)} a22={fmt(p.a22)}",
         f"closed form: lambda_star={fmt(cf.lambda_star)} v_star=({fmt(cf.v_star[0])}, {fmt(cf.v_star[1])})",
         f"numerator={fmt(cf.numerator)} lambda_first={fmt(cf.lambda_first)}",
-        f"classification={record.classification} margin={fmt(record.margin)}"
-        + (" [stationary]" if record.stationary else ""),
-        f"numeric cross-check: lambda_star={fmt(record.lambda_star)} lambda_first={fmt(record.lambda_first)}",
+        f"classification={cf.classification} margin={fmt(cf.gap_derivative)}"
+        + (" [stationary]" if cf.stationary else ""),
+        f"numeric cross-check: lambda_star={fmt(numeric.lambda_star)} lambda_first={fmt(numeric.lambda_first)}",
     ]
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK

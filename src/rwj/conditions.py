@@ -22,15 +22,7 @@ import numpy as np
 
 from .graphs import DegreeStats, WeightedGraph, degree_stats
 from .perturb import NandS, TOL_SIGN, nand_s_check
-from .spectral import (
-    AlphaBar,
-    SLEM,
-    SpectralSummary,
-    alpha_bar,
-    build_transition,
-    normalize_convention,
-    spectrum,
-)
+from .spectral import SLEM, SpectralSummary, build_transition, normalize_convention, spectrum
 
 PAPER_CONSTANT = 4.0
 SHARP_CONSTANT = 1.0
@@ -135,7 +127,6 @@ class ConditionReport:
     cor4_sharp: Verdict
     nand_s: NandS | None      # None when lambda_star <= 0
     rayleigh_min: float
-    alpha_bar: AlphaBar | None
     consistency: tuple[str, ...]      # implication violations; empty means consistent
     paper_constant_witness: bool      # thm2 with the published constant held but NandS failed
 
@@ -144,9 +135,8 @@ def full_report(
     g: WeightedGraph,
     convention: str = SLEM,
     summary: SpectralSummary | None = None,
-    search_alpha_bar: bool = True,
 ) -> ConditionReport:
-    """Evaluate the whole condition ladder plus the improvement-threshold rates.
+    """Evaluate the condition ladder, the necessary-and-sufficient condition and the Rayleigh minimum.
 
     For a simple positive lambda_star every sharp sufficient condition that
     holds must be matched by the necessary-and-sufficient condition; any
@@ -169,7 +159,6 @@ def full_report(
     c4s = corollary4(gamma, stats, "sharp")
     nand = nand_s_check(lam, summary.v_star, g.n) if lam > TOL_SIGN else None
     ray_min, _ = rayleigh_minimum(stats)
-    bar = alpha_bar(g, conv) if search_alpha_bar else None
 
     violations: list[str] = []
     if nand is not None and simple:
@@ -198,7 +187,6 @@ def full_report(
         cor4_sharp=c4s,
         nand_s=nand,
         rayleigh_min=ray_min,
-        alpha_bar=bar,
         consistency=tuple(violations),
         paper_constant_witness=witness,
     )

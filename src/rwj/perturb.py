@@ -153,29 +153,63 @@ class _Branch:
 
 
 @dataclass(frozen=True, eq=False)
-class PerturbationReport:
-    """Small-alpha verdict for one graph.
+class SmallAlphaVerdict:
+    """The small-alpha verdict of one graph, as a scan row records it.
 
-    ``lambda_first`` is the derivative of the governing branch; for a simple
-    lambda_star it equals numerator/denominator. ``gap_derivative`` is
-    d(gap)/dalpha at 0+ (positive means the relaxation time improves) and is
-    the scan margin. ``branch_values`` lists derivatives of every branch at
-    the governing modulus level, both signs when tied.
+    ``lambda_first`` is the derivative of the governing branch.
+    ``gap_derivative`` is d(gap)/dalpha at 0+ (positive means the relaxation
+    time improves) and is the scan margin.
     """
 
     convention: str
     lambda_star: float
-    numerator: float
-    denominator: float
     lambda_first: float
-    fd_estimate: float
-    fd_agreement: float
     classification: str
     gap_derivative: float
-    branch_values: tuple[float, ...]
     degenerate: bool
     tied_sign: bool
     stationary: bool
+
+
+@dataclass(frozen=True, eq=False)
+class PerturbationReport(SmallAlphaVerdict):
+    """Small-alpha verdict for one graph, with its derivation and cross-check.
+
+    For a simple lambda_star ``lambda_first`` equals numerator/denominator.
+    ``branch_values`` lists derivatives of every branch at the governing
+    modulus level, both signs when tied.
+    """
+
+    numerator: float
+    denominator: float
+    fd_estimate: float
+    fd_agreement: float
+    branch_values: tuple[float, ...]
+
+
+def modulus_rate(lambda_star: float, level_value: float, derivative: float) -> float:
+    """d|lambda|/dalpha at 0+ of a branch starting at ``level_value`` on the modulus level of lambda_star.
+
+    At |lambda_star| <= TOL_SIGN the modulus is |alpha lambda'(0)| + O(alpha^2),
+    so the rate is |lambda'(0)|; otherwise it is lambda'(0) on the positive
+    side and -lambda'(0) on the negative side.
+    """
+    if abs(lambda_star) <= TOL_SIGN:
+        return abs(derivative)
+    return derivative if level_value > 0.0 else -derivative
+
+
+def verdict(lambda_star: float, worst_rate: float) -> tuple[str, float, bool]:
+    """(classification, gap derivative, stationary) from the worst modulus rate at the governing level.
+
+    A negative worst rate IMPROVES. At |lambda_star| <= TOL_SIGN the rate is
+    nonnegative: any rate above TOL_STATIONARY WORSENS, and a smaller one is
+    stationary (reported IMPROVES).
+    """
+    if abs(lambda_star) <= TOL_SIGN:
+        stationary = worst_rate <= TOL_STATIONARY
+        return (IMPROVES if stationary else WORSENS), -worst_rate, stationary
+    return (IMPROVES if worst_rate < 0.0 else WORSENS), -worst_rate, False
 
 
 def _level_branches(g: WeightedGraph, summary: SpectralSummary) -> list[_Branch]:
@@ -203,18 +237,12 @@ def _level_branches(g: WeightedGraph, summary: SpectralSummary) -> list[_Branch]
         # eigenvalues of the reduced pencil are the branch derivatives, its
         # eigenvectors give the adapted branch vectors
         derivs, y = np.linalg.eigh(_reduced_pencil(g, level_value, basis))
-        for k, deriv in enumerate(derivs):
-            if zero_case:
-                rate = abs(deriv)
-            elif level_value > 0.0:
-                rate = float(deriv)
-            else:
-                rate = -float(deriv)
+        for k, deriv in enumerate(derivs.tolist()):
             branches.append(
                 _Branch(
                     level_value=level_value,
-                    derivative=float(deriv),
-                    rate=rate,
+                    derivative=deriv,
+                    rate=modulus_rate(lam, level_value, deriv),
                     vector=basis @ y[:, k],
                 )
             )
@@ -229,7 +257,7 @@ def classify_small_alpha(
 ) -> PerturbationReport:
     """Classify whether small jump rates improve or worsen the relaxation time.
 
-    Rules at the governing modulus level:
+    Rules at the governing modulus level (:func:`modulus_rate` and :func:`verdict`):
 
     * lambda_star < 0: the branch derivative is provably positive, so the
       modulus shrinks (IMPROVES);
@@ -252,16 +280,7 @@ def classify_small_alpha(
         raise NumericalError("no branches found at the governing level")
 
     worst = max(branches, key=lambda b: b.rate)
-    worst_rate = worst.rate
-    gap_derivative = -worst_rate
-    zero_case = abs(lam) <= TOL_SIGN
-
-    if zero_case:
-        stationary = worst_rate <= TOL_STATIONARY
-        classification = IMPROVES if stationary else WORSENS
-    else:
-        stationary = False
-        classification = IMPROVES if worst_rate < 0.0 else WORSENS
+    classification, gap_derivative, stationary = verdict(lam, worst.rate)
 
     if lam < -TOL_SIGN and any(b.derivative <= 0.0 for b in branches):
         raise NumericalError(

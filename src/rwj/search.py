@@ -24,16 +24,14 @@ from .errors import DisconnectedGraphError, GenerationError, GraphFormatError
 from .graphs import WeightedGraph, generate, parse_graph6, write_edgelist
 from .perturb import (
     IMPROVES,
-    TOL_SIGN,
-    TOL_STATIONARY,
     WORSENS,
-    PerturbationReport,
+    SmallAlphaVerdict,
     classify_small_alpha,
+    modulus_rate,
     sweep_confirms,
+    verdict,
 )
 from .spectral import SLEM, SpectralSummary, build_transition, normalize_convention, spectrum
-
-SWEEP_ALPHAS = (1e-3, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -64,34 +62,43 @@ class TwoNodeParams:
 
 
 @dataclass(frozen=True, eq=False)
-class TwoNodeClosedForm:
-    lambda_star: float
+class TwoNodeClosedForm(SmallAlphaVerdict):
+    """Closed-form eigenpair, first-order term and ``slem`` verdict of a two-vertex graph.
+
+    ``lambda_first`` is numerator / (v^T D v).
+    """
+
     v_star: np.ndarray
     numerator: float      # (1/2)(1^T v)^2 - lambda v^T v, via the explicit expansion
-    lambda_first: float   # numerator / (v^T D v)
 
 
 def two_node_closed_form(p: TwoNodeParams) -> TwoNodeClosedForm:
-    """Closed-form non-unit eigenpair and first-order term for the two-vertex graph.
+    """Closed-form non-unit eigenpair, first-order term and verdict for the two-vertex graph.
 
     lambda_star = det(A) / ((a11+a12)(a22+a12)), eigenvector (1, -(a11+a12)/(a22+a12)),
     and the numerator of the first-order term expands to
 
         [(a22-a11)^2 (a11+a12)(a22+a12) - 2 det(A) ((a11+a12)^2 + (a22+a12)^2)]
         / [2 (a11+a12)(a22+a12)^3].
+
+    The non-unit eigenvalue is simple, so the verdict is the shared rule of
+    :mod:`rwj.perturb` applied to this one branch.
     """
     d1 = p.a11 + p.a12
     d2 = p.a22 + p.a12
     det = p.a11 * p.a22 - p.a12 * p.a12
     lam = det / (d1 * d2)
-    v = np.array([1.0, -d1 / d2])
+    r = d1 / d2
+    v = np.array([1.0, -r])
     numerator = (
         (p.a22 - p.a11) ** 2 * d1 * d2 - 2.0 * det * (d1 * d1 + d2 * d2)
     ) / (2.0 * d1 * d2 ** 3)
-    vdv = d1 * v[0] * v[0] + d2 * v[1] * v[1]
+    lam1 = float(numerator / (d1 + d2 * r * r))  # v^T D v = d1 + d2 r^2
+    classification, gap_derivative, stationary = verdict(lam, modulus_rate(lam, lam, lam1))
     return TwoNodeClosedForm(
-        lambda_star=float(lam), v_star=v, numerator=float(numerator),
-        lambda_first=float(numerator / vdv),
+        convention=SLEM, lambda_star=float(lam), lambda_first=lam1, classification=classification,
+        gap_derivative=gap_derivative, degenerate=False, tied_sign=False, stationary=stationary,
+        v_star=v, numerator=float(numerator),
     )
 
 
@@ -120,9 +127,9 @@ class ScanRecord:
     stationary: bool
     near_unit: bool
     sweep_confirmed: bool | None       # None unless classified WORSENS
-    consistency_violations: tuple[str, ...] = ()
-    paper_constant_witness: bool = False
-    edges: tuple[tuple[int, int, float], ...] = ()
+    consistency_violations: tuple[str, ...]
+    paper_constant_witness: bool
+    edges: tuple[tuple[int, int, float], ...]
 
     def flags(self) -> str:
         toks = []
@@ -170,24 +177,25 @@ def analyze_graph(g: WeightedGraph, convention: str = SLEM, graph_id: str | None
     conv = normalize_convention(convention)
     summary = spectrum(build_transition(g, 0.0), conv)
     report = classify_small_alpha(g, conv, summary=summary)
-    cond = full_report(g, conv, summary=summary, search_alpha_bar=False)
+    cond = full_report(g, conv, summary=summary)
     return scan_record(g, summary, report, cond, graph_id)
 
 
 def scan_record(
     g: WeightedGraph,
     summary: SpectralSummary,
-    report: PerturbationReport,
+    report: SmallAlphaVerdict,
     cond: ConditionReport,
     graph_id: str | None = None,
 ) -> ScanRecord:
     """The scan row of one graph from its alpha=0 spectrum, verdict and condition report.
 
-    A WORSENS verdict is sweep-confirmed here; nothing else is recomputed.
+    The only place a :class:`ScanRecord` is built. A WORSENS verdict is
+    sweep-confirmed here; nothing else is recomputed.
     """
     confirmed = None
     if report.classification == WORSENS:
-        confirmed = sweep_confirms(g, summary, worsens=True, alphas=SWEEP_ALPHAS)
+        confirmed = sweep_confirms(g, summary, worsens=True)
     return ScanRecord(
         id=graph_id or g.name or "<anonymous>",
         n=g.n,
@@ -367,21 +375,6 @@ def scan_random(
 # two-node grid search
 # ---------------------------------------------------------------------------
 
-def _classify_two_node(cf: TwoNodeClosedForm) -> tuple[str, float, bool]:
-    """(classification, gap derivative, stationary) from the closed forms.
-
-    Same rules as the spectral classification; the non-unit eigenvalue of a
-    two-vertex graph is always simple so no branch machinery is needed.
-    """
-    lam, lam1 = cf.lambda_star, cf.lambda_first
-    if abs(lam) <= TOL_SIGN:
-        rate = abs(lam1)
-        stationary = rate <= TOL_STATIONARY
-        return (IMPROVES if stationary else WORSENS), -rate, stationary
-    rate = lam1 if lam > 0.0 else -lam1
-    return (IMPROVES if rate < 0.0 else WORSENS), -rate, False
-
-
 def two_node_grid_search(
     a11_values: Sequence[float],
     a12_values: Sequence[float],
@@ -400,35 +393,12 @@ def two_node_grid_search(
             for a22 in a22_values:
                 p = TwoNodeParams(float(a11), float(a12), float(a22))
                 cf = two_node_closed_form(p)
-                classification, margin, stationary = _classify_two_node(cf)
-                if classification != WORSENS:
+                if cf.classification != WORSENS:
                     continue
                 g = p.graph()
                 summary = spectrum(build_transition(g, 0.0), SLEM)
-                confirmed = sweep_confirms(g, summary, worsens=True, alphas=SWEEP_ALPHAS)
-                cond = full_report(g, SLEM, summary=summary, search_alpha_bar=False)
-                records.append(
-                    ScanRecord(
-                        id=g.name or "two-node",
-                        n=2,
-                        convention=SLEM,
-                        lambda_star=cf.lambda_star,
-                        lambda_first=cf.lambda_first,
-                        classification=classification,
-                        margin=margin,
-                        cor1=cond.cor1.holds,
-                        cor2=cond.cor2.holds,
-                        thm2_sharp=cond.thm2_sharp.holds,
-                        cor4_sharp=cond.cor4_sharp.holds,
-                        nand_s=None if cond.nand_s is None else cond.nand_s.holds,
-                        degenerate=False,
-                        tied_sign=False,
-                        stationary=stationary,
-                        near_unit=summary.near_unit,
-                        sweep_confirmed=confirmed,
-                        edges=g.edges,
-                    )
-                )
+                cond = full_report(g, SLEM, summary=summary)
+                records.append(scan_record(g, summary, cf, cond))
     return records
 
 

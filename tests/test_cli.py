@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from rwj import two_node_grid_search
 from rwj.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_DISCONNECTED,
@@ -96,6 +97,9 @@ def test_conditions_command(det_zero_pair_file, capsys):
     assert rc == EXIT_OK
     assert "nand_s: n/a" in out
     assert "eigenvalues" not in out  # conditions-only skips the spectrum block
+    lines = out.splitlines()
+    rayleigh = next(i for i, line in enumerate(lines) if line.startswith("  rayleigh minimum:"))
+    assert lines[rayleigh + 1] == "  alpha_bar: closed_form=inf searched=none"
     rc = main(["analyze", "--input", det_zero_pair_file, "--format", "edgelist", "--conditions-only"])
     alias_out = capsys.readouterr().out
     assert rc == EXIT_OK
@@ -232,10 +236,14 @@ def test_scan_counterexample_exit_code(monkeypatch, tmp_path, capsys):
 
 def test_two_node_grid_exit_code(capsys):
     rc = main(["two-node", "--grid-a11", "4:4:1", "--grid-a12", "2:2:1", "--grid-a22", "1:1:1"])
-    capsys.readouterr()
+    assert capsys.readouterr().err == "worsening grid points: 1  sweep-confirmed: 1\n"
     assert rc == EXIT_COUNTEREXAMPLE
     rc = main(["two-node", "--grid-a11", "1:1:1", "--grid-a12", "2:2:1", "--grid-a22", "1:1:1"])
     capsys.readouterr()
+    assert rc == EXIT_OK
+    # lambda_first is exactly 0 at lambda_star = 0.1: WORSENS, but the sweep does not confirm it
+    rc = main(["two-node", "--grid-a11", "1:1:1", "--grid-a12", "1.5:1.5:1", "--grid-a22", "3.5:3.5:1"])
+    assert capsys.readouterr().err == "worsening grid points: 1  sweep-confirmed: 0\n"
     assert rc == EXIT_OK
 
 
@@ -245,6 +253,13 @@ def test_two_node_point_report(capsys):
     assert rc == EXIT_OK
     assert "classification=WORSENS" in out
     assert fmt(1.0 / 36.0) in out
+    # the point report prints the closed-form verdict, the one the grid records
+    for a11, a12, a22 in ((4.0, 2.0, 1.0), (1.0, 1.5, 3.5)):
+        rc = main(["two-node", "--a11", str(a11), "--a12", str(a12), "--a22", str(a22)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        (row,) = two_node_grid_search([a11], [a12], [a22])
+        assert f"\nclassification={row.classification} margin={fmt(row.margin)}\n" in out
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,10 @@ def test_full_report_k4(k4):
     assert rep.cor4_sharp.threshold == pytest.approx(1.0)
     assert rep.thm2_sharp.holds and rep.cor4_sharp.holds  # gamma = 2/3 < 1
     assert not rep.consistency
-    assert rep.alpha_bar is not None and rep.alpha_bar.searched is not None
 
 
 def test_full_report_regular_two_node_consistent():
-    rep = full_report(two_node(3.0, 1.0, 3.0), "slem", search_alpha_bar=False)
+    rep = full_report(two_node(3.0, 1.0, 3.0), "slem")
     assert rep.nand_s is not None and rep.nand_s.holds
     assert rep.thm2_sharp.threshold == pytest.approx(1.0)
     assert rep.thm2_sharp.holds  # gamma = 0.5 < 1
@@ -146,7 +145,7 @@ def test_full_report_regular_two_node_consistent():
 
 
 def test_full_report_near_singular_all_sharp_false():
-    rep = full_report(two_node(4.0, 2.0, 1.05), "slem", search_alpha_bar=False)
+    rep = full_report(two_node(4.0, 2.0, 1.05), "slem")
     assert rep.nand_s is not None and not rep.nand_s.holds
     assert not rep.cor1.holds
     assert not rep.cor2.holds
@@ -170,7 +169,7 @@ def test_implication_soundness_random():
     positives = 0
     for i in range(100):
         g = random_connected_weighted(rng, int(rng.integers(3, 14)), extra=0.15, self_loops=True)
-        rep = full_report(g, "slem", search_alpha_bar=False)
+        rep = full_report(g, "slem")
         assert not rep.consistency
         if rep.nand_s is not None and rep.lambda_star_simple:
             positives += 1

@@ -100,6 +100,32 @@ def test_grid_search_worsens_only_near_singular_asymmetric():
         assert r.sweep_confirmed
 
 
+def test_grid_search_rows_carry_scan_flags():
+    grid = (np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
+    records = two_node_grid_search(*grid)
+    assert len(records) == 172
+    assert sum(r.paper_constant_witness for r in records) == 150
+    # every column except flags is the closed-form row the grid has always written
+    stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in records_to_csv(records).splitlines())
+    assert hashlib.sha256(stripped.encode()).hexdigest() == (
+        "8f83b740dc06c52af2d8162356be7d4756d79c753474c9c0b8fea9a0f3028d22"
+    )
+
+
+def test_two_node_closed_form_verdict_matches_analyze_graph():
+    checked = 0
+    for a11 in np.linspace(0, 5, 11):
+        for a12 in np.linspace(0.5, 3, 4):
+            for a22 in np.linspace(0, 5, 11):
+                p = TwoNodeParams(float(a11), float(a12), float(a22))
+                cf = two_node_closed_form(p)
+                if abs(cf.lambda_star) > 1e-9 and abs(cf.lambda_first) <= 1e-12:
+                    continue  # the sign of a noise-level derivative is not determined
+                assert cf.classification == analyze_graph(p.graph(), "slem").classification, p
+                checked += 1
+    assert checked == 484
+
+
 def test_grid_search_empty_grid_rejected():
     with pytest.raises(ValueError):
         two_node_grid_search([], [1.0], [1.0])

@@ -272,6 +272,12 @@ def test_alpha_bar_regular_search_below_closed_form(c5):
     assert bar.searched == pytest.approx(1e-3)
 
 
+def test_alpha_bar_k4_searched(k4):
+    bar = alpha_bar(k4, "slem")
+    assert bar.searched is not None
+    assert bar.searched <= bar.closed_form
+
+
 def test_alpha_bar_bipartite_slem(star4):
     bar = alpha_bar(star4, "slem")
     assert bar.gamma0 == 0.0
