@@ -46,7 +46,6 @@ from .perturb import (
     classify_small_alpha,
     degenerate_first_order,
     finite_difference_derivative,
-    lambda_first_order,
     nand_s_check,
     sweep_confirms,
 )

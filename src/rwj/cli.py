@@ -129,13 +129,17 @@ def summary_text(s: search.ScanSummary) -> str:
 def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_record=False):
     """The analyze report text and, with ``with_record``, the scan row built from the same results.
 
-    The alpha=0 spectrum, the small-alpha verdict and the condition report are
-    computed once and shared by the text and the row.
+    The alpha=0 system is built and solved once; it feeds the verdict, the
+    condition report, alpha_bar and the row, and is the alpha view when alpha is 0.
     """
     out = []
     stats = graphs.degree_stats(g)
     conv = spectral.normalize_convention(convention)
-    base = report = None
+    ts0 = spectral.build_transition(g, 0.0)
+    base = spectral.spectrum(ts0, conv)
+    report = None
+    if with_record or not conditions_only:
+        report = perturb.classify_small_alpha(g, conv, h=h, summary=base)
     out.append(f"graph: {g.name or '<unnamed>'}  n={g.n}  volume={fmt(stats.volume)}")
     out.append("degrees: " + " ".join(fmt(x) for x in stats.d))
     out.append(
@@ -144,8 +148,8 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     )
 
     if not conditions_only:
-        ts = spectral.build_transition(g, alpha)
-        summary = spectral.spectrum(ts, conv)
+        ts = ts0 if alpha == 0.0 else spectral.build_transition(g, alpha)
+        summary = base if ts is ts0 else spectral.spectrum(ts, conv)
         out.append(f"alpha={fmt(alpha)}  convention={conv}")
         out.append("pi(alpha): " + " ".join(fmt(x) for x in ts.pi))
         out.append("eigenvalues: " + " ".join(fmt(x) for x in summary.eigenvalues))
@@ -176,9 +180,6 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
             f"dobrushin delta={fmt(delta)} 1-delta={fmt(1.0 - delta)} "
             f"bound alpha/(d_max+alpha)={fmt(bound)}"
         )
-
-        base = summary if ts.alpha == 0.0 else spectral.spectrum(spectral.build_transition(g, 0.0), conv)
-        report = perturb.classify_small_alpha(g, conv, h=h, summary=base)
         out.append(
             "small-alpha (at alpha=0): "
             f"lambda_star={fmt(report.lambda_star)} lambda_first={fmt(report.lambda_first)} "
@@ -191,8 +192,6 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
             + (" [tied]" if report.tied_sign else "")
         )
 
-    if base is None:
-        base = spectral.spectrum(spectral.build_transition(g, 0.0), conv)
     cond = cond_mod.full_report(g, conv, summary=base)
     out.append(f"conditions (alpha=0, gamma={fmt(cond.gamma)}):")
     out.append(f"  cor1: gap < 1/n = {fmt(cond.cor1.threshold)} -> {_fmt_bool(cond.cor1.holds)}")
@@ -217,17 +216,13 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
             f"(laplacian form: {fmt(cond.nand_s.laplacian_lhs)} < {fmt(cond.nand_s.laplacian_rhs)})"
         )
     out.append(f"  rayleigh minimum: {fmt(cond.rayleigh_min)}")
-    bar = spectral.alpha_bar(g, conv)
+    bar = spectral.alpha_bar(g, base)
     searched = "none" if bar.searched is None else fmt(bar.searched)
     out.append(f"  alpha_bar: closed_form={fmt(bar.closed_form)} searched={searched}")
     out.append(
         "  consistency: " + ("ok" if not cond.consistency else "; ".join(cond.consistency))
     )
-    record = None
-    if with_record:
-        if report is None:
-            report = perturb.classify_small_alpha(g, conv, h=h, summary=base)
-        record = search.scan_record(g, base, report, cond)
+    record = search.scan_record(g, base, report, cond) if with_record else None
     return "\n".join(out) + "\n", record
 
 
@@ -304,7 +299,7 @@ def cmd_scan(args) -> int:
     kwargs = dict(
         convention=args.convention,
         top_k=args.top_k,
-        parallelism=args.parallel or search.default_parallelism(),
+        parallelism=args.parallel,
         dump_dir=args.dump_dir,
     )
     if args.catalog:
@@ -476,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--limit", type=int, default=None)
     pn.add_argument("--convention", choices=["slem", "paper"], default="slem")
     pn.add_argument("--top-k", type=int, default=10)
-    pn.add_argument("--parallel", type=int, default=None, help="workers; RWJ_THREADS overrides default")
+    pn.add_argument("--parallel", type=int, default=1, help="worker processes (>= 1)")
     pn.add_argument("--out", default=None, help="CSV path (default stdout)")
     pn.add_argument("--dump-dir", default=None, help="write counterexample edge lists here")
     pn.set_defaults(func=cmd_scan)

@@ -29,7 +29,6 @@ from .graphs import WeightedGraph
 from .spectral import (
     SLEM,
     SpectralSummary,
-    TOL_TIE,
     build_transition,
     normalize_convention,
     spectrum,
@@ -43,29 +42,12 @@ TOL_SIGN = 1e-9        # |lambda_star| below this routes to the zero case
 TOL_STATIONARY = 1e-12  # branch derivatives below this count as exactly zero
 
 
-def lambda_first_order(g: WeightedGraph, lambda_star: float, v_star: np.ndarray) -> float:
-    """First-order eigenvalue derivative along a simple branch.
-
-    Scale-invariant in v_star. The pair must solve A v = lambda D v; a cheap
-    residual check guards against mismatched input.
-    """
-    v = np.asarray(v_star, dtype=float)
-    a = g.adjacency()
-    d = g.degrees()
-    resid = np.linalg.norm(a @ v - lambda_star * d * v)
-    if resid > 1e-7 * np.linalg.norm(d * v):
-        raise ValueError(f"(lambda, v) is not an eigenpair of D^-1 A (residual {resid:.2e})")
-    num = (v.sum() ** 2) / g.n - lambda_star * float(v @ v)
-    den = float(v @ (d * v))
-    return num / den
-
-
 def degenerate_first_order(g: WeightedGraph, lambda_star: float, basis: np.ndarray) -> np.ndarray:
     """Branch derivatives of a (possibly) multiple eigenvalue, ascending.
 
     ``basis`` columns must span the eigenspace and be D-orthonormal
     (V^T D V = I). Returns the eigenvalues of V^T((1/n)11^T - lambda I)V;
-    for a single column this equals :func:`lambda_first_order` exactly.
+    for a single column this equals the simple-branch formula exactly.
     """
     return np.linalg.eigvalsh(_reduced_pencil(g, lambda_star, basis))
 
@@ -143,7 +125,7 @@ def nand_s_check(lambda_star: float, v_star: np.ndarray, n: int) -> NandS:
 
 
 @dataclass(frozen=True, eq=False)
-class _Branch:
+class Branch:
     """One eigenvalue branch at the governing modulus level."""
 
     level_value: float       # exact eigenvalue the branch starts from
@@ -158,7 +140,9 @@ class SmallAlphaVerdict:
 
     ``lambda_first`` is the derivative of the governing branch.
     ``gap_derivative`` is d(gap)/dalpha at 0+ (positive means the relaxation
-    time improves) and is the scan margin.
+    time improves) and is the scan margin. ``branches`` holds every branch at
+    the governing modulus level, both signs when tied; :func:`sweep_confirms`
+    tracks their vectors.
     """
 
     convention: str
@@ -169,22 +153,15 @@ class SmallAlphaVerdict:
     degenerate: bool
     tied_sign: bool
     stationary: bool
+    branches: tuple[Branch, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class PerturbationReport(SmallAlphaVerdict):
-    """Small-alpha verdict for one graph, with its derivation and cross-check.
+    """Small-alpha verdict for one graph with its finite-difference cross-check."""
 
-    For a simple lambda_star ``lambda_first`` equals numerator/denominator.
-    ``branch_values`` lists derivatives of every branch at the governing
-    modulus level, both signs when tied.
-    """
-
-    numerator: float
-    denominator: float
     fd_estimate: float
     fd_agreement: float
-    branch_values: tuple[float, ...]
 
 
 def modulus_rate(lambda_star: float, level_value: float, derivative: float) -> float:
@@ -212,16 +189,15 @@ def verdict(lambda_star: float, worst_rate: float) -> tuple[str, float, bool]:
     return (IMPROVES if worst_rate < 0.0 else WORSENS), -worst_rate, False
 
 
-def _level_branches(g: WeightedGraph, summary: SpectralSummary) -> list[_Branch]:
+def _level_branches(g: WeightedGraph, summary: SpectralSummary) -> list[Branch]:
     """All branches at the modulus level of lambda_star, with their modulus rates."""
     w = summary.eigenvalues
     vecs = summary.eigenvectors
     lam = summary.lambda_star
-    cidx = np.flatnonzero(summary.candidates)
-    level_idx = cidx[np.abs(np.abs(w[cidx]) - abs(lam)) <= TOL_TIE]
+    level_idx = summary.level
     zero_case = abs(lam) <= TOL_SIGN
 
-    branches: list[_Branch] = []
+    branches: list[Branch] = []
     if zero_case:
         groups = [level_idx]
     else:
@@ -239,7 +215,7 @@ def _level_branches(g: WeightedGraph, summary: SpectralSummary) -> list[_Branch]
         derivs, y = np.linalg.eigh(_reduced_pencil(g, level_value, basis))
         for k, deriv in enumerate(derivs.tolist()):
             branches.append(
-                _Branch(
+                Branch(
                     level_value=level_value,
                     derivative=deriv,
                     rate=modulus_rate(lam, level_value, deriv),
@@ -291,49 +267,42 @@ def classify_small_alpha(
     fd = finite_difference_derivative(g, worst.level_value, worst.vector, h)
     fd_agreement = abs(worst.derivative - fd) / max(1.0, abs(worst.derivative))
 
-    v = summary.v_star
-    d = g.degrees()
-    numerator = (v.sum() ** 2) / g.n - lam * float(v @ v)
-    denominator = float(v @ (d * v))
-
     return PerturbationReport(
         convention=conv,
         lambda_star=lam,
-        numerator=float(numerator),
-        denominator=denominator,
         lambda_first=worst.derivative,
-        fd_estimate=float(fd),
-        fd_agreement=float(fd_agreement),
         classification=classification,
         gap_derivative=float(gap_derivative),
-        branch_values=tuple(float(b.derivative) for b in branches),
         degenerate=summary.degenerate_multiplicity > 1,
         tied_sign=summary.tied_sign,
         stationary=stationary,
+        branches=tuple(branches),
+        fd_estimate=float(fd),
+        fd_agreement=float(fd_agreement),
     )
 
 
 def sweep_confirms(
     g: WeightedGraph,
     summary: SpectralSummary,
-    worsens: bool,
+    verdict: SmallAlphaVerdict,
     alphas: tuple[float, ...] = (1e-3, 1e-2),
 ) -> bool:
-    """Direct check of the classification against branch-tracked gaps.
+    """Direct check of a verdict against branch-tracked gaps.
 
-    Tracks every branch at the governing modulus level to each test alpha and
-    compares 1 - max|lambda(alpha)| with the alpha=0 gap. For a WORSENS
-    verdict all test points must show a strictly smaller gap; for IMPROVES a
-    strictly larger one.
+    Tracks each of the verdict's branches from its alpha=0 vector along one
+    ascending grid of the test alphas and their midpoints, and compares
+    1 - max|lambda(alpha)| at each test alpha with the alpha=0 gap of
+    ``summary``. A WORSENS verdict needs a strictly smaller gap at every test
+    alpha, an IMPROVES verdict a strictly larger one.
     """
-    branches = _level_branches(g, summary)
+    grid = sorted({0.0, *alphas, *(a / 2.0 for a in alphas)})
+    paths = [track_branch(g, grid, b.vector) for b in verdict.branches]
+    worsens = verdict.classification == WORSENS
     gap0 = summary.gap
     for alpha in alphas:
-        worst_mod = 0.0
-        for b in branches:
-            path = track_branch(g, [0.0, alpha / 2.0, alpha], b.vector)
-            worst_mod = max(worst_mod, abs(path[-1][1]))
-        gap_alpha = 1.0 - worst_mod
+        k = grid.index(alpha)
+        gap_alpha = 1.0 - max(abs(path[k][1]) for path in paths)
         if worsens and not gap_alpha < gap0:
             return False
         if not worsens and not gap_alpha > gap0:

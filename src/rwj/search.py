@@ -9,7 +9,6 @@ the gap really shrinks at alpha in {1e-3, 1e-2}; the two confirmations
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from .graphs import WeightedGraph, generate, parse_graph6, write_edgelist
 from .perturb import (
     IMPROVES,
     WORSENS,
+    Branch,
     SmallAlphaVerdict,
     classify_small_alpha,
     modulus_rate,
@@ -65,11 +65,15 @@ class TwoNodeParams:
 class TwoNodeClosedForm(SmallAlphaVerdict):
     """Closed-form eigenpair, first-order term and ``slem`` verdict of a two-vertex graph.
 
-    ``lambda_first`` is numerator / (v^T D v).
+    ``lambda_first`` is numerator / (v^T D v). The single branch starts at
+    lambda_star along ``v_star``.
     """
 
-    v_star: np.ndarray
     numerator: float      # (1/2)(1^T v)^2 - lambda v^T v, via the explicit expansion
+
+    @property
+    def v_star(self) -> np.ndarray:
+        return self.branches[0].vector
 
 
 def two_node_closed_form(p: TwoNodeParams) -> TwoNodeClosedForm:
@@ -94,11 +98,12 @@ def two_node_closed_form(p: TwoNodeParams) -> TwoNodeClosedForm:
         (p.a22 - p.a11) ** 2 * d1 * d2 - 2.0 * det * (d1 * d1 + d2 * d2)
     ) / (2.0 * d1 * d2 ** 3)
     lam1 = float(numerator / (d1 + d2 * r * r))  # v^T D v = d1 + d2 r^2
-    classification, gap_derivative, stationary = verdict(lam, modulus_rate(lam, lam, lam1))
+    branch = Branch(level_value=lam, derivative=lam1, rate=modulus_rate(lam, lam, lam1), vector=v)
+    classification, gap_derivative, stationary = verdict(lam, branch.rate)
     return TwoNodeClosedForm(
         convention=SLEM, lambda_star=float(lam), lambda_first=lam1, classification=classification,
         gap_derivative=gap_derivative, degenerate=False, tied_sign=False, stationary=stationary,
-        v_star=v, numerator=float(numerator),
+        branches=(branch,), numerator=float(numerator),
     )
 
 
@@ -191,11 +196,12 @@ def scan_record(
     """The scan row of one graph from its alpha=0 spectrum, verdict and condition report.
 
     The only place a :class:`ScanRecord` is built. A WORSENS verdict is
-    sweep-confirmed here; nothing else is recomputed.
+    sweep-confirmed here along the verdict's own branches; nothing else is
+    recomputed.
     """
     confirmed = None
     if report.classification == WORSENS:
-        confirmed = sweep_confirms(g, summary, worsens=True)
+        confirmed = sweep_confirms(g, summary, report)
     return ScanRecord(
         id=graph_id or g.name or "<anonymous>",
         n=g.n,
@@ -220,37 +226,35 @@ def scan_record(
     )
 
 
-def _scan_graph6_line(convention: str, payload: tuple[int, bytes]):
-    idx, line = payload
+def _scan_graph6_line(convention: str, line: bytes) -> ScanRecord | None:
+    """The row of one graph6 line; None for a skipped (disconnected or malformed) line."""
     try:
         g = parse_graph6(line)
-    except DisconnectedGraphError as exc:
-        return idx, None, f"disconnected: {exc}"
-    except GraphFormatError as exc:
-        return idx, None, f"malformed: {exc}"
-    return idx, analyze_graph(g, convention), None
+    except (DisconnectedGraphError, GraphFormatError):
+        return None
+    return analyze_graph(g, convention)
 
 
-def _scan_generated(convention: str, model: str, params: dict, payload: tuple[int, int]):
-    idx, seed = payload
+def _scan_generated(convention: str, model: str, params: dict, seed: int) -> ScanRecord | None:
+    """The row of one seeded random graph; None when generation fails."""
     try:
         g = generate(model, seed=seed, **params)
-    except GenerationError as exc:
-        return idx, None, f"generation failed: {exc}"
-    return idx, analyze_graph(g, convention), None
+    except GenerationError:
+        return None
+    return analyze_graph(g, convention)
 
 
 def _finalize(
     provenance: str,
     convention: str,
-    results: Iterable[tuple[int, ScanRecord | None, str | None]],
+    results: Iterable[ScanRecord | None],
     top_k: int,
     started: float,
     dump_dir: str | Path | None,
 ) -> tuple[ScanSummary, list[ScanRecord]]:
     summary = ScanSummary(provenance=provenance, convention=convention)
     all_records: list[ScanRecord] = []
-    for _idx, record, _skip_reason in sorted(results, key=lambda r: r[0]):
+    for record in results:
         summary.total += 1
         if record is None:
             summary.skipped += 1
@@ -279,7 +283,10 @@ def _finalize(
 
 
 def _run(worker, payloads, parallelism: int):
-    if parallelism <= 1:
+    """``worker`` applied to every payload, results in input order."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    if parallelism == 1:
         return [worker(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         chunk = max(1, len(payloads) // (4 * parallelism))
@@ -341,7 +348,7 @@ def scan_catalog(
     if limit is not None:
         lines = lines[:limit]
     worker = partial(_scan_graph6_line, conv)
-    results = _run(worker, list(enumerate(lines)), parallelism)
+    results = _run(worker, lines, parallelism)
     return _finalize(provenance, conv, results, top_k, started, dump_dir)
 
 
@@ -366,8 +373,7 @@ def scan_random(
     started = time.perf_counter()
     provenance = f"{model}({params},seed={seed},count={count})"
     worker = partial(_scan_generated, conv, model, dict(params))
-    payloads = [(i, seed + i) for i in range(count)]
-    results = _run(worker, payloads, parallelism)
+    results = _run(worker, [seed + i for i in range(count)], parallelism)
     return _finalize(provenance, conv, results, top_k, started, dump_dir)
 
 
@@ -400,14 +406,3 @@ def two_node_grid_search(
                 cond = full_report(g, SLEM, summary=summary)
                 records.append(scan_record(g, summary, cf, cond))
     return records
-
-
-def default_parallelism() -> int:
-    """Worker count for scans; the RWJ_THREADS environment variable overrides."""
-    env = os.environ.get("RWJ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"RWJ_THREADS must be an integer, got {env!r}")
-    return 1

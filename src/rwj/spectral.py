@@ -79,15 +79,16 @@ class SpectralSummary:
     ``eigenvalues`` are sorted descending; ``eigenvectors`` columns are
     D(alpha)-orthonormal and aligned with them. ``v_star`` is the selected
     eigenvector renormalised to Euclidean unit length with its largest-modulus
-    entry made positive. ``candidates`` marks the indices admissible under the
-    selection convention.
+    entry made positive. ``level`` holds the indices of the governing modulus
+    level: the admissible eigenvalues within TOL_TIE of the largest admissible
+    modulus, lambda_star among them.
     """
 
     alpha: float
     convention: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    candidates: np.ndarray
+    level: np.ndarray
     lambda_star: float
     star_index: int
     v_star: np.ndarray
@@ -187,7 +188,7 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
         convention=conv,
         eigenvalues=w,
         eigenvectors=vecs,
-        candidates=candidates,
+        level=level,
         lambda_star=lambda_star,
         star_index=star_index,
         v_star=v,
@@ -262,16 +263,17 @@ class AlphaBar:
     searched: float | None
 
 
-def alpha_bar(g: WeightedGraph, convention: str = SLEM, grid: Sequence[float] | None = None) -> AlphaBar:
+def alpha_bar(g: WeightedGraph, base: SpectralSummary, grid: Sequence[float] | None = None) -> AlphaBar:
     """Closed-form and grid-searched improvement thresholds for the jump rate.
 
-    ``closed_form`` makes the Dobrushin bound exceed the alpha=0 gap (infinite
-    when that gap is already 1); ``searched`` is the smallest grid point whose
-    recomputed gap actually beats it (None if none does). Default grid:
-    64 log-spaced points in [1e-3, 1e3].
+    ``base`` is the alpha=0 spectrum of ``g``; its convention selects the gaps
+    along the grid. ``closed_form`` makes the Dobrushin bound exceed the alpha=0
+    gap (infinite when that gap is already 1); ``searched`` is the smallest grid
+    point whose recomputed gap actually beats it (None if none does). Default
+    grid: 64 log-spaced points in [1e-3, 1e3].
     """
-    conv = normalize_convention(convention)
-    base = spectrum(build_transition(g, 0.0), conv)
+    if base.alpha != 0.0:
+        raise ValueError(f"alpha_bar needs the alpha=0 spectrum, got alpha={base.alpha}")
     gamma0 = base.gap
     d_max = float(g.degrees().max())
     closed = alpha_bar_closed_form(gamma0, d_max)
@@ -279,7 +281,7 @@ def alpha_bar(g: WeightedGraph, convention: str = SLEM, grid: Sequence[float] | 
         grid = np.logspace(-3.0, 3.0, 64)
     searched = None
     for a in grid:
-        if spectrum(build_transition(g, float(a)), conv).gap > gamma0:
+        if spectrum(build_transition(g, float(a)), base.convention).gap > gamma0:
             searched = float(a)
             break
     return AlphaBar(gamma0=gamma0, closed_form=closed, searched=searched)

@@ -9,6 +9,25 @@ import numpy as np
 from rwj import TransitionSystem, WeightedGraph
 
 
+def lambda_first_order(g: WeightedGraph, lambda_star: float, v_star: np.ndarray) -> float:
+    """First-order eigenvalue derivative along a simple branch, from the formula
+
+    lambda'(0) = [(1/n)(1^T v)^2 - lambda v^T v] / (v^T D v).
+
+    Scale-invariant in v_star. The pair must solve A v = lambda D v; a cheap
+    residual check guards against mismatched input.
+    """
+    v = np.asarray(v_star, dtype=float)
+    a = g.adjacency()
+    d = g.degrees()
+    resid = np.linalg.norm(a @ v - lambda_star * d * v)
+    if resid > 1e-7 * np.linalg.norm(d * v):
+        raise ValueError(f"(lambda, v) is not an eigenpair of D^-1 A (residual {resid:.2e})")
+    num = (v.sum() ** 2) / g.n - lambda_star * float(v @ v)
+    den = float(v @ (d * v))
+    return num / den
+
+
 def split_form_transition(g: WeightedGraph, alpha: float) -> np.ndarray:
     """P(alpha) assembled the other way:
 

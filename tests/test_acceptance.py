@@ -20,7 +20,6 @@ from rwj import (
     dobrushin_bound,
     finite_difference_derivative,
     generate,
-    lambda_first_order,
     nand_s_check,
     parse_edgelist,
     parse_graph6,
@@ -32,7 +31,7 @@ from rwj import (
 from rwj.cli import main as cli_main
 
 from conftest import DET_ZERO_PAIR_TEXT, random_connected_weighted
-from oracles import split_form_transition
+from oracles import lambda_first_order, split_form_transition
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CATALOG_SIZES = {5: 21, 6: 112, 7: 853}

@@ -325,13 +325,8 @@ def test_fmt_twelve_significant_digits():
     assert fmt(-2 / 30000.0) == "-6.66666666667e-05"
 
 
-def test_rwj_threads_env(monkeypatch):
-    from rwj.search import default_parallelism
-
-    monkeypatch.setenv("RWJ_THREADS", "4")
-    assert default_parallelism() == 4
-    monkeypatch.setenv("RWJ_THREADS", "oops")
-    with pytest.raises(ValueError):
-        default_parallelism()
-    monkeypatch.delenv("RWJ_THREADS")
-    assert default_parallelism() == 1
+def test_scan_parallel_below_one_rejected(data_dir, capsys):
+    catalog = str(data_dir / "graph4c.g6")
+    for workers in ("0", "-1"):
+        assert main(["scan", "--catalog", catalog, "--parallel", workers]) == EXIT_PARSE
+        assert "parallelism must be >= 1" in capsys.readouterr().err

@@ -154,6 +154,19 @@ def test_full_report_near_singular_all_sharp_false():
     assert not rep.consistency
 
 
+@pytest.mark.parametrize("a11,a22", [(8, 28), (28, 8)])
+def test_full_report_nand_s_rounding_tie_is_no_violation(a11, a22):
+    # grid points of the 61-point linspace(0, 5): lhs and rhs of NandS are both
+    # 0.1 and differ by 2.8e-17, so NandS fails only by rounding
+    grid = np.linspace(0.0, 5.0, 61)
+    rep = full_report(two_node(float(grid[a11]), 1.0, float(grid[a22])), "slem")
+    assert rep.lambda_star_simple and rep.thm2_sharp.holds and rep.thm2_paper.holds
+    assert not rep.nand_s.holds
+    assert 0.0 < rep.nand_s.lhs - rep.nand_s.rhs <= 1e-15 * rep.nand_s.rhs
+    assert rep.consistency == ()
+    assert not rep.paper_constant_witness
+
+
 def test_rayleigh_floor_for_v_star():
     rng = np.random.default_rng(29)
     for i in range(15):

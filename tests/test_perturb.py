@@ -14,13 +14,13 @@ from rwj import (
     degenerate_first_order,
     finite_difference_derivative,
     generate,
-    lambda_first_order,
     nand_s_check,
     spectrum,
     sweep_confirms,
 )
 
 from conftest import connected_weighted, random_connected_weighted, two_node
+from oracles import lambda_first_order
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +219,16 @@ def test_nand_s_form_equivalence(g):
 
 def test_classify_det_zero_pair_worsens(det_zero_pair):
     for conv in ("slem", "paper"):
-        r = classify_small_alpha(det_zero_pair, conv)
+        s = spectrum(build_transition(det_zero_pair, 0.0), conv)
+        r = classify_small_alpha(det_zero_pair, conv, summary=s)
         assert r.classification == WORSENS
         assert abs(r.lambda_star) <= 1e-9
         assert r.lambda_first == pytest.approx(1.0 / 36.0, rel=1e-9)
+        assert r.lambda_first == pytest.approx(
+            lambda_first_order(det_zero_pair, r.lambda_star, s.v_star), rel=1e-9
+        )
         assert r.fd_agreement <= 1e-3
         assert not r.stationary
-        assert r.denominator > 0
-        assert r.numerator == pytest.approx(r.lambda_first * r.denominator, rel=1e-9)
 
 
 def test_classify_k4_case_one(k4):
@@ -248,7 +250,7 @@ def test_classify_star_stationary_under_paper(star4):
     r = classify_small_alpha(star4, "paper")
     assert r.classification == IMPROVES
     assert r.stationary
-    assert r.branch_values == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert [b.derivative for b in r.branches] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_classify_star_slem_case_one(star4):
@@ -264,17 +266,19 @@ def test_classify_p4_tied_under_paper():
     assert r.tied_sign
     assert r.classification == IMPROVES
     # branches: -5/12 from +1/2, +1/2 from -1/2; the +side branch governs
-    assert sorted(r.branch_values) == pytest.approx([-5.0 / 12.0, 0.5], rel=1e-9)
+    assert sorted(b.derivative for b in r.branches) == pytest.approx([-5.0 / 12.0, 0.5], rel=1e-9)
     assert r.lambda_first == pytest.approx(-5.0 / 12.0, rel=1e-9)
     assert r.gap_derivative == pytest.approx(5.0 / 12.0, rel=1e-9)
 
 
 def test_classification_sweep_consistency_named_cases(det_zero_pair, k4, c5, star4):
+    # path(n=4) under paper is sign-tied: the sweep tracks both of its branches
     for g, conv in ((det_zero_pair, "slem"), (k4, "slem"), (c5, "slem"), (star4, "slem"),
-                    (two_node(4.0, 2.0, 1.05), "slem"), (two_node(3.0, 1.0, 3.0), "slem")):
+                    (two_node(4.0, 2.0, 1.05), "slem"), (two_node(3.0, 1.0, 3.0), "slem"),
+                    (generate("path", n=4), "paper")):
         s = spectrum(build_transition(g, 0.0), conv)
         r = classify_small_alpha(g, conv, summary=s)
-        assert sweep_confirms(g, s, worsens=r.classification == WORSENS)
+        assert sweep_confirms(g, s, r)
 
 
 def test_sweep_consistency_all_catalogs(catalog_lines):
@@ -286,9 +290,9 @@ def test_sweep_consistency_all_catalogs(catalog_lines):
             g = parse_graph6(line)
             s = spectrum(build_transition(g, 0.0), "slem")
             r = classify_small_alpha(g, "slem", summary=s)
-            assert sweep_confirms(
-                g, s, worsens=r.classification == WORSENS, alphas=(1e-3,)
-            ), f"{line!r}: {r.classification} not confirmed at alpha=1e-3"
+            assert sweep_confirms(g, s, r, alphas=(1e-3,)), (
+                f"{line!r}: {r.classification} not confirmed at alpha=1e-3"
+            )
 
 
 def test_case_one_property_random_graphs():

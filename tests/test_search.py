@@ -105,10 +105,17 @@ def test_grid_search_rows_carry_scan_flags():
     records = two_node_grid_search(*grid)
     assert len(records) == 172
     assert sum(r.paper_constant_witness for r in records) == 150
+    assert sum(r.sweep_confirmed is True for r in records) == 170
+    assert sum(r.sweep_confirmed is False for r in records) == 2
     # every column except flags is the closed-form row the grid has always written
-    stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in records_to_csv(records).splitlines())
+    csv = records_to_csv(records)
+    stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in csv.splitlines())
     assert hashlib.sha256(stripped.encode()).hexdigest() == (
         "8f83b740dc06c52af2d8162356be7d4756d79c753474c9c0b8fea9a0f3028d22"
+    )
+    # the flags too, sweep flags included
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
     )
 
 

@@ -265,7 +265,7 @@ def test_alpha_bar_closed_form_values():
 
 
 def test_alpha_bar_regular_search_below_closed_form(c5):
-    bar = alpha_bar(c5, "slem")
+    bar = alpha_bar(c5, spectrum(build_transition(c5, 0.0), "slem"))
     assert bar.searched is not None
     assert bar.searched <= bar.closed_form
     # for a regular graph any alpha > 0 improves, so the search hits the first grid point
@@ -273,13 +273,13 @@ def test_alpha_bar_regular_search_below_closed_form(c5):
 
 
 def test_alpha_bar_k4_searched(k4):
-    bar = alpha_bar(k4, "slem")
+    bar = alpha_bar(k4, spectrum(build_transition(k4, 0.0), "slem"))
     assert bar.searched is not None
     assert bar.searched <= bar.closed_form
 
 
 def test_alpha_bar_bipartite_slem(star4):
-    bar = alpha_bar(star4, "slem")
+    bar = alpha_bar(star4, spectrum(build_transition(star4, 0.0), "slem"))
     assert bar.gamma0 == 0.0
     assert bar.closed_form == 0.0
     assert bar.searched == pytest.approx(1e-3)
@@ -289,12 +289,17 @@ def test_alpha_bar_guarantee_beyond_closed_form():
     rng = np.random.default_rng(3)
     for i in range(8):
         g = random_connected_weighted(rng, int(rng.integers(3, 10)))
-        bar = alpha_bar(g, "slem", grid=[])
+        bar = alpha_bar(g, spectrum(build_transition(g, 0.0), "slem"), grid=[])
         if math.isinf(bar.closed_form):
             continue
         alpha = bar.closed_form * 1.01 + 1e-6
         gap = spectrum(build_transition(g, alpha), "slem").gap
         assert gap > bar.gamma0
+
+
+def test_alpha_bar_rejects_a_nonzero_alpha_base(c5):
+    with pytest.raises(ValueError):
+        alpha_bar(c5, spectrum(build_transition(c5, 0.5), "slem"))
 
 
 # ---------------------------------------------------------------------------
