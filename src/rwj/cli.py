@@ -109,6 +109,7 @@ def summary_text(s: search.ScanSummary) -> str:
         f"scan: {s.provenance}",
         f"convention: {s.convention}",
         f"total: {s.total}  classified: {s.classified}  skipped: {s.skipped}",
+        f"scalar-path rows: {s.scalar_path}",
         f"counterexamples: {s.counterexamples}  unconfirmed-worsens: {s.worsens_unconfirmed}",
         f"degenerate: {s.degenerate}  tied: {s.tied}  stationary: {s.stationary}",
         f"paper-constant witnesses: {s.paper_constant_witnesses}  "

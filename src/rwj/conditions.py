@@ -17,11 +17,12 @@ reported and audited, never asserted sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import DegreeStats, WeightedGraph, degree_stats
-from .perturb import NandS, TOL_SIGN, nand_s_check
+from .graphs import DegreeStats, WeightedGraph, degree_stats, degree_stats_of
+from .perturb import NandS, TOL_SIGN, nand_s_check, nand_s_sides
 from .spectral import SLEM, SpectralSummary, build_transition, normalize_convention, spectrum
 
 PAPER_CONSTANT = 4.0
@@ -44,9 +45,18 @@ class Cor2Verdict:
     holds: bool
 
 
+# Each condition below also takes a stack: an array of gaps with eigenvectors
+# and degree statistics stacked along the leading axes gives arrays of
+# thresholds and verdicts, one per graph.
+
+def _holds(below):
+    """A Python bool for one graph, the boolean array for a stack."""
+    return below if isinstance(below, np.ndarray) else bool(below)
+
+
 def corollary1(gamma: float, n: int) -> Verdict:
     """gap < 1/n."""
-    return Verdict(threshold=1.0 / n, holds=bool(gamma < 1.0 / n))
+    return Verdict(threshold=1.0 / n, holds=_holds(gamma < 1.0 / n))
 
 
 def corollary2(gamma: float, v_star: np.ndarray) -> Cor2Verdict:
@@ -57,29 +67,28 @@ def corollary2(gamma: float, v_star: np.ndarray) -> Cor2Verdict:
     this keeps the condition sound in the presence of dead entries.
     """
     v = np.asarray(v_star, dtype=float)
-    band = 1e-12 * float(np.abs(v).max())
-    neg = int((v < -band).sum())
-    pos = int((v > band).sum())
-    if neg + pos == 0:
+    band = 1e-12 * np.abs(v).max(axis=-1, keepdims=True)
+    neg = (v < -band).sum(axis=-1)
+    pos = (v > band).sum(axis=-1)
+    if np.any(neg + pos == 0):
         raise ValueError("eigenvector has no entries outside the dead band")
-    n = len(v)
-    mu = neg / n
-    threshold = min(neg, pos) / n
-    return Cor2Verdict(mu=mu, threshold=threshold, holds=bool(gamma < threshold))
+    n = v.shape[-1]
+    threshold = np.minimum(neg, pos) / n
+    return Cor2Verdict(mu=neg / n, threshold=threshold, holds=_holds(gamma < threshold))
 
 
 def theorem2(gamma: float, stats: DegreeStats, constant: str = "sharp") -> Verdict:
     """gap < c * d_mean^2 / second_moment(d), c = 4 (paper) or 1 (sharp)."""
     c = _constant(constant)
     threshold = c * stats.snr
-    return Verdict(threshold=threshold, holds=bool(gamma < threshold))
+    return Verdict(threshold=threshold, holds=_holds(gamma < threshold))
 
 
 def corollary4(gamma: float, stats: DegreeStats, constant: str = "sharp") -> Verdict:
     """gap < c * d_mean / d_max, c = 4 (paper) or 1 (sharp)."""
     c = _constant(constant)
     threshold = c * stats.d_mean / stats.d_max
-    return Verdict(threshold=threshold, holds=bool(gamma < threshold))
+    return Verdict(threshold=threshold, holds=_holds(gamma < threshold))
 
 
 def _constant(constant: str) -> float:
@@ -113,6 +122,18 @@ def rayleigh_minimum(stats: DegreeStats) -> tuple[float, np.ndarray]:
     return min_value, f
 
 
+class LadderRow(NamedTuple):
+    """The condition-ladder columns of a scan row."""
+
+    cor1: bool
+    cor2: bool
+    thm2_sharp: bool
+    cor4_sharp: bool
+    nand_s: bool | None       # None when lambda_star <= TOL_SIGN
+    consistency: tuple[str, ...]
+    paper_constant_witness: bool
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Every condition evaluated on one graph at alpha = 0."""
@@ -132,6 +153,13 @@ class ConditionReport:
     rayleigh_min: float
     consistency: tuple[str, ...]      # implication violations; empty means consistent
     paper_constant_witness: bool      # thm2 with the published constant held but NandS failed
+
+    def row(self) -> LadderRow:
+        return LadderRow(
+            self.cor1.holds, self.cor2.holds, self.thm2_sharp.holds, self.cor4_sharp.holds,
+            None if self.nand_s is None else self.nand_s.holds,
+            self.consistency, self.paper_constant_witness,
+        )
 
 
 def full_report(
@@ -165,21 +193,12 @@ def full_report(
     nand = nand_s_check(lam, summary.v_star, g.n) if lam > TOL_SIGN else None
     ray_min, _ = rayleigh_minimum(stats)
 
-    nand_failed = bool(
-        nand is not None and simple
-        and nand.lhs - nand.rhs > NANDS_TIE * max(nand.lhs, nand.rhs)
-    )
-    violations: list[str] = []
-    if nand_failed:
-        if c1.holds:
-            violations.append("cor1 held but NandS failed")
-        if c2.holds:
-            violations.append("cor2 held but NandS failed")
-        if t2s.holds:
-            violations.append("thm2(sharp) held but NandS failed")
-    if c4s.holds and not t2s.holds:
-        violations.append("cor4(sharp) held but thm2(sharp) failed")
-
+    nand_failed = bool(nand is not None and simple and _nand_failed(nand.lhs, nand.rhs))
+    violations = tuple([
+        message
+        for message, violated in _implications(nand_failed, c1.holds, c2.holds, t2s.holds, c4s.holds)
+        if violated
+    ])
     witness = nand_failed and t2p.holds
 
     return ConditionReport(
@@ -196,6 +215,49 @@ def full_report(
         cor4_sharp=c4s,
         nand_s=nand,
         rayleigh_min=ray_min,
-        consistency=tuple(violations),
+        consistency=violations,
         paper_constant_witness=witness,
     )
+
+
+def _nand_failed(lhs, rhs):
+    """NandS failed by more than a rounding-level tie (NANDS_TIE relative); elementwise on arrays."""
+    return lhs - rhs > NANDS_TIE * np.maximum(lhs, rhs)
+
+
+def _implications(nand_failed, cor1, cor2, thm2_sharp, cor4_sharp):
+    """(message, violated) for each implication the ladder's theorems assert; elementwise on arrays."""
+    return (
+        ("cor1 held but NandS failed", np.logical_and(nand_failed, cor1)),
+        ("cor2 held but NandS failed", np.logical_and(nand_failed, cor2)),
+        ("thm2(sharp) held but NandS failed", np.logical_and(nand_failed, thm2_sharp)),
+        ("cor4(sharp) held but thm2(sharp) failed", np.logical_and(cor4_sharp, np.logical_not(thm2_sharp))),
+    )
+
+
+def stacked_ladder(
+    gamma: np.ndarray, d: np.ndarray, v_star: np.ndarray, lambda_star: np.ndarray
+) -> list[LadderRow | None]:
+    """The :class:`LadderRow` of every graph of a stack whose governing levels are simple.
+
+    ``gamma`` and ``lambda_star`` are (k,) arrays, ``d`` the (k, n) degrees and
+    ``v_star`` the (k, n) eigenvectors of the stack. The conditions, thresholds
+    and rules are those of :func:`full_report`, evaluated elementwise. A graph
+    with a consistency violation gets None: :func:`full_report` reports it.
+    """
+    n = d.shape[-1]
+    stats = degree_stats_of(d)
+    c1 = corollary1(gamma, n).holds
+    c2 = corollary2(gamma, v_star).holds
+    t2p = theorem2(gamma, stats, "paper").holds
+    t2s = theorem2(gamma, stats, "sharp").holds
+    c4s = corollary4(gamma, stats, "sharp").holds
+    positive = lambda_star > TOL_SIGN
+    lhs, rhs = nand_s_sides(lambda_star, v_star, n)
+    nand_failed = positive & _nand_failed(lhs, rhs)
+    violated = np.logical_or.reduce([v for _, v in _implications(nand_failed, c1, c2, t2s, c4s)])
+    columns = (c1, c2, t2s, c4s, lhs < rhs, positive, nand_failed & t2p, violated)
+    return [
+        None if bad else LadderRow(r1, r2, rt, r4, nand if pos else None, (), witness)
+        for r1, r2, rt, r4, nand, pos, witness, bad in zip(*(c.tolist() for c in columns))
+    ]

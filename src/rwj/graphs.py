@@ -134,13 +134,17 @@ class DegreeStats:
 
 
 def degree_stats(g: WeightedGraph) -> DegreeStats:
-    d = g.degrees()
-    d_mean = float(d.mean())
-    d2 = float((d * d).mean())
+    return degree_stats_of(g.degrees())
+
+
+def degree_stats_of(d: np.ndarray) -> DegreeStats:
+    """Degree statistics of a degree vector, or elementwise of a stack of them (last axis)."""
+    d_mean = d.mean(axis=-1)
+    d2 = (d * d).mean(axis=-1)
     return DegreeStats(
         d=d,
-        volume=float(d.sum()),
-        d_max=float(d.max()),
+        volume=d.sum(axis=-1),
+        d_max=d.max(axis=-1),
         d_mean=d_mean,
         d_second_moment=d2,
         snr=d_mean * d_mean / d2,
@@ -182,6 +186,17 @@ def _graph6_size(line: bytes) -> tuple[int, bytes]:
     return n, line[4:]
 
 
+def _graph6_body_bytes(n: int) -> int:
+    """Length of the graph6 body of an n-vertex graph: n(n-1)/2 bits, six to a byte."""
+    return (n * (n - 1) // 2 + 5) // 6
+
+
+def graph6_short_n(line: bytes) -> int:
+    """n of a graph6 line with a 1-byte header (2 <= n <= 62) and the body length n needs, else 0."""
+    n = line[0] - 63
+    return n if 2 <= n <= _GRAPH6_SHORT_MAX_N and len(line) == 1 + _graph6_body_bytes(n) else 0
+
+
 def parse_graph6(data: bytes | str) -> WeightedGraph:
     """Parse one graph6 line into an unweighted graph.
 
@@ -204,7 +219,7 @@ def parse_graph6(data: bytes | str) -> WeightedGraph:
     if n < 2:
         raise GraphFormatError(f"graph6 line encodes n={n}; need n >= 2")
     nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = _graph6_body_bytes(n)
     if len(body) != nbytes:
         raise GraphFormatError(f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}")
     bits = []
@@ -226,6 +241,46 @@ def parse_graph6(data: bytes | str) -> WeightedGraph:
     if not is_connected(g):
         raise DisconnectedGraphError(f"graph6 line {line.decode('ascii')!r} is disconnected")
     return g
+
+
+def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency matrices of n-vertex graph6 lines in one vectorised decode.
+
+    Every line must be one that :func:`graph6_short_n` maps to n. Returns the (k, n, n)
+    adjacency stack and a mask of the lines that :func:`parse_graph6` accepts:
+    body bytes in [63, 126], zero padding bits, a connected graph. A line
+    outside the mask is left for :func:`parse_graph6` to name its fault.
+    """
+    k = len(lines)
+    nbits = n * (n - 1) // 2
+    body = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(k, -1)[:, 1:]
+    ok = ((body >= 63) & (body <= 126)).all(axis=1)
+    bits = np.unpackbits((body - 63)[..., None], axis=-1)[..., 2:].reshape(k, -1)
+    ok &= ~bits[:, nbits:].any(axis=1)
+    # lower-triangle order (1,0), (2,0), (2,1), ... is the graph6 bit order x01, x02, x12, ...
+    v, u = np.tril_indices(n, -1)
+    a = np.zeros((k, n, n))
+    a[:, u, v] = bits[:, :nbits]
+    a[:, v, u] = bits[:, :nbits]
+    # breadth-first search from vertex 0, one frontier step for the whole stack at a time
+    reach = np.zeros((k, 1, n))
+    reach[:, 0, 0] = 1.0
+    for _ in range(n - 1):
+        grown = np.minimum(reach + reach @ a, 1.0)
+        if (grown == reach).all():
+            break
+        reach = grown
+    ok &= reach.all(axis=(1, 2))
+    return a, ok
+
+
+def stack_edges(a: np.ndarray) -> list[tuple[tuple[int, int, float], ...]]:
+    """``WeightedGraph.edges`` of each unweighted graph without self-loops of a (k, n, n) adjacency stack."""
+    u, v = np.triu_indices(a.shape[-1], 1)
+    pairs = [(i, j, 1.0) for i, j in zip(u.tolist(), v.tolist())]
+    # a tuple built from a list, not from an iterator: tuple() grows and shrinks
+    # an iterator's result in place, which leaves the heap fragmented
+    return [tuple([p for p, present in zip(pairs, row) if present]) for row in (a[:, u, v] > 0.0).tolist()]
 
 
 def write_graph6(g: WeightedGraph) -> bytes:

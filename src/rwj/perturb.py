@@ -29,10 +29,12 @@ from .graphs import WeightedGraph
 from .spectral import (
     SLEM,
     SpectralSummary,
+    StackedSpectrum,
     build_transition,
     normalize_convention,
     spectrum,
     track_branch,
+    track_stack,
 )
 
 IMPROVES = "IMPROVES"
@@ -40,6 +42,9 @@ WORSENS = "WORSENS"
 
 TOL_SIGN = 1e-9        # |lambda_star| below this routes to the zero case
 TOL_STATIONARY = 1e-12  # branch derivatives below this count as exactly zero
+_TOL_GRAM = 1e-10       # largest |V^T D V - I| entry of a D-orthonormal basis
+_TOL_RESIDUAL = 1e-7    # largest |A V - lambda D V| entry of an eigenspace basis
+_TOL_FD_START = 1e-8    # largest distance of the tracked alpha=0 eigenvalue from lambda_star
 
 
 def degenerate_first_order(g: WeightedGraph, lambda_star: float, basis: np.ndarray) -> np.ndarray:
@@ -59,17 +64,44 @@ def _reduced_pencil(g: WeightedGraph, lambda_star: float, basis: np.ndarray) -> 
         v = v[:, None]
     if v.ndim != 2 or v.shape[0] != g.n or v.shape[1] < 1:
         raise ValueError(f"basis must be n x k with n={g.n}, got shape {v.shape}")
-    a = g.adjacency()
-    d = g.degrees()
-    gram = v.T @ (d[:, None] * v)
-    if np.abs(gram - np.eye(v.shape[1])).max() > 1e-10:
+    reduced, gram_err, resid = _pencil(g.adjacency(), g.degrees(), lambda_star, v)
+    if gram_err > _TOL_GRAM:
         raise ValueError("basis is not D-orthonormal (V^T D V != I within 1e-10)")
-    resid = np.abs(a @ v - lambda_star * d[:, None] * v).max()
-    if resid > 1e-7:
+    if resid > _TOL_RESIDUAL:
         raise ValueError(f"basis does not span the eigenspace (residual {resid:.2e})")
-    ones_proj = v.T @ np.ones(g.n)
-    reduced = np.outer(ones_proj, ones_proj) / g.n - lambda_star * (v.T @ v)
-    return (reduced + reduced.T) / 2.0
+    return reduced
+
+
+def _pencil(a: np.ndarray, d: np.ndarray, lambda_star, v: np.ndarray):
+    """V^T((1/n)11^T - lambda I)V symmetrised, max|V^T D V - I| and max|A V - lambda D V|.
+
+    Leading axes of ``a``, ``d``, ``lambda_star`` and ``v`` are a stack; each
+    stacked product has the layout of the unstacked one, so the numbers agree.
+    """
+    n = a.shape[-1]
+    lam = np.asarray(lambda_star, dtype=float)[..., None, None]
+    vt = np.swapaxes(v, -1, -2)
+    gram = vt @ (d[..., :, None] * v)
+    gram_err = np.abs(gram - np.eye(v.shape[-1])).max(axis=(-2, -1))
+    resid = np.abs(a @ v - lam * d[..., :, None] * v).max(axis=(-2, -1))
+    ones_proj = vt @ np.ones(n)
+    reduced = ones_proj[..., :, None] * ones_proj[..., None, :] / n - lam * (vt @ v)
+    return (reduced + np.swapaxes(reduced, -1, -2)) / 2.0, gram_err, resid
+
+
+def simple_first_order(
+    a: np.ndarray, d: np.ndarray, lambda_star: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """lambda'(0) of one simple eigenvalue per graph of a stack, and where it may be used.
+
+    ``a`` is a (k, n, n) adjacency stack with degrees ``d``, and ``basis`` the
+    (k, n, 1) D-orthonormal eigenvectors of ``lambda_star``. The derivative is
+    the entry of the 1 x 1 reduced pencil of :func:`degenerate_first_order`,
+    which is its eigenvalue. A row may be used where both of
+    :func:`_reduced_pencil`'s checks pass.
+    """
+    reduced, gram_err, resid = _pencil(a, d, lambda_star, basis)
+    return reduced[:, 0, 0], (gram_err <= _TOL_GRAM) & (resid <= _TOL_RESIDUAL)
 
 
 def finite_difference_derivative(
@@ -83,11 +115,28 @@ def finite_difference_derivative(
         raise ValueError(f"h must be > 0, got {h}")
     branch = track_branch(g, [0.0, h / 2.0, h], v_star)
     lam0 = branch[0][1]
-    if abs(lam0 - lambda_star) > 1e-8:
+    if abs(lam0 - lambda_star) > _TOL_FD_START:
         raise NumericalError(
             f"tracked branch starts at {lam0}, expected lambda_star={lambda_star}"
         )
     return (-3.0 * lam0 + 4.0 * branch[1][1] - branch[2][1]) / h
+
+
+def finite_difference_guard(
+    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, h: float = 1e-5
+) -> np.ndarray:
+    """Where :func:`finite_difference_derivative` accepts the branch of lambda_star, for a stack.
+
+    ``spec`` is the :func:`stacked_spectrum` of the (k, n, n) stack ``a``;
+    its alpha = 0 eigenpairs start the tracking, and alpha = h/2 and h take one
+    more batched ``eigh``. A row passes when every tracked overlap is at least
+    0.5 (below it track_branch raises) and the tracked alpha = 0 eigenvalue is
+    within 1e-8 of lambda_star. The estimate itself is not formed. ``h`` is
+    the step :func:`classify_small_alpha` takes by default.
+    """
+    start = (spec.eigenvalues, spec.eigenvectors, spec.root)
+    lam, overlap = track_stack(a, d, [h / 2.0, h], spec.basis[..., 0], start)
+    return (overlap >= 0.5).all(axis=-1) & (np.abs(lam[:, 0] - spec.lambda_star) <= _TOL_FD_START)
 
 
 class NandS(NamedTuple):
@@ -100,6 +149,16 @@ class NandS(NamedTuple):
     laplacian_rhs: float   # v^T L_K v / (n v^T v), L_K = nI - 11^T
 
 
+def nand_s_sides(lambda_star, v_star: np.ndarray, n: int):
+    """(1/n)(1^T v)^2 and lambda v^T v, the two sides of the improvement condition.
+
+    Leading axes of ``lambda_star`` and ``v_star`` are a stack.
+    """
+    lhs = v_star.sum(axis=-1) ** 2 / n
+    rhs = lambda_star * (v_star[..., None, :] @ v_star[..., :, None])[..., 0, 0]
+    return lhs, rhs
+
+
 def nand_s_check(lambda_star: float, v_star: np.ndarray, n: int) -> NandS:
     """Evaluate (1/n)(1^T v)^2 < lambda v^T v and its complete-graph-Laplacian twin.
 
@@ -110,9 +169,8 @@ def nand_s_check(lambda_star: float, v_star: np.ndarray, n: int) -> NandS:
     if lambda_star <= 0.0:
         raise ValueError(f"condition requires lambda_star > 0, got {lambda_star}")
     v = np.asarray(v_star, dtype=float)
-    lhs = (v.sum() ** 2) / n
+    lhs, rhs = nand_s_sides(lambda_star, v, n)
     vtv = float(v @ v)
-    rhs = lambda_star * vtv
     lap = n * np.eye(n) - np.ones((n, n))
     laplacian_rhs = float(v @ (lap @ v)) / (n * vtv)
     return NandS(

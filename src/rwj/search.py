@@ -18,20 +18,48 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conditions import ConditionReport, full_report
-from .errors import DisconnectedGraphError, GenerationError, GraphFormatError
-from .graphs import WeightedGraph, generate, parse_graph6, write_edgelist
+from .conditions import ConditionReport, LadderRow, full_report, stacked_ladder
+from .errors import (
+    ConventionError,
+    DisconnectedGraphError,
+    GenerationError,
+    GraphFormatError,
+    NumericalError,
+)
+from .graphs import (
+    WeightedGraph,
+    decode_graph6_stack,
+    generate,
+    graph6_short_n,
+    parse_graph6,
+    stack_edges,
+    write_edgelist,
+)
 from .perturb import (
     IMPROVES,
+    TOL_SIGN,
     WORSENS,
     Branch,
     SmallAlphaVerdict,
     classify_small_alpha,
+    finite_difference_guard,
     modulus_rate,
+    simple_first_order,
     sweep_confirms,
     verdict,
 )
-from .spectral import SLEM, SpectralSummary, build_transition, normalize_convention, spectrum
+from .spectral import (
+    SLEM,
+    SpectralSummary,
+    build_transition,
+    normalize_convention,
+    spectrum,
+    stacked_spectrum,
+)
+
+# Graphs per stacked eigensolve of a catalog scan. Larger stacks barely speed
+# up n <= 8 and hold more memory at larger n.
+STACK_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +201,7 @@ class ScanSummary:
     stationary: int = 0
     paper_constant_witnesses: int = 0
     consistency_violations: int = 0
+    scalar_path: int = 0               # classified rows that took the per-graph path
     min_margin_records: tuple[ScanRecord, ...] = ()
     elapsed: float = 0.0
 
@@ -195,53 +224,154 @@ def scan_record(
 ) -> ScanRecord:
     """The scan row of one graph from its alpha=0 spectrum, verdict and condition report.
 
-    The only place a :class:`ScanRecord` is built. A WORSENS verdict is
-    sweep-confirmed here along the verdict's own branches; nothing else is
-    recomputed.
+    A WORSENS verdict is sweep-confirmed here along the verdict's own
+    branches; nothing else is recomputed.
     """
     confirmed = None
     if report.classification == WORSENS:
         confirmed = sweep_confirms(g, summary, report)
+    graph_id = graph_id or g.name or "<anonymous>"
+    return _record(graph_id, g.n, g.edges, summary.near_unit, report, cond.row(), confirmed)
+
+
+def _record(
+    graph_id: str,
+    n: int,
+    edges: tuple[tuple[int, int, float], ...],
+    near_unit: bool,
+    report: SmallAlphaVerdict,
+    ladder: LadderRow,
+    confirmed: bool | None,
+) -> ScanRecord:
+    """The only place a :class:`ScanRecord` is built."""
     return ScanRecord(
-        id=graph_id or g.name or "<anonymous>",
-        n=g.n,
+        id=graph_id,
+        n=n,
         convention=report.convention,
         lambda_star=report.lambda_star,
         lambda_first=report.lambda_first,
         classification=report.classification,
         margin=report.gap_derivative,
-        cor1=cond.cor1.holds,
-        cor2=cond.cor2.holds,
-        thm2_sharp=cond.thm2_sharp.holds,
-        cor4_sharp=cond.cor4_sharp.holds,
-        nand_s=None if cond.nand_s is None else cond.nand_s.holds,
+        cor1=ladder.cor1,
+        cor2=ladder.cor2,
+        thm2_sharp=ladder.thm2_sharp,
+        cor4_sharp=ladder.cor4_sharp,
+        nand_s=ladder.nand_s,
         degenerate=report.degenerate,
         tied_sign=report.tied_sign,
         stationary=report.stationary,
-        near_unit=summary.near_unit,
+        near_unit=near_unit,
         sweep_confirmed=confirmed,
-        consistency_violations=cond.consistency,
-        paper_constant_witness=cond.paper_constant_witness,
-        edges=g.edges,
+        consistency_violations=ladder.consistency,
+        paper_constant_witness=ladder.paper_constant_witness,
+        edges=edges,
     )
 
 
 def _scan_graph6_line(convention: str, line: bytes) -> ScanRecord | None:
-    """The row of one graph6 line; None for a skipped (disconnected or malformed) line."""
+    """The row of one graph6 line; None for a skipped line.
+
+    A line is skipped when it is malformed, its graph is disconnected, or the
+    convention admits none of its eigenvalues (K2 under ``paper``).
+    """
     try:
-        g = parse_graph6(line)
-    except (DisconnectedGraphError, GraphFormatError):
+        return analyze_graph(parse_graph6(line), convention)
+    except (DisconnectedGraphError, GraphFormatError, ConventionError):
         return None
-    return analyze_graph(g, convention)
 
 
 def _scan_generated(convention: str, model: str, params: dict, seed: int) -> ScanRecord | None:
-    """The row of one seeded random graph; None when generation fails."""
+    """The row of one seeded random graph; None when generation fails or no eigenvalue is admissible."""
     try:
-        g = generate(model, seed=seed, **params)
-    except GenerationError:
+        return analyze_graph(generate(model, seed=seed, **params), convention)
+    except (GenerationError, ConventionError):
         return None
-    return analyze_graph(g, convention)
+
+
+def _batched_rows(convention: str, n: int, lines: Sequence[bytes]) -> dict[int, ScanRecord]:
+    """The rows of same-n graph6 lines that the stacked path can decide, by position.
+
+    One vectorised decode, one stacked ``eigh`` at alpha = 0 and one at
+    alpha in {h/2, h} serve the whole stack. A row is decided here only when
+    its level is simple, away from +-1 and from 0 (neither degenerate, tied,
+    near-unit nor stationary), its verdict is IMPROVES (so a negative
+    lambda_star has a positive derivative), and every check of the per-graph
+    path passes: the spectrum checks, D-orthonormality and eigen-residual, the
+    finite-difference tracking guard and the ladder's consistency (after the
+    D-orthonormality check v_star is nonzero, so corollary 2's sign band is
+    never empty). Its row is then the one :func:`analyze_graph` builds. Every
+    other line is left out, and so is the whole stack when one of its
+    eigensolves fails to converge.
+    """
+    a, ok = decode_graph6_stack(lines, n)
+    keep = np.flatnonzero(ok)
+    position = keep.tolist()
+    a = a[keep]
+    d = a.sum(axis=-1)
+    try:
+        spec = stacked_spectrum(a, d)
+    except NumericalError:
+        return {}
+    derivative, ok = simple_first_order(a, d, spec.lambda_star, spec.basis)
+    ok &= spec.simple & (np.abs(spec.lambda_star) > TOL_SIGN)
+    verdicts = {}
+    for i, lam, der in zip(
+        np.flatnonzero(ok).tolist(), spec.lambda_star[ok].tolist(), derivative[ok].tolist()
+    ):
+        branch = Branch(level_value=lam, derivative=der, rate=modulus_rate(lam, lam, der),
+                        vector=spec.basis[i, :, 0])
+        classification, gap_derivative, stationary = verdict(lam, branch.rate)
+        if classification == IMPROVES:
+            verdicts[i] = SmallAlphaVerdict(
+                convention=convention, lambda_star=lam, lambda_first=der,
+                classification=classification, gap_derivative=float(gap_derivative),
+                degenerate=False, tied_sign=False, stationary=stationary, branches=(branch,),
+            )
+    live = np.fromiter(verdicts, dtype=int, count=len(verdicts))
+    try:
+        live = live[finite_difference_guard(a[live], d[live], spec._make(f[live] for f in spec))]
+    except NumericalError:
+        return {}
+    ladders = stacked_ladder(spec.gap[live], d[live], spec.v_star[live], spec.lambda_star[live])
+    edges = stack_edges(a[live])
+    rows = {}
+    for i, ladder, edge_list in zip(live.tolist(), ladders, edges):
+        if ladder is not None:
+            graph_id = lines[position[i]].decode("ascii")
+            rows[position[i]] = _record(graph_id, n, edge_list, near_unit=False, report=verdicts[i],
+                                        ladder=ladder, confirmed=None)
+    return rows
+
+
+def _scan_unit(convention: str, unit: tuple[int, list[bytes]]) -> tuple[list[ScanRecord | None], int]:
+    """The rows of one work unit of a catalog scan and how many of them were batched.
+
+    ``unit`` is (n, lines) from :func:`_work_units`. Lines the stacked path
+    does not decide take :func:`_scan_graph6_line`, as every line of an n = 0
+    unit does.
+    """
+    n, lines = unit
+    batched = _batched_rows(convention, n, lines) if n else {}
+    rows = [batched[i] if i in batched else _scan_graph6_line(convention, line)
+            for i, line in enumerate(lines)]
+    return rows, len(batched)
+
+
+def _work_units(lines: Sequence[bytes]) -> list[tuple[int, list[int]]]:
+    """(n, input positions) units of a catalog scan.
+
+    Lines that :func:`graph6_short_n` maps to the same n share units of at
+    most STACK_SIZE lines, in input order; every other line is in a unit with
+    n = 0.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, line in enumerate(lines):
+        groups.setdefault(graph6_short_n(line), []).append(i)
+    return [
+        (n, positions[start:start + STACK_SIZE])
+        for n, positions in groups.items()
+        for start in range(0, len(positions), STACK_SIZE)
+    ]
 
 
 def _finalize(
@@ -251,7 +381,9 @@ def _finalize(
     top_k: int,
     started: float,
     dump_dir: str | Path | None,
+    batched: int = 0,
 ) -> tuple[ScanSummary, list[ScanRecord]]:
+    """The summary and reported rows of a scan; ``batched`` rows took the stacked path."""
     summary = ScanSummary(provenance=provenance, convention=convention)
     all_records: list[ScanRecord] = []
     for record in results:
@@ -271,6 +403,7 @@ def _finalize(
             else:
                 summary.worsens_unconfirmed += 1
         all_records.append(record)
+    summary.scalar_path = summary.classified - batched
     worsens = [r for r in all_records if r.classification == WORSENS]
     improves = [r for r in all_records if r.classification == IMPROVES]
     improves.sort(key=lambda r: r.margin)
@@ -338,18 +471,31 @@ def scan_catalog(
 ) -> tuple[ScanSummary, list[ScanRecord]]:
     """Scan a graph6 catalog (path, stream, or iterable of lines).
 
-    Disconnected and malformed lines are counted as skips. Output is ordered
-    by input position regardless of parallelism; records contain every
-    (confirmed or not) WORSENS graph plus the top-k smallest-margin IMPROVES.
+    Disconnected and malformed lines, and graphs with no admissible
+    eigenvalue, are counted as skips. Output is ordered by input position
+    regardless of parallelism; records contain every (confirmed or not)
+    WORSENS graph plus the top-k smallest-margin IMPROVES.
+
+    Lines with a 1-byte header are solved in stacks of up to STACK_SIZE
+    graphs with the same n (see :func:`_batched_rows`); every row the stacked
+    path cannot decide, and every other line, goes through
+    :func:`analyze_graph` alone. Both give the same rows.
+    ``ScanSummary.scalar_path`` counts the classified rows of the second kind.
     """
     conv = normalize_convention(convention)
     started = time.perf_counter()
     provenance, lines = _read_graph6_lines(source)
     if limit is not None:
         lines = lines[:limit]
-    worker = partial(_scan_graph6_line, conv)
-    results = _run(worker, lines, parallelism)
-    return _finalize(provenance, conv, results, top_k, started, dump_dir)
+    units = _work_units(lines)
+    done = _run(partial(_scan_unit, conv), [(n, [lines[i] for i in idx]) for n, idx in units], parallelism)
+    results: list[ScanRecord | None] = [None] * len(lines)
+    batched = 0
+    for (_, positions), (rows, count) in zip(units, done):
+        batched += count
+        for i, row in zip(positions, rows):
+            results[i] = row
+    return _finalize(provenance, conv, results, top_k, started, dump_dir, batched)
 
 
 def scan_random(

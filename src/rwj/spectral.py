@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,16 +99,18 @@ class SpectralSummary:
     near_unit: bool
 
 
-def _similarity(g: WeightedGraph, alpha) -> tuple[np.ndarray, np.ndarray]:
+def _similarity(a: np.ndarray, d: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     """N(alpha) = D(alpha)^{-1/2} A(alpha) D(alpha)^{-1/2}, symmetrised, and sqrt(d(alpha)).
 
-    A 1-D array of rates gives one matrix per rate, stacked along a leading
-    axis for a single batched ``eigh``.
+    ``a`` is an adjacency matrix and ``d`` its degree vector. The leading axes
+    of ``a[..., :, :]``, ``d[..., :]`` and a 1-D array of rates broadcast, so
+    stacked graphs or rates give one matrix each for a single batched ``eigh``;
+    every entry is computed the same way whatever the stacking.
     """
     alpha = np.asarray(alpha, dtype=float)
-    root = np.sqrt(g.degrees() + alpha[..., None])
+    root = np.sqrt(d + alpha[..., None])
     inv = 1.0 / root
-    sym = inv[..., :, None] * (g.adjacency() + (alpha / g.n)[..., None, None]) * inv[..., None, :]
+    sym = inv[..., :, None] * (a + (alpha / a.shape[-1])[..., None, None]) * inv[..., None, :]
     return (sym + np.swapaxes(sym, -1, -2)) / 2.0, root
 
 
@@ -137,7 +139,7 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
     """
     conv = normalize_convention(convention)
     g, alpha = ts.graph, ts.alpha
-    sym, root = _similarity(g, alpha)
+    sym, root = _similarity(g.adjacency(), g.degrees(), alpha)
     w, u = _eigh(sym)
     order = np.argsort(-w, kind="stable")
     w = w[order]
@@ -197,6 +199,56 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
         degenerate_multiplicity=int(len(level)),
         tied_sign=tied,
         near_unit=near_unit,
+    )
+
+
+class StackedSpectrum(NamedTuple):
+    """alpha = 0 spectra of a stack of k connected n-vertex graphs, from :func:`stacked_spectrum`.
+
+    ``lambda_star``, ``basis``, ``v_star`` and ``gap`` mean what they mean in
+    :class:`SpectralSummary`, but only on the rows marked ``simple``.
+    """
+
+    eigenvalues: np.ndarray   # (k, n), ascending, as eigh returns them
+    eigenvectors: np.ndarray  # (k, n, n), orthonormal eigenvectors of the similarity
+    root: np.ndarray          # (k, n), sqrt(d)
+    lambda_star: np.ndarray   # (k,)
+    basis: np.ndarray         # (k, n, 1), the D-orthonormal eigenvector of lambda_star
+    v_star: np.ndarray        # (k, n)
+    gap: np.ndarray           # (k,)
+    simple: np.ndarray        # (k,) bool
+
+
+def stacked_spectrum(a: np.ndarray, d: np.ndarray) -> StackedSpectrum:
+    """alpha = 0 spectra of a (k, n, n) adjacency stack with degrees ``d``: one build, one ``eigh``.
+
+    A row is ``simple`` when :func:`spectrum` accepts it under either
+    convention and selects the same simple lambda_star: the eigenvalues lie in
+    [-1, 1] (to 1e-10), exactly one is within TOL_UNIT of 1, no other is
+    within TOL_UNIT of +-1 (so the row is not ``near_unit`` and both
+    conventions admit the same eigenvalues, with gap 1 - |lambda_star|), and
+    the governing modulus level holds one eigenvalue (neither degenerate nor
+    tied). Every other row is for :func:`spectrum` to decide.
+    """
+    sym, root = _similarity(a, d, 0.0)
+    w, u = _eigh(sym)
+    perron = np.abs(w - 1.0) <= TOL_UNIT
+    near = perron | (np.abs(w + 1.0) <= TOL_UNIT)
+    mods = np.where(perron, -1.0, np.abs(w))
+    level = np.abs(mods - mods.max(axis=-1, keepdims=True)) <= TOL_TIE
+    j = np.argmax(level, axis=-1)
+    lam = np.take_along_axis(w, j[:, None], axis=-1)[:, 0]
+    simple = (
+        (w[:, -1] <= 1.0 + 1e-10) & (w[:, 0] >= -1.0 - 1e-10)
+        & (perron.sum(axis=-1) == 1) & (near.sum(axis=-1) == 1)
+        & (level.sum(axis=-1) == 1) & (np.abs(lam) < 1.0 - TOL_UNIT)
+    )
+    basis = (1.0 / root)[..., None] * np.take_along_axis(u, j[:, None, None], axis=-1)
+    v = basis[..., 0] / np.sqrt(np.swapaxes(basis, -1, -2) @ basis)[..., 0]
+    flip = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[:, None], axis=-1) < 0.0
+    return StackedSpectrum(
+        eigenvalues=w, eigenvectors=u, root=root, lambda_star=lam, basis=basis,
+        v_star=np.where(flip, -v, v), gap=1.0 - np.abs(lam), simple=simple,
     )
 
 
@@ -277,6 +329,9 @@ def alpha_bar(g: WeightedGraph, base: SpectralSummary, grid: Sequence[float] | N
     gamma0 = base.gap
     d_max = float(g.degrees().max())
     closed = alpha_bar_closed_form(gamma0, d_max)
+    if gamma0 >= 1.0:
+        # no gap exceeds 1, so no grid point can beat gamma0
+        return AlphaBar(gamma0=gamma0, closed_form=closed, searched=None)
     if grid is None:
         grid = np.logspace(-3.0, 3.0, 64)
     searched = None
@@ -311,7 +366,7 @@ def track_branch(
         raise ValueError("alpha grid must be nonnegative")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")
-    syms, roots = _similarity(g, alphas)
+    syms, roots = _similarity(g.adjacency(), g.degrees(), alphas)
     ws, us = _eigh(syms)
     v_prev = np.asarray(v_ref, dtype=float)
     out: list[tuple[float, float, np.ndarray]] = []
@@ -334,3 +389,40 @@ def track_branch(
         out.append((alpha, lam, v))
         v_prev = v
     return out
+
+
+def track_stack(
+    a: np.ndarray,
+    d: np.ndarray,
+    rates: Sequence[float],
+    v_ref: np.ndarray,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`track_branch` for a (k, n, n) stack of graphs along the grid 0, ``rates``.
+
+    ``start`` is the alpha = 0 (eigenvalues, eigenvectors, sqrt(d)) of the
+    stack, as :class:`StackedSpectrum` holds them; they are reused, and the
+    ascending positive ``rates`` take one more batched ``eigh``. Each step
+    follows track_branch's rule from the (k, n) vectors ``v_ref``. Returns the
+    tracked eigenvalue and the norm of the matched group's overlaps, (k, grid
+    points) each. Nothing raises: the caller compares the overlaps with the
+    0.5 below which track_branch raises :class:`BranchCrossingError`.
+    """
+    syms, roots = _similarity(a[:, None], d[:, None], rates)
+    ws, us = _eigh(syms)
+    steps = [start] + [(ws[:, i], us[:, i], roots[:, i]) for i in range(len(rates))]
+    v = v_ref
+    lams, totals = [], []
+    for w, u, s in steps:
+        u_prev = s * v
+        u_prev /= np.linalg.norm(u_prev, axis=-1, keepdims=True)
+        overlaps = (np.swapaxes(u, -1, -2) @ u_prev[..., None])[..., 0]
+        j = np.argmax(np.abs(overlaps), axis=-1)
+        group = np.abs(w - np.take_along_axis(w, j[:, None], axis=-1)) <= TOL_TIE
+        coeff = np.where(group, overlaps, 0.0)
+        weight = (coeff * coeff).sum(axis=-1)
+        totals.append(np.sqrt(weight))
+        lams.append((coeff * coeff * w).sum(axis=-1) / weight)
+        u_new = (u @ coeff[..., None])[..., 0]
+        v = u_new / np.linalg.norm(u_new, axis=-1, keepdims=True) / s
+    return np.stack(lams, axis=-1), np.stack(totals, axis=-1)

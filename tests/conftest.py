@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from rwj import WeightedGraph, generate, parse_edgelist
+from rwj import WeightedGraph, generate, parse_edgelist, write_graph6
 
 settings.register_profile(
     "default",
@@ -129,3 +129,27 @@ def connected_weighted(draw, max_n: int = 8, self_loops: bool = True):
         for u in loops:
             edges.append((u, u, draw(st.floats(min_value=0.05, max_value=20.0, allow_nan=False))))
     return WeightedGraph(n, tuple(edges))
+
+
+# malformed graph6 lines: truncated or overlong bodies, bytes outside [63, 126],
+# nonzero padding bits, n < 2, headers out of range, a truncated 4-byte header
+MALFORMED_GRAPH6 = (b"garbage!!", b"A", b"B~~", b"Bx", b"A`", b"B!", b"C ", b"@", b"?", b">", b"\x7f?", b"~??")
+
+
+def _graph6_of_bits(n: int, bits: int) -> bytes:
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    return write_graph6(WeightedGraph.from_pairs(n, [p for k, p in enumerate(pairs) if bits >> k & 1]))
+
+
+@st.composite
+def graph6_lines(draw, max_n: int = 12):
+    """A list of graph6 lines: connected graphs, any graphs (often disconnected) and malformed lines."""
+    any_graph = st.integers(min_value=2, max_value=max_n).flatmap(
+        lambda n: st.integers(min_value=0, max_value=2 ** (n * (n - 1) // 2) - 1).map(
+            lambda bits: _graph6_of_bits(n, bits)
+        )
+    )
+    line = st.one_of(
+        connected_unweighted(max_n=max_n).map(write_graph6), any_graph, st.sampled_from(MALFORMED_GRAPH6)
+    )
+    return draw(st.lists(line, max_size=40))

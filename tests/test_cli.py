@@ -192,6 +192,7 @@ def test_scan_catalog_exit_zero(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_OK
     assert "total: 21" in err
+    assert "scalar-path rows: 8" in err
     assert out_csv.read_text().startswith("id,n,convention,lambda_star")
 
 

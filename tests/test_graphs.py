@@ -20,7 +20,15 @@ from rwj import (
     write_graph6,
 )
 
-from conftest import DET_ZERO_PAIR_TEXT, connected_unweighted, connected_weighted, random_connected_weighted
+from rwj.graphs import decode_graph6_stack, graph6_short_n, stack_edges
+
+from conftest import (
+    DET_ZERO_PAIR_TEXT,
+    connected_unweighted,
+    connected_weighted,
+    graph6_lines,
+    random_connected_weighted,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +137,30 @@ def test_parse_graph6_rejects_malformed(line):
 def test_parse_graph6_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
         parse_graph6(b"A?")  # two vertices, no edge
+
+
+@given(graph6_lines())
+def test_decode_graph6_stack_matches_parse_graph6(lines):
+    stacks: dict[int, list[bytes]] = {}
+    for line in lines:
+        n = graph6_short_n(line)
+        if n:
+            stacks.setdefault(n, []).append(line)
+        else:  # no valid line of this strategy needs a 4-byte header
+            with pytest.raises(GraphFormatError):
+                parse_graph6(line)
+    for n, stack in stacks.items():
+        a, ok = decode_graph6_stack(stack, n)
+        assert a.shape == (len(stack), n, n)
+        for line, adjacency, edges, accepted in zip(stack, a, stack_edges(a), ok.tolist()):
+            try:
+                g = parse_graph6(line)
+            except (GraphFormatError, DisconnectedGraphError):
+                assert not accepted, line
+                continue
+            assert accepted, line
+            assert (adjacency == g.adjacency()).all()
+            assert edges == g.edges
 
 
 def test_write_graph6_rejects_weighted_and_loops(det_zero_pair):

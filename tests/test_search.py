@@ -1,11 +1,17 @@
 """Two-vertex closed forms, catalog scanning, random-model scanning."""
 
+import dataclasses
 import hashlib
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import rwj.search
 from rwj import (
+    ConventionError,
+    DisconnectedGraphError,
     GraphFormatError,
     WORSENS,
     TwoNodeParams,
@@ -21,6 +27,8 @@ from rwj import (
     write_graph6,
 )
 from rwj.cli import records_to_csv
+
+from conftest import graph6_lines
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +206,64 @@ def test_analyze_graph_rows_byte_identical_on_bundled_catalogs(data_dir):
     assert digest.hexdigest() == "7223819019f8361f1eba7d0693a38faf55728017626376f4091e43707547e875"
 
 
+def test_scan_catalog_rows_byte_identical_on_bundled_catalogs(data_dir):
+    # sha256 of every scan row of the n = 3..7 catalogs, slem then paper per
+    # catalog, as the per-graph path alone wrote them
+    digest = hashlib.sha256()
+    for n in range(3, 8):
+        for convention in ("slem", "paper"):
+            summary, records = scan_catalog(data_dir / f"graph{n}c.g6", convention, top_k=10**9)
+            digest.update(records_to_csv(records).encode())
+            if n == 7:  # degenerate, tied, near-unit and stationary levels
+                assert summary.scalar_path == 69
+    assert digest.hexdigest() == "a8edfdc856e82fe327ad1337032f3997b5e34d19ff1336189b53e73de511338e"
+
+
+def _counters(s):
+    return (s.total, s.classified, s.skipped, s.counterexamples, s.worsens_unconfirmed, s.degenerate,
+            s.tied, s.stationary, s.paper_constant_witnesses, s.consistency_violations)
+
+
+@given(
+    lines=graph6_lines(),
+    convention=st.sampled_from(["slem", "paper"]),
+    stack_size=st.sampled_from([1, 2, 3, rwj.search.STACK_SIZE]),
+)
+@settings(max_examples=40)
+def test_scan_catalog_equals_per_line_analyze_graph(lines, convention, stack_size):
+    reference = []
+    for line in lines:
+        try:
+            reference.append(analyze_graph(parse_graph6(line), convention))
+        except (DisconnectedGraphError, GraphFormatError, ConventionError):
+            reference.append(None)
+    with patch.object(rwj.search, "STACK_SIZE", stack_size):
+        summary, records = scan_catalog(lines, convention, top_k=10**9)
+    rows = [r for r in reference if r is not None]
+    expected = [r for r in rows if r.classification == WORSENS]
+    expected += sorted((r for r in rows if r.classification != WORSENS), key=lambda r: r.margin)
+    assert [dataclasses.astuple(r) for r in records] == [dataclasses.astuple(r) for r in expected]
+    assert _counters(summary) == (
+        len(lines), len(rows), len(lines) - len(rows),
+        sum(r.classification == WORSENS and r.sweep_confirmed is True for r in rows),
+        sum(r.classification == WORSENS and not r.sweep_confirmed for r in rows),
+        sum(r.degenerate for r in rows), sum(r.tied_sign for r in rows), sum(r.stationary for r in rows),
+        sum(r.paper_constant_witness for r in rows), sum(bool(r.consistency_violations) for r in rows),
+    )
+    assert 0 <= summary.scalar_path <= summary.classified
+
+
+def test_scan_skips_graphs_without_admissible_eigenvalue():
+    # K2 has no eigenvalue away from -1 and 1 under paper; it no longer aborts the scan
+    summary, _ = scan_catalog([b"A_", b"Bw"], "paper")
+    assert (summary.total, summary.classified, summary.skipped) == (2, 1, 1)
+    summary, _ = scan_catalog([b"A_", b"Bw"], "slem")
+    assert (summary.total, summary.classified, summary.skipped) == (2, 2, 0)
+    for model in ("path", "star", "complete"):
+        summary, _ = scan_random(model, {"n": 2}, count=1, convention="paper")
+        assert (summary.total, summary.classified, summary.skipped) == (1, 0, 1)
+
+
 def test_scan_catalog_deterministic_csv(data_dir):
     s1, r1 = scan_catalog(data_dir / "graph5c.g6", "slem")
     s2, r2 = scan_catalog(data_dir / "graph5c.g6", "slem")
@@ -205,12 +271,16 @@ def test_scan_catalog_deterministic_csv(data_dir):
 
 
 def test_scan_catalog_parallel_equals_serial(data_dir):
-    s1, r1 = scan_catalog(data_dir / "graph5c.g6", "slem", parallelism=1)
-    s2, r2 = scan_catalog(data_dir / "graph5c.g6", "slem", parallelism=3)
-    assert records_to_csv(r1) == records_to_csv(r2)
-    assert (s1.total, s1.classified, s1.skipped, s1.counterexamples) == (
-        s2.total, s2.classified, s2.skipped, s2.counterexamples
-    )
+    # mixed n, with skipped lines, shuffled so that every stack of one n is spread out
+    lines = [line for n in (4, 5, 6) for line in (data_dir / f"graph{n}c.g6").read_bytes().splitlines()]
+    lines += [b"A?", b"A_", b"garbage!!", b"~??"]
+    lines = [lines[i] for i in np.random.default_rng(7).permutation(len(lines))]
+    for convention in ("slem", "paper"):
+        s1, r1 = scan_catalog(lines, convention, top_k=10**9, parallelism=1)
+        s2, r2 = scan_catalog(lines, convention, top_k=10**9, parallelism=3)
+        assert records_to_csv(r1) == records_to_csv(r2)
+        assert _counters(s1) + (s1.scalar_path,) == _counters(s2) + (s2.scalar_path,)
+        assert s1.total == 143 and s1.skipped == (3 if convention == "slem" else 4)
 
 
 def test_scan_accepts_streams_and_lines(data_dir):

@@ -1,5 +1,6 @@
 """Transition systems, spectra, conventions, Dobrushin machinery, branch tracking."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -18,10 +19,12 @@ from rwj import (
     dobrushin_bound,
     generate,
     mixing_time_bounds,
+    parse_edgelist,
     relaxation,
     spectrum,
     track_branch,
 )
+from rwj.cli import main
 from rwj.spectral import alpha_bar_closed_form
 
 from conftest import connected_weighted, random_connected_weighted
@@ -295,6 +298,26 @@ def test_alpha_bar_guarantee_beyond_closed_form():
         alpha = bar.closed_form * 1.01 + 1e-6
         gap = spectrum(build_transition(g, alpha), "slem").gap
         assert gap > bar.gamma0
+
+
+def test_alpha_bar_skips_the_grid_at_unit_gap(data_dir, monkeypatch, capsys):
+    # lambda_star = 5.6e-17 rounds the gap to 1, which no gap can exceed
+    g = parse_edgelist((data_dir / "two_node.el").read_text())
+    base = spectrum(build_transition(g, 0.0), "paper")
+    assert base.gap == 1.0
+    calls = []
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+    bar = alpha_bar(g, base)
+    assert calls == []
+    assert (bar.gamma0, bar.closed_form, bar.searched) == (1.0, math.inf, None)
+    monkeypatch.undo()
+    # rwj analyze prints what it printed when the grid was searched
+    assert main(["analyze", "--input", str(data_dir / "two_node.el"), "--format", "edgelist"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1a9c174b5922175dbb0355c312d975cef9eae89e582f895b406ed11ca4b6f98e"
+    )
 
 
 def test_alpha_bar_rejects_a_nonzero_alpha_base(c5):
