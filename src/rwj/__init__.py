@@ -70,7 +70,6 @@ from .spectral import (
     dobrushin,
     dobrushin_bound,
     mixing_time_bounds,
-    relaxation,
     spectrum,
     track_branch,
 )

@@ -104,6 +104,11 @@ def simple_first_order(
     return reduced[:, 0, 0], (gram_err <= _TOL_GRAM) & (resid <= _TOL_RESIDUAL)
 
 
+def _starts_at(lam0, lambda_star):
+    """Whether a branch tracked from alpha = 0 starts at lambda_star (within _TOL_FD_START)."""
+    return np.abs(lam0 - lambda_star) <= _TOL_FD_START
+
+
 def finite_difference_derivative(
     g: WeightedGraph, lambda_star: float, v_star: np.ndarray, h: float = 1e-5
 ) -> float:
@@ -115,7 +120,7 @@ def finite_difference_derivative(
         raise ValueError(f"h must be > 0, got {h}")
     branch = track_branch(g, [0.0, h / 2.0, h], v_star)
     lam0 = branch[0][1]
-    if abs(lam0 - lambda_star) > _TOL_FD_START:
+    if not _starts_at(lam0, lambda_star):
         raise NumericalError(
             f"tracked branch starts at {lam0}, expected lambda_star={lambda_star}"
         )
@@ -129,14 +134,13 @@ def finite_difference_guard(
 
     ``spec`` is the :func:`stacked_spectrum` of the (k, n, n) stack ``a``;
     its alpha = 0 eigenpairs start the tracking, and alpha = h/2 and h take one
-    more batched ``eigh``. A row passes when every tracked overlap is at least
-    0.5 (below it track_branch raises) and the tracked alpha = 0 eigenvalue is
-    within 1e-8 of lambda_star. The estimate itself is not formed. ``h`` is
-    the step :func:`classify_small_alpha` takes by default.
+    more batched ``eigh``. A row passes where track_branch keeps the branch
+    at every step and it starts at lambda_star. The estimate itself is not
+    formed. ``h`` is the step :func:`classify_small_alpha` takes by default.
     """
     start = (spec.eigenvalues, spec.eigenvectors, spec.root)
-    lam, overlap = track_stack(a, d, [h / 2.0, h], spec.basis[..., 0], start)
-    return (overlap >= 0.5).all(axis=-1) & (np.abs(lam[:, 0] - spec.lambda_star) <= _TOL_FD_START)
+    lam, kept = track_stack(a, d, [h / 2.0, h], spec.basis[..., 0], start)
+    return kept & _starts_at(lam[:, 0], spec.lambda_star)
 
 
 class NandS(NamedTuple):
@@ -146,7 +150,7 @@ class NandS(NamedTuple):
     lhs: float             # (1/n)(1^T v)^2
     rhs: float             # lambda_star v^T v
     laplacian_lhs: float   # 1 - lambda_star (= gap)
-    laplacian_rhs: float   # v^T L_K v / (n v^T v), L_K = nI - 11^T
+    laplacian_rhs: float   # v^T L_K v / (n v^T v) = (n v^T v - (1^T v)^2) / (n v^T v), L_K = nI - 11^T
 
 
 def nand_s_sides(lambda_star, v_star: np.ndarray, n: int):
@@ -171,8 +175,7 @@ def nand_s_check(lambda_star: float, v_star: np.ndarray, n: int) -> NandS:
     v = np.asarray(v_star, dtype=float)
     lhs, rhs = nand_s_sides(lambda_star, v, n)
     vtv = float(v @ v)
-    lap = n * np.eye(n) - np.ones((n, n))
-    laplacian_rhs = float(v @ (lap @ v)) / (n * vtv)
+    laplacian_rhs = (n * vtv - float(v.sum()) ** 2) / (n * vtv)
     return NandS(
         holds=bool(lhs < rhs),
         lhs=float(lhs),

@@ -482,6 +482,8 @@ def scan_catalog(
     :func:`analyze_graph` alone. Both give the same rows.
     ``ScanSummary.scalar_path`` counts the classified rows of the second kind.
     """
+    if (limit is not None and limit < 0) or top_k < 0:
+        raise ValueError(f"limit and top_k must be >= 0, got {limit} and {top_k}")
     conv = normalize_convention(convention)
     started = time.perf_counter()
     provenance, lines = _read_graph6_lines(source)
@@ -513,8 +515,8 @@ def scan_random(
     Fully reproducible from (model, params, seed); generator connectivity
     failures count as skips.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if count < 1 or top_k < 0:
+        raise ValueError(f"count must be >= 1 and top_k >= 0, got {count} and {top_k}")
     conv = normalize_convention(convention)
     started = time.perf_counter()
     provenance = f"{model}({params},seed={seed},count={count})"

@@ -121,12 +121,81 @@ def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
 
 
-def _gap_trel(lambda_star: float) -> tuple[float, float]:
-    mod = abs(lambda_star)
-    if mod >= 1.0 - TOL_UNIT:
-        return 0.0, math.inf
-    gap = 1.0 - mod
-    return gap, 1.0 / gap
+class StackedSpectrum(NamedTuple):
+    """Spectra of a stack of k graphs at one jump rate, with the selection of lambda_star.
+
+    Eigenpairs are sorted by descending eigenvalue, equal eigenvalues in
+    ``eigh``'s order. Every row follows :func:`spectrum`'s rule under the
+    convention the stack was solved with, and :func:`spectrum` is the k = 1
+    case: on the rows it accepts, the fields mean what they mean in
+    :class:`SpectralSummary`.
+    """
+
+    eigenvalues: np.ndarray   # (k, n), descending
+    eigenvectors: np.ndarray  # (k, n, n), orthonormal eigenvectors of the similarity
+    root: np.ndarray          # (k, n), sqrt(d(alpha))
+    in_range: np.ndarray      # (k,) every eigenvalue lies in [-1, 1] to 1e-10
+    units: np.ndarray         # (k,) number of eigenvalues within TOL_UNIT of 1
+    near_unit: np.ndarray     # (k,) a second eigenvalue is within TOL_UNIT of +-1
+    level: np.ndarray         # (k, n) admissible eigenvalues within TOL_TIE of the largest admissible modulus
+    star_index: np.ndarray    # (k,) the largest eigenvalue of the level, first occurrence
+    tied_sign: np.ndarray     # (k,) the level holds both signs (away from 0)
+    lambda_star: np.ndarray   # (k,)
+    basis: np.ndarray         # (k, n, 1), the D(alpha)-orthonormal eigenvector of lambda_star
+    v_star: np.ndarray        # (k, n)
+    gap: np.ndarray           # (k,) 1 - |lambda_star|, 0 within TOL_UNIT of 1
+
+    @property
+    def simple(self) -> np.ndarray:
+        """(k,) rows :func:`spectrum` accepts under either convention with the same simple lambda_star.
+
+        In range, one unit eigenvalue and no other near +-1 (so both
+        conventions admit the same eigenvalues), a level of one eigenvalue
+        (neither degenerate nor tied) and a positive gap.
+        """
+        return (
+            self.in_range & (self.units == 1) & ~self.near_unit
+            & (self.level.sum(axis=-1) == 1) & (self.gap > 0.0)
+        )
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled to Euclidean length 1 along its last axis.
+
+    The squared norm is a dot product, as ``x @ x`` computes it for one
+    vector, so a stacked row and the same vector alone give the same bits.
+    """
+    return x / np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+
+
+def _solve(a: np.ndarray, d: np.ndarray, alpha, convention: str) -> StackedSpectrum:
+    """One build, one ``eigh`` and the selection of lambda_star for a (k, n, n) stack ``a`` with degrees ``d``."""
+    sym, root = _similarity(a, d, alpha)
+    w, u = _eigh(sym)
+    rows = np.arange(len(w))
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = w[rows[:, None], order]
+    u = np.ascontiguousarray(np.swapaxes(np.swapaxes(u, -1, -2)[rows[:, None], order], -1, -2))
+    mods = np.abs(w)
+    near = np.abs(mods - 1.0) <= TOL_UNIT  # within TOL_UNIT of 1 or of -1
+    unit = near & (w > 0.0)
+    admissible = ~near if convention == PAPER else ~unit
+    candidates = np.where(admissible, mods, -1.0)
+    mstar = candidates.max(axis=-1)
+    level = admissible & (np.abs(candidates - mstar[:, None]) <= TOL_TIE)
+    star = level.argmax(axis=-1)
+    lam = w[rows, star]
+    basis = ((1.0 / root) * u[rows, :, star])[..., None]
+    v = _unit(basis[..., 0])
+    sign = np.sign(v[rows, np.abs(v).argmax(axis=-1)])  # makes the largest-modulus entry positive
+    mod = np.abs(lam)
+    return StackedSpectrum(
+        eigenvalues=w, eigenvectors=u, root=root, in_range=mods.max(axis=-1) <= 1.0 + 1e-10,
+        units=unit.sum(axis=-1), near_unit=near.sum(axis=-1) > 1, level=level, star_index=star,
+        tied_sign=(mstar > TOL_TIE) & (lam > 0.0) & (level & (w <= 0.0)).any(axis=-1),
+        lambda_star=lam, basis=basis, v_star=v * sign[:, None],
+        gap=np.where(mod < 1.0 - TOL_UNIT, 1.0 - mod, 0.0),
+    )
 
 
 def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
@@ -139,123 +208,37 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
     """
     conv = normalize_convention(convention)
     g, alpha = ts.graph, ts.alpha
-    sym, root = _similarity(g.adjacency(), g.degrees(), alpha)
-    w, u = _eigh(sym)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    u = u[:, order]
-    if w[0] > 1.0 + 1e-10 or w[-1] < -1.0 - 1e-10:
+    s = StackedSpectrum._make(f[0] for f in _solve(g.adjacency()[None], g.degrees()[None], alpha, conv))
+    w = s.eigenvalues
+    if not s.in_range:
         raise NumericalError(f"eigenvalues escaped [-1, 1]: range [{w[-1]}, {w[0]}]")
-    unit = np.flatnonzero(np.abs(w - 1.0) <= TOL_UNIT)
-    if len(unit) != 1:
+    if s.units != 1:
         raise NumericalError(
-            f"expected exactly one unit eigenvalue, found {len(unit)} (disconnected input?)"
+            f"expected exactly one unit eigenvalue, found {s.units} (disconnected input?)"
         )
-    perron = int(unit[0])
-
-    vecs = (1.0 / root)[:, None] * u  # columns are D(alpha)-orthonormal eigenvectors of P(alpha)
-
-    candidates = np.ones(g.n, dtype=bool)
-    candidates[perron] = False
-    if conv == PAPER:
-        candidates &= np.abs(w - 1.0) > TOL_UNIT
-        candidates &= np.abs(w + 1.0) > TOL_UNIT
-    if not candidates.any():
+    if not s.level.any():
         raise ConventionError(
             "no admissible eigenvalue under the paper-literal convention "
             "(all non-Perron eigenvalues are within 1e-9 of -1 or +1)"
         )
-    cidx = np.flatnonzero(candidates)
-    mods = np.abs(w[cidx])
-    mstar = float(mods.max())
-    level = cidx[np.abs(mods - mstar) <= TOL_TIE]
-    plus = [i for i in level if w[i] > 0.0]
-    minus = [i for i in level if w[i] <= 0.0]
-    tied = mstar > TOL_TIE and bool(plus) and bool(minus)
-    # among the level pick the largest signed eigenvalue, first occurrence
-    star_index = int(level[np.argmax(w[level])])
-    lambda_star = float(w[star_index])
-
-    v = vecs[:, star_index].copy()
-    v /= np.linalg.norm(v)
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
-        v = -v
-
-    others = np.arange(g.n) != perron
-    near_unit = bool(np.any(others & ((np.abs(w - 1.0) <= TOL_UNIT) | (np.abs(w + 1.0) <= TOL_UNIT))))
-
-    gap, t_rel = _gap_trel(lambda_star)
+    level = np.flatnonzero(s.level)
+    gap = float(s.gap)
     return SpectralSummary(
-        alpha=alpha,
-        convention=conv,
-        eigenvalues=w,
-        eigenvectors=vecs,
-        level=level,
-        lambda_star=lambda_star,
-        star_index=star_index,
-        v_star=v,
-        gap=gap,
-        t_rel=t_rel,
-        degenerate_multiplicity=int(len(level)),
-        tied_sign=tied,
-        near_unit=near_unit,
+        alpha=alpha, convention=conv, eigenvalues=w,
+        eigenvectors=(1.0 / s.root)[:, None] * s.eigenvectors,  # D(alpha)-orthonormal eigenvectors of P(alpha)
+        level=level, lambda_star=float(s.lambda_star), star_index=int(s.star_index), v_star=s.v_star,
+        gap=gap, t_rel=1.0 / gap if gap > 0.0 else math.inf, degenerate_multiplicity=len(level),
+        tied_sign=bool(s.tied_sign), near_unit=bool(s.near_unit),
     )
-
-
-class StackedSpectrum(NamedTuple):
-    """alpha = 0 spectra of a stack of k connected n-vertex graphs, from :func:`stacked_spectrum`.
-
-    ``lambda_star``, ``basis``, ``v_star`` and ``gap`` mean what they mean in
-    :class:`SpectralSummary`, but only on the rows marked ``simple``.
-    """
-
-    eigenvalues: np.ndarray   # (k, n), ascending, as eigh returns them
-    eigenvectors: np.ndarray  # (k, n, n), orthonormal eigenvectors of the similarity
-    root: np.ndarray          # (k, n), sqrt(d)
-    lambda_star: np.ndarray   # (k,)
-    basis: np.ndarray         # (k, n, 1), the D-orthonormal eigenvector of lambda_star
-    v_star: np.ndarray        # (k, n)
-    gap: np.ndarray           # (k,)
-    simple: np.ndarray        # (k,) bool
 
 
 def stacked_spectrum(a: np.ndarray, d: np.ndarray) -> StackedSpectrum:
     """alpha = 0 spectra of a (k, n, n) adjacency stack with degrees ``d``: one build, one ``eigh``.
 
-    A row is ``simple`` when :func:`spectrum` accepts it under either
-    convention and selects the same simple lambda_star: the eigenvalues lie in
-    [-1, 1] (to 1e-10), exactly one is within TOL_UNIT of 1, no other is
-    within TOL_UNIT of +-1 (so the row is not ``near_unit`` and both
-    conventions admit the same eigenvalues, with gap 1 - |lambda_star|), and
-    the governing modulus level holds one eigenvalue (neither degenerate nor
-    tied). Every other row is for :func:`spectrum` to decide.
+    Solved under ``slem``; on the rows marked ``simple`` the ``paper``
+    selection is the same.
     """
-    sym, root = _similarity(a, d, 0.0)
-    w, u = _eigh(sym)
-    perron = np.abs(w - 1.0) <= TOL_UNIT
-    near = perron | (np.abs(w + 1.0) <= TOL_UNIT)
-    mods = np.where(perron, -1.0, np.abs(w))
-    level = np.abs(mods - mods.max(axis=-1, keepdims=True)) <= TOL_TIE
-    j = np.argmax(level, axis=-1)
-    lam = np.take_along_axis(w, j[:, None], axis=-1)[:, 0]
-    simple = (
-        (w[:, -1] <= 1.0 + 1e-10) & (w[:, 0] >= -1.0 - 1e-10)
-        & (perron.sum(axis=-1) == 1) & (near.sum(axis=-1) == 1)
-        & (level.sum(axis=-1) == 1) & (np.abs(lam) < 1.0 - TOL_UNIT)
-    )
-    basis = (1.0 / root)[..., None] * np.take_along_axis(u, j[:, None, None], axis=-1)
-    v = basis[..., 0] / np.sqrt(np.swapaxes(basis, -1, -2) @ basis)[..., 0]
-    flip = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[:, None], axis=-1) < 0.0
-    return StackedSpectrum(
-        eigenvalues=w, eigenvectors=u, root=root, lambda_star=lam, basis=basis,
-        v_star=np.where(flip, -v, v), gap=1.0 - np.abs(lam), simple=simple,
-    )
-
-
-def relaxation(summary_or_lambda) -> tuple[float, float]:
-    """(spectral gap, relaxation time) for a summary or a bare lambda_star value."""
-    lam = summary_or_lambda.lambda_star if isinstance(summary_or_lambda, SpectralSummary) else float(summary_or_lambda)
-    return _gap_trel(lam)
+    return _solve(a, d, 0.0, SLEM)
 
 
 def mixing_time_bounds(t_rel: float, pi_min: float, epsilon: float) -> tuple[float, float]:
@@ -342,6 +325,34 @@ def alpha_bar(g: WeightedGraph, base: SpectralSummary, grid: Sequence[float] | N
     return AlphaBar(gamma0=gamma0, closed_form=closed, searched=searched)
 
 
+_MIN_OVERLAP = 0.5  # a matched group overlapping the tracked vector less than this loses the branch
+
+
+def _follow(steps, v: np.ndarray):
+    """Follow one branch per stack row from the (k, n) vectors ``v``; yields each step's result.
+
+    ``steps`` gives (eigenvalues, similarity eigenvectors, sqrt(d(alpha)))
+    per grid point, stacked over k. At each point the eigenvector with the
+    largest absolute D(alpha)-weighted overlap with the previous vector is
+    matched; its group is every eigenvalue within TOL_TIE of it. The step
+    yields the projection-weighted group eigenvalue, the norm of the group's
+    overlaps, whether that norm reaches _MIN_OVERLAP, and the continuation vector
+    (the projection onto the group, D(alpha)-scaled back), each (k,) or (k, n).
+    """
+    rows = np.arange(len(v))
+    for w, u, s in steps:
+        x = _unit(s * v)
+        overlaps = (x[:, None, :] @ u)[:, 0]
+        j = np.abs(overlaps).argmax(axis=-1)
+        coeff = overlaps * (np.abs(w - w[rows, j][:, None]) <= TOL_TIE)
+        weight = (coeff[:, None, :] @ coeff[:, :, None])[:, 0, 0]
+        total = np.sqrt(weight)
+        x = (u @ coeff[..., None])[..., 0]
+        v = _unit(x) / s
+        lam = ((coeff * coeff)[:, None, :] @ w[:, :, None])[:, 0, 0] / weight
+        yield lam, total, total >= _MIN_OVERLAP, v
+
+
 def track_branch(
     g: WeightedGraph,
     alpha_grid: Sequence[float],
@@ -357,7 +368,8 @@ def track_branch(
     group's eigenspace and the reported eigenvalue is the projection-weighted
     group average, which keeps tracking well defined through exact symmetry
     degeneracies. Returns (alpha, eigenvalue, eigenvector) per grid point,
-    eigenvectors sign-aligned along the branch.
+    eigenvectors sign-aligned along the branch. This is :func:`track_stack`'s
+    step on a stack of one.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
@@ -368,26 +380,14 @@ def track_branch(
         raise ValueError("alpha grid must be strictly ascending")
     syms, roots = _similarity(g.adjacency(), g.degrees(), alphas)
     ws, us = _eigh(syms)
-    v_prev = np.asarray(v_ref, dtype=float)
+    steps = zip(ws[:, None], us[:, None], roots[:, None])
     out: list[tuple[float, float, np.ndarray]] = []
-    for alpha, w, u, s in zip(alphas, ws, us, roots):
-        u_prev = s * v_prev
-        u_prev /= np.linalg.norm(u_prev)
-        overlaps = u.T @ u_prev
-        j = int(np.argmax(np.abs(overlaps)))
-        group = np.flatnonzero(np.abs(w - w[j]) <= TOL_TIE)
-        coeff = overlaps[group]
-        total = float(np.linalg.norm(coeff))
-        if total < 0.5:
+    for alpha, (lam, total, kept, v) in zip(alphas, _follow(steps, np.asarray(v_ref, dtype=float)[None])):
+        if not kept[0]:
             raise BranchCrossingError(
-                f"branch lost at alpha={alpha}: best overlap {total:.3f} < 0.5"
+                f"branch lost at alpha={alpha}: best overlap {total[0]:.3f} < {_MIN_OVERLAP}"
             )
-        u_new = u[:, group] @ coeff
-        u_new /= np.linalg.norm(u_new)
-        lam = float((coeff * coeff) @ w[group] / (coeff @ coeff))
-        v = u_new / s
-        out.append((alpha, lam, v))
-        v_prev = v
+        out.append((alpha, float(lam[0]), v[0]))
     return out
 
 
@@ -402,27 +402,13 @@ def track_stack(
 
     ``start`` is the alpha = 0 (eigenvalues, eigenvectors, sqrt(d)) of the
     stack, as :class:`StackedSpectrum` holds them; they are reused, and the
-    ascending positive ``rates`` take one more batched ``eigh``. Each step
-    follows track_branch's rule from the (k, n) vectors ``v_ref``. Returns the
-    tracked eigenvalue and the norm of the matched group's overlaps, (k, grid
-    points) each. Nothing raises: the caller compares the overlaps with the
-    0.5 below which track_branch raises :class:`BranchCrossingError`.
+    ascending positive ``rates`` take one more batched ``eigh``. Returns the
+    tracked eigenvalues, (k, grid points), and where every step kept the
+    branch, (k,). Nothing raises where track_branch would raise
+    :class:`BranchCrossingError`; those rows are False.
     """
     syms, roots = _similarity(a[:, None], d[:, None], rates)
     ws, us = _eigh(syms)
     steps = [start] + [(ws[:, i], us[:, i], roots[:, i]) for i in range(len(rates))]
-    v = v_ref
-    lams, totals = [], []
-    for w, u, s in steps:
-        u_prev = s * v
-        u_prev /= np.linalg.norm(u_prev, axis=-1, keepdims=True)
-        overlaps = (np.swapaxes(u, -1, -2) @ u_prev[..., None])[..., 0]
-        j = np.argmax(np.abs(overlaps), axis=-1)
-        group = np.abs(w - np.take_along_axis(w, j[:, None], axis=-1)) <= TOL_TIE
-        coeff = np.where(group, overlaps, 0.0)
-        weight = (coeff * coeff).sum(axis=-1)
-        totals.append(np.sqrt(weight))
-        lams.append((coeff * coeff * w).sum(axis=-1) / weight)
-        u_new = (u @ coeff[..., None])[..., 0]
-        v = u_new / np.linalg.norm(u_new, axis=-1, keepdims=True) / s
-    return np.stack(lams, axis=-1), np.stack(totals, axis=-1)
+    lams, _, kept, _ = zip(*_follow(steps, v_ref))
+    return np.stack(lams, axis=-1), np.logical_and.reduce(kept)

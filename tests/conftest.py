@@ -94,9 +94,9 @@ def random_connected_weighted(rng: np.random.Generator, n: int, extra: float = 0
 # hypothesis strategies ------------------------------------------------------
 
 @st.composite
-def connected_pairs(draw, max_n: int = 9):
+def connected_pairs(draw, max_n: int = 9, min_n: int = 2):
     """(n, edge pairs) of a random connected unweighted graph."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = set()
     for v in range(1, n):
         u = draw(st.integers(min_value=0, max_value=v - 1))
@@ -108,8 +108,8 @@ def connected_pairs(draw, max_n: int = 9):
 
 
 @st.composite
-def connected_unweighted(draw, max_n: int = 9):
-    n, pairs = draw(connected_pairs(max_n=max_n))
+def connected_unweighted(draw, max_n: int = 9, min_n: int = 2):
+    n, pairs = draw(connected_pairs(max_n=max_n, min_n=min_n))
     return WeightedGraph.from_pairs(n, pairs)
 
 
@@ -129,6 +129,19 @@ def connected_weighted(draw, max_n: int = 8, self_loops: bool = True):
         for u in loops:
             edges.append((u, u, draw(st.floats(min_value=0.05, max_value=20.0, allow_nan=False))))
     return WeightedGraph(n, tuple(edges))
+
+
+@st.composite
+def same_order_stacks(draw):
+    """(adjacency stack, degree stack, graphs) of one order n = 3..10.
+
+    Random connected graphs (often trees, so bipartite) mixed with paths,
+    cycles, stars and complete graphs: simple, tied, degenerate and near-unit levels.
+    """
+    n = draw(st.integers(min_value=3, max_value=10))
+    family = st.sampled_from(("path", "cycle", "star", "complete")).map(lambda model: generate(model, n=n))
+    graphs = draw(st.lists(st.one_of(connected_unweighted(max_n=n, min_n=n), family), min_size=1, max_size=8))
+    return np.stack([g.adjacency() for g in graphs]), np.stack([g.degrees() for g in graphs]), graphs
 
 
 # malformed graph6 lines: truncated or overlong bodies, bytes outside [63, 126],

@@ -331,3 +331,18 @@ def test_scan_parallel_below_one_rejected(data_dir, capsys):
     for workers in ("0", "-1"):
         assert main(["scan", "--catalog", catalog, "--parallel", workers]) == EXIT_PARSE
         assert "parallelism must be >= 1" in capsys.readouterr().err
+
+
+def test_scan_negative_limit_and_top_k_rejected(data_dir, capsys):
+    catalog = str(data_dir / "graph4c.g6")
+    for flags, message in (
+        (["--catalog", catalog, "--limit", "-1"], "limit and top_k must be >= 0, got -1 and 10"),
+        (["--catalog", catalog, "--top-k", "-2"], "limit and top_k must be >= 0, got None and -2"),
+        (["--model", "cycle", "--n", "5", "--count", "1", "--top-k", "-1"], "count must be >= 1 and top_k >= 0, got 1 and -1"),
+    ):
+        assert main(["scan", *flags]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+    # zero is a valid bound: no lines scanned, no closest calls listed
+    assert main(["scan", "--catalog", catalog, "--limit", "0", "--top-k", "0"]) == EXIT_OK
+    assert "total: 0" in capsys.readouterr().err

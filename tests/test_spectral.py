@@ -12,22 +12,24 @@ from rwj import (
     BranchCrossingError,
     ConventionError,
     DisconnectedGraphError,
+    NumericalError,
     WeightedGraph,
     alpha_bar,
     build_transition,
     dobrushin,
     dobrushin_bound,
+    finite_difference_derivative,
     generate,
     mixing_time_bounds,
     parse_edgelist,
-    relaxation,
     spectrum,
     track_branch,
 )
 from rwj.cli import main
-from rwj.spectral import alpha_bar_closed_form
+from rwj.perturb import finite_difference_guard
+from rwj.spectral import TOL_UNIT, alpha_bar_closed_form, stacked_spectrum, track_stack
 
-from conftest import connected_weighted, random_connected_weighted
+from conftest import connected_weighted, random_connected_weighted, same_order_stacks
 from oracles import dobrushin_full_difference, dobrushin_min_form, split_form_transition
 
 
@@ -170,16 +172,20 @@ def test_regular_pagerank_equivalence():
 # relaxation and mixing bounds
 # ---------------------------------------------------------------------------
 
-def test_relaxation_examples():
-    assert relaxation(-1 / 3) == (pytest.approx(2 / 3), pytest.approx(1.5))
-    assert relaxation(0.0) == (pytest.approx(1.0), pytest.approx(1.0))
-    gap, t = relaxation(-1.0)
-    assert gap == 0.0 and math.isinf(t)
+def test_relaxation_examples(star4):
+    # the star's non-Perron eigenvalues are -1 and 0 (twice): paper excludes -1
+    paper = spectrum(build_transition(star4, 0.0), "paper")
+    assert paper.lambda_star == pytest.approx(0.0, abs=1e-12)
+    assert (paper.gap, paper.t_rel) == (pytest.approx(1.0), pytest.approx(1.0))
+    slem = spectrum(build_transition(star4, 0.0), "slem")
+    assert slem.lambda_star == pytest.approx(-1.0, abs=1e-12)
+    assert slem.gap == 0.0 and math.isinf(slem.t_rel)
 
 
 def test_relaxation_accepts_summary(k4):
     s = spectrum(build_transition(k4, 0.0), "slem")
-    assert relaxation(s) == (pytest.approx(2 / 3), pytest.approx(1.5))
+    assert s.lambda_star == pytest.approx(-1 / 3, abs=1e-12)
+    assert (s.gap, s.t_rel) == (pytest.approx(2 / 3), pytest.approx(1.5))
 
 
 def test_mixing_time_bounds_example():
@@ -363,3 +369,56 @@ def test_track_branch_crossing_error():
     mixed = s.eigenvectors.sum(axis=1)
     with pytest.raises(BranchCrossingError):
         track_branch(p5, [0.0], mixed)
+
+
+# ---------------------------------------------------------------------------
+# the stacked core against the per-graph functions
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60)
+@given(same_order_stacks())
+def test_stacked_spectrum_simple_rows_are_the_simple_spectrum_rows(stack):
+    a, d, graphs = stack
+    spec = stacked_spectrum(a, d)
+    for i, g in enumerate(graphs):
+        summaries = []
+        for conv in ("slem", "paper"):
+            try:
+                summaries.append(spectrum(build_transition(g, 0.0), conv))
+            except (NumericalError, ConventionError):
+                pass
+        simple = len(summaries) == 2 and all(
+            not s.near_unit and s.degenerate_multiplicity == 1 and abs(s.lambda_star) < 1.0 - TOL_UNIT
+            for s in summaries
+        )
+        assert spec.simple[i] == simple
+        if simple:
+            for s in summaries:
+                assert spec.lambda_star[i] == s.lambda_star
+                assert spec.gap[i] == s.gap
+                assert np.array_equal(spec.v_star[i], s.v_star)
+
+
+@settings(max_examples=40)
+@given(same_order_stacks())
+def test_stacked_tracking_equals_track_branch_on_simple_rows(stack):
+    a, d, graphs = stack
+    h = 1e-5
+    spec = stacked_spectrum(a, d)
+    start = (spec.eigenvalues, spec.eigenvectors, spec.root)
+    lam, kept = track_stack(a, d, [h / 2.0, h], spec.basis[..., 0], start)
+    guard = finite_difference_guard(a, d, spec, h)
+    for i in np.flatnonzero(spec.simple):
+        try:
+            branch = track_branch(graphs[i], [0.0, h / 2.0, h], spec.basis[i, :, 0])
+        except BranchCrossingError:
+            assert not kept[i] and not guard[i]
+            continue
+        assert kept[i]
+        assert lam[i].tolist() == [point[1] for point in branch]
+        try:
+            finite_difference_derivative(graphs[i], spec.lambda_star[i], spec.basis[i, :, 0], h)
+        except NumericalError:
+            assert not guard[i]
+        else:
+            assert guard[i]
