@@ -263,15 +263,12 @@ def cmd_sweep(args) -> int:
     conv = spectral.normalize_convention(args.convention)
     stats = graphs.degree_stats(g)
 
-    base = spectral.spectrum(spectral.build_transition(g, 0.0), conv)
-    track_grid = sorted(set([0.0] + [a for a in grid if a > 0.0]))
-    tracked = {
-        a: lam for a, lam, _v in spectral.track_branch(g, track_grid, base.v_star)
-    }
+    spectra = {a: spectral.spectrum(spectral.build_transition(g, a), conv) for a in sorted({0.0, *grid})}
+    tracked = {a: lam for a, lam, _v in spectral.track_branch(g, list(spectra), spectra[0.0].v_star, spectra.values())}
 
     lines = [SWEEP_CSV_HEADER]
     for a in grid:
-        summary = spectral.spectrum(spectral.build_transition(g, a), conv)
+        summary = spectra[a]
         lines.append(
             ",".join(
                 [

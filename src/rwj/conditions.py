@@ -23,7 +23,7 @@ import numpy as np
 
 from .graphs import DegreeStats, WeightedGraph, degree_stats, degree_stats_of
 from .perturb import NandS, TOL_SIGN, nand_s_check, nand_s_sides
-from .spectral import SLEM, SpectralSummary, build_transition, normalize_convention, spectrum
+from .spectral import SLEM, SpectralSummary, build_transition, normalize_convention, require_alpha_zero, spectrum
 
 PAPER_CONSTANT = 4.0
 SHARP_CONSTANT = 1.0
@@ -179,6 +179,7 @@ def full_report(
     conv = normalize_convention(convention)
     if summary is None:
         summary = spectrum(build_transition(g, 0.0), conv)
+    require_alpha_zero(summary, "full_report")
     stats = degree_stats(g)
     gamma = summary.gap
     lam = summary.lambda_star

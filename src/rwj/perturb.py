@@ -29,11 +29,11 @@ from .graphs import WeightedGraph
 from .spectral import (
     SLEM,
     SpectralSummary,
-    StackedSpectrum,
+    Track,
     build_transition,
     normalize_convention,
+    require_alpha_zero,
     spectrum,
-    track_branch,
     track_stack,
 )
 
@@ -104,43 +104,40 @@ def simple_first_order(
     return reduced[:, 0, 0], (gram_err <= _TOL_GRAM) & (resid <= _TOL_RESIDUAL)
 
 
-def _starts_at(lam0, lambda_star):
-    """Whether a branch tracked from alpha = 0 starts at lambda_star (within _TOL_FD_START)."""
-    return np.abs(lam0 - lambda_star) <= _TOL_FD_START
+def stacked_finite_difference(
+    a: np.ndarray, d: np.ndarray, start: tuple, lambda_star, v: np.ndarray, h: float = 1e-5
+) -> tuple[np.ndarray, Track, np.ndarray]:
+    """One-sided second-order stencil (-3 f(0) + 4 f(h/2) - f(h)) / h along the branch from ``v``, per stack row.
 
-
-def finite_difference_derivative(
-    g: WeightedGraph, lambda_star: float, v_star: np.ndarray, h: float = 1e-5
-) -> float:
-    """One-sided second-order stencil (-3 f(0) + 4 f(h/2) - f(h)) / h along the tracked branch.
-
+    ``start`` is the alpha = 0 eigensolve of the (k, n, n) stack ``a``
+    (:attr:`~rwj.spectral.StackedSpectrum.solved`); only h/2 and h are solved.
+    Returns the estimates, the track, and where it starts at ``lambda_star``.
     Independent of the analytic formula; alpha >= 0 forbids central differencing.
     """
     if h <= 0.0:
         raise ValueError(f"h must be > 0, got {h}")
-    branch = track_branch(g, [0.0, h / 2.0, h], v_star)
-    lam0 = branch[0][1]
-    if not _starts_at(lam0, lambda_star):
-        raise NumericalError(
-            f"tracked branch starts at {lam0}, expected lambda_star={lambda_star}"
-        )
-    return (-3.0 * lam0 + 4.0 * branch[1][1] - branch[2][1]) / h
+    track = track_stack(a, d, [0.0, h / 2.0, h], v, {0.0: start})
+    lam = track.eigenvalues
+    estimate = (-3.0 * lam[:, 0] + 4.0 * lam[:, 1] - lam[:, 2]) / h
+    return estimate, track, np.abs(lam[:, 0] - lambda_star) <= _TOL_FD_START
 
 
-def finite_difference_guard(
-    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, h: float = 1e-5
-) -> np.ndarray:
-    """Where :func:`finite_difference_derivative` accepts the branch of lambda_star, for a stack.
+def finite_difference_derivative(
+    g: WeightedGraph, summary: SpectralSummary, lambda_star: float, v_star: np.ndarray, h: float = 1e-5
+) -> float:
+    """:func:`stacked_finite_difference` for one graph, starting from its alpha = 0 spectrum ``summary``.
 
-    ``spec`` is the :func:`stacked_spectrum` of the (k, n, n) stack ``a``;
-    its alpha = 0 eigenpairs start the tracking, and alpha = h/2 and h take one
-    more batched ``eigh``. A row passes where track_branch keeps the branch
-    at every step and it starts at lambda_star. The estimate itself is not
-    formed. ``h`` is the step :func:`classify_small_alpha` takes by default.
+    A lost branch raises :class:`~rwj.errors.BranchCrossingError`, a branch
+    that does not start at ``lambda_star`` :class:`NumericalError`.
     """
-    start = (spec.eigenvalues, spec.eigenvectors, spec.root)
-    lam, kept = track_stack(a, d, [h / 2.0, h], spec.basis[..., 0], start)
-    return kept & _starts_at(lam[:, 0], spec.lambda_star)
+    require_alpha_zero(summary, "finite_difference_derivative")
+    v = np.asarray(v_star, dtype=float)[None]
+    estimate, track, starts = stacked_finite_difference(g.adjacency()[None], g.degrees()[None], summary.solved,
+                                                        lambda_star, v, h)
+    track.require_kept([0.0, h / 2.0, h])
+    if not starts[0]:
+        raise NumericalError(f"tracked branch starts at {track.eigenvalues[0, 0]}, expected lambda_star={lambda_star}")
+    return float(estimate[0])
 
 
 class NandS(NamedTuple):
@@ -311,6 +308,7 @@ def classify_small_alpha(
     conv = normalize_convention(convention)
     if summary is None:
         summary = spectrum(build_transition(g, 0.0), conv)
+    require_alpha_zero(summary, "classify_small_alpha")
     lam = summary.lambda_star
     branches = _level_branches(g, summary)
     if not branches:
@@ -325,7 +323,7 @@ def classify_small_alpha(
             "this contradicts the positivity of the first-order term"
         )
 
-    fd = finite_difference_derivative(g, worst.level_value, worst.vector, h)
+    fd = finite_difference_derivative(g, summary, worst.level_value, worst.vector, h)
     fd_agreement = abs(worst.derivative - fd) / max(1.0, abs(worst.derivative))
 
     return PerturbationReport(
@@ -351,21 +349,16 @@ def sweep_confirms(
 ) -> bool:
     """Direct check of a verdict against branch-tracked gaps.
 
-    Tracks each of the verdict's branches from its alpha=0 vector along one
+    Tracks the verdict's branches together from their alpha=0 vectors along one
     ascending grid of the test alphas and their midpoints, and compares
     1 - max|lambda(alpha)| at each test alpha with the alpha=0 gap of
     ``summary``. A WORSENS verdict needs a strictly smaller gap at every test
     alpha, an IMPROVES verdict a strictly larger one.
     """
+    require_alpha_zero(summary, "sweep_confirms")
     grid = sorted({0.0, *alphas, *(a / 2.0 for a in alphas)})
-    paths = [track_branch(g, grid, b.vector) for b in verdict.branches]
-    worsens = verdict.classification == WORSENS
-    gap0 = summary.gap
-    for alpha in alphas:
-        k = grid.index(alpha)
-        gap_alpha = 1.0 - max(abs(path[k][1]) for path in paths)
-        if worsens and not gap_alpha < gap0:
-            return False
-        if not worsens and not gap_alpha > gap0:
-            return False
-    return True
+    vectors = np.array([b.vector for b in verdict.branches])
+    track = track_stack(g.adjacency()[None], g.degrees()[None], grid, vectors, {0.0: summary.solved})
+    track.require_kept(grid)
+    gaps = 1.0 - np.abs(track.eigenvalues[:, [grid.index(alpha) for alpha in alphas]]).max(axis=0)
+    return bool(np.all(gaps < summary.gap if verdict.classification == WORSENS else gaps > summary.gap))

@@ -42,9 +42,9 @@ from .perturb import (
     Branch,
     SmallAlphaVerdict,
     classify_small_alpha,
-    finite_difference_guard,
     modulus_rate,
     simple_first_order,
+    stacked_finite_difference,
     sweep_confirms,
     verdict,
 )
@@ -329,9 +329,11 @@ def _batched_rows(convention: str, n: int, lines: Sequence[bytes]) -> dict[int, 
             )
     live = np.fromiter(verdicts, dtype=int, count=len(verdicts))
     try:
-        live = live[finite_difference_guard(a[live], d[live], spec._make(f[live] for f in spec))]
+        _, track, starts = stacked_finite_difference(a[live], d[live], tuple(x[live] for x in spec.solved),
+                                                     spec.lambda_star[live], spec.basis[live, :, 0])
     except NumericalError:
         return {}
+    live = live[track.kept & starts]
     ladders = stacked_ladder(spec.gap[live], d[live], spec.v_star[live], spec.lambda_star[live])
     edges = stack_edges(a[live])
     rows = {}

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,31 +46,31 @@ def normalize_convention(convention: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class TransitionSystem:
-    """A graph together with a jump rate, its transition matrix and stationary law."""
+    """A graph together with a jump rate; its transition matrix and stationary law are computed on first read."""
 
     graph: WeightedGraph
     alpha: float
-    P: np.ndarray
-    pi: np.ndarray
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """P(alpha) = (D + alpha I)^{-1} (A + (alpha/n) 11^T)."""
+        return (self.graph.adjacency() + self.alpha / self.graph.n) / (self.graph.degrees() + self.alpha)[:, None]
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """pi_i = (d_i + alpha) / (volume + alpha n)."""
+        d = self.graph.degrees()
+        return (d + self.alpha) / (d.sum() + self.alpha * self.graph.n)
 
 
 def build_transition(g: WeightedGraph, alpha: float) -> TransitionSystem:
-    """Transition system of the jump walk: P(alpha) = (D + alpha I)^{-1} (A + (alpha/n) 11^T).
-
-    The stationary law is pi_i = (d_i + alpha) / (volume + alpha n).
-    """
+    """Transition system of the jump walk on a connected graph at a jump rate alpha >= 0."""
     alpha = float(alpha)
     if alpha < 0.0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if not g.connected:
         raise DisconnectedGraphError("transition system requires a connected graph")
-    a = g.adjacency()
-    d = g.degrees()
-    a_alpha = a + alpha / g.n
-    d_alpha = d + alpha
-    p = a_alpha / d_alpha[:, None]
-    pi = (d + alpha) / (d.sum() + alpha * g.n)
-    return TransitionSystem(graph=g, alpha=alpha, P=p, pi=pi)
+    return TransitionSystem(graph=g, alpha=alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +89,7 @@ class SpectralSummary:
     convention: str
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    solved: tuple[np.ndarray, np.ndarray, np.ndarray]  # StackedSpectrum.solved, a stack of one
     level: np.ndarray
     lambda_star: float
     star_index: int
@@ -97,6 +99,12 @@ class SpectralSummary:
     degenerate_multiplicity: int
     tied_sign: bool
     near_unit: bool
+
+
+def require_alpha_zero(summary: SpectralSummary, caller: str) -> None:
+    """Raise ValueError unless ``summary`` is an alpha = 0 spectrum, which ``caller`` needs."""
+    if summary.alpha != 0.0:
+        raise ValueError(f"{caller} needs the alpha=0 spectrum, got alpha={summary.alpha}")
 
 
 def _similarity(a: np.ndarray, d: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -124,15 +132,17 @@ def _eigh(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class StackedSpectrum(NamedTuple):
     """Spectra of a stack of k graphs at one jump rate, with the selection of lambda_star.
 
-    Eigenpairs are sorted by descending eigenvalue, equal eigenvalues in
-    ``eigh``'s order. Every row follows :func:`spectrum`'s rule under the
+    Eigenvalues are sorted descending, ties in ``eigh``'s order; eigenvectors
+    stay in ``eigh``'s order. Every row follows :func:`spectrum`'s rule under the
     convention the stack was solved with, and :func:`spectrum` is the k = 1
-    case: on the rows it accepts, the fields mean what they mean in
+    case: on the rows it accepts, the other fields mean what they mean in
     :class:`SpectralSummary`.
     """
 
     eigenvalues: np.ndarray   # (k, n), descending
-    eigenvectors: np.ndarray  # (k, n, n), orthonormal eigenvectors of the similarity
+    order: np.ndarray         # (k, n), the eigenvector column of each eigenvalue
+    eigh_values: np.ndarray   # (k, n), ascending, as ``eigh`` returned them
+    eigenvectors: np.ndarray  # (k, n, n), orthonormal eigenvectors of the similarity, as ``eigh`` returned them
     root: np.ndarray          # (k, n), sqrt(d(alpha))
     in_range: np.ndarray      # (k,) every eigenvalue lies in [-1, 1] to 1e-10
     units: np.ndarray         # (k,) number of eigenvalues within TOL_UNIT of 1
@@ -158,6 +168,11 @@ class StackedSpectrum(NamedTuple):
             & (self.level.sum(axis=-1) == 1) & (self.gap > 0.0)
         )
 
+    @property
+    def solved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors, root) as ``eigh`` returned them, which :func:`track_stack` reuses."""
+        return self.eigh_values, self.eigenvectors, self.root
+
 
 def _unit(x: np.ndarray) -> np.ndarray:
     """``x`` scaled to Euclidean length 1 along its last axis.
@@ -171,11 +186,10 @@ def _unit(x: np.ndarray) -> np.ndarray:
 def _solve(a: np.ndarray, d: np.ndarray, alpha, convention: str) -> StackedSpectrum:
     """One build, one ``eigh`` and the selection of lambda_star for a (k, n, n) stack ``a`` with degrees ``d``."""
     sym, root = _similarity(a, d, alpha)
-    w, u = _eigh(sym)
-    rows = np.arange(len(w))
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w = w[rows[:, None], order]
-    u = np.ascontiguousarray(np.swapaxes(np.swapaxes(u, -1, -2)[rows[:, None], order], -1, -2))
+    raw, u = _eigh(sym)
+    rows = np.arange(len(raw))
+    order = np.argsort(-raw, axis=-1, kind="stable")
+    w = raw[rows[:, None], order]
     mods = np.abs(w)
     near = np.abs(mods - 1.0) <= TOL_UNIT  # within TOL_UNIT of 1 or of -1
     unit = near & (w > 0.0)
@@ -185,13 +199,14 @@ def _solve(a: np.ndarray, d: np.ndarray, alpha, convention: str) -> StackedSpect
     level = admissible & (np.abs(candidates - mstar[:, None]) <= TOL_TIE)
     star = level.argmax(axis=-1)
     lam = w[rows, star]
-    basis = ((1.0 / root) * u[rows, :, star])[..., None]
+    basis = ((1.0 / root) * u[rows, :, order[rows, star]])[..., None]
     v = _unit(basis[..., 0])
     sign = np.sign(v[rows, np.abs(v).argmax(axis=-1)])  # makes the largest-modulus entry positive
     mod = np.abs(lam)
     return StackedSpectrum(
-        eigenvalues=w, eigenvectors=u, root=root, in_range=mods.max(axis=-1) <= 1.0 + 1e-10,
-        units=unit.sum(axis=-1), near_unit=near.sum(axis=-1) > 1, level=level, star_index=star,
+        eigenvalues=w, order=order, eigh_values=raw, eigenvectors=u, root=root,
+        in_range=mods.max(axis=-1) <= 1.0 + 1e-10, units=unit.sum(axis=-1), near_unit=near.sum(axis=-1) > 1,
+        level=level, star_index=star,
         tied_sign=(mstar > TOL_TIE) & (lam > 0.0) & (level & (w <= 0.0)).any(axis=-1),
         lambda_star=lam, basis=basis, v_star=v * sign[:, None],
         gap=np.where(mod < 1.0 - TOL_UNIT, 1.0 - mod, 0.0),
@@ -225,10 +240,10 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
     gap = float(s.gap)
     return SpectralSummary(
         alpha=alpha, convention=conv, eigenvalues=w,
-        eigenvectors=(1.0 / s.root)[:, None] * s.eigenvectors,  # D(alpha)-orthonormal eigenvectors of P(alpha)
-        level=level, lambda_star=float(s.lambda_star), star_index=int(s.star_index), v_star=s.v_star,
-        gap=gap, t_rel=1.0 / gap if gap > 0.0 else math.inf, degenerate_multiplicity=len(level),
-        tied_sign=bool(s.tied_sign), near_unit=bool(s.near_unit),
+        eigenvectors=((1.0 / s.root)[:, None] * s.eigenvectors)[:, s.order],  # D(alpha)-orthonormal, of P(alpha)
+        solved=tuple(x[None] for x in s.solved), level=level, lambda_star=float(s.lambda_star),
+        star_index=int(s.star_index), v_star=s.v_star, gap=gap, t_rel=1.0 / gap if gap > 0.0 else math.inf,
+        degenerate_multiplicity=len(level), tied_sign=bool(s.tied_sign), near_unit=bool(s.near_unit),
     )
 
 
@@ -307,8 +322,7 @@ def alpha_bar(g: WeightedGraph, base: SpectralSummary, grid: Sequence[float] | N
     point whose recomputed gap actually beats it (None if none does). Default
     grid: 64 log-spaced points in [1e-3, 1e3].
     """
-    if base.alpha != 0.0:
-        raise ValueError(f"alpha_bar needs the alpha=0 spectrum, got alpha={base.alpha}")
+    require_alpha_zero(base, "alpha_bar")
     gamma0 = base.gap
     d_max = float(g.degrees().max())
     closed = alpha_bar_closed_form(gamma0, d_max)
@@ -328,48 +342,69 @@ def alpha_bar(g: WeightedGraph, base: SpectralSummary, grid: Sequence[float] | N
 _MIN_OVERLAP = 0.5  # a matched group overlapping the tracked vector less than this loses the branch
 
 
-def _follow(steps, v: np.ndarray):
-    """Follow one branch per stack row from the (k, n) vectors ``v``; yields each step's result.
+class Track(NamedTuple):
+    """Branches followed along a grid of jump rates, one per stack row."""
 
-    ``steps`` gives (eigenvalues, similarity eigenvectors, sqrt(d(alpha)))
-    per grid point, stacked over k. At each point the eigenvector with the
+    eigenvalues: np.ndarray  # (k, m) projection-weighted group eigenvalue at each grid point
+    overlap: np.ndarray      # (k, m) norm of the matched group's overlaps with the previous vector
+    vectors: np.ndarray      # (k, m, n) continuation vectors
+
+    @property
+    def kept(self) -> np.ndarray:
+        """(k,) every step of the row kept its branch (overlap at least _MIN_OVERLAP)."""
+        return (self.overlap >= _MIN_OVERLAP).all(axis=-1)
+
+    def require_kept(self, alpha_grid: Sequence[float]) -> None:
+        """Raise :class:`BranchCrossingError` at the first row and grid point that lost its branch."""
+        if not self.kept.all():
+            row, i = np.argwhere(~(self.overlap >= _MIN_OVERLAP))[0]
+            raise BranchCrossingError(
+                f"branch lost at alpha={alpha_grid[i]}: best overlap {self.overlap[row, i]:.3f} < {_MIN_OVERLAP}"
+            )
+
+
+def track_stack(a: np.ndarray, d: np.ndarray, alpha_grid: Sequence[float], v: np.ndarray, solved: dict) -> Track:
+    """Follow one eigenvalue branch per row of the (k, n) vectors ``v`` along an ascending grid.
+
+    ``a`` is a (k, n, n) adjacency stack with degrees ``d``; one graph with k
+    vectors follows k branches of it. ``solved`` maps rates to the
+    eigensolves the caller holds (:attr:`StackedSpectrum.solved`); the other
+    rates take one batched ``eigh``. At each rate the eigenvector with the
     largest absolute D(alpha)-weighted overlap with the previous vector is
-    matched; its group is every eigenvalue within TOL_TIE of it. The step
-    yields the projection-weighted group eigenvalue, the norm of the group's
-    overlaps, whether that norm reaches _MIN_OVERLAP, and the continuation vector
-    (the projection onto the group, D(alpha)-scaled back), each (k,) or (k, n).
+    matched with every eigenvalue within TOL_TIE of it; the step records the
+    group's projection-weighted eigenvalue and overlap norm, and continues
+    from the projection onto the group, which keeps tracking well defined
+    through exact degeneracies. Nothing raises here.
     """
-    rows = np.arange(len(v))
-    for w, u, s in steps:
+    todo = [rate for rate in alpha_grid if rate not in solved]
+    if todo:
+        syms, roots = _similarity(a[:, None], d[:, None], todo)
+        ws, us = _eigh(syms)
+        solved = {**solved, **{rate: (ws[:, i], us[:, i], roots[:, i]) for i, rate in enumerate(todo)}}
+    rows = np.arange(len(v)) % len(a)  # the stack row each vector follows
+    track = Track(*(np.empty((len(v), len(alpha_grid)) + shape) for shape in ((), (), v.shape[-1:])))
+    for i, (w, u, s) in enumerate(solved[rate] for rate in alpha_grid):
         x = _unit(s * v)
         overlaps = (x[:, None, :] @ u)[:, 0]
         j = np.abs(overlaps).argmax(axis=-1)
         coeff = overlaps * (np.abs(w - w[rows, j][:, None]) <= TOL_TIE)
         weight = (coeff[:, None, :] @ coeff[:, :, None])[:, 0, 0]
-        total = np.sqrt(weight)
         x = (u @ coeff[..., None])[..., 0]
         v = _unit(x) / s
-        lam = ((coeff * coeff)[:, None, :] @ w[:, :, None])[:, 0, 0] / weight
-        yield lam, total, total >= _MIN_OVERLAP, v
+        track.eigenvalues[:, i] = ((coeff * coeff)[:, None, :] @ w[..., :, None])[:, 0, 0] / weight
+        track.overlap[:, i] = np.sqrt(weight)
+        track.vectors[:, i] = v
+    return track
 
 
 def track_branch(
-    g: WeightedGraph,
-    alpha_grid: Sequence[float],
-    v_ref: np.ndarray,
+    g: WeightedGraph, alpha_grid: Sequence[float], v_ref: np.ndarray, solved: Iterable[SpectralSummary] = ()
 ) -> list[tuple[float, float, np.ndarray]]:
-    """Follow one eigenvalue branch along an ascending alpha grid.
+    """:func:`track_stack` for one branch of ``g``; grid points of the spectra ``solved`` are not solved again.
 
-    At each alpha the eigenpair whose eigenvector has the largest absolute
-    D(alpha)-weighted overlap with the previously tracked vector is selected;
-    an overlap below 0.5 raises :class:`BranchCrossingError` (refine the grid).
-    When the matched eigenvalue sits in a (near-)degenerate group, the
-    continuation vector is the projection of the previous vector onto that
-    group's eigenspace and the reported eigenvalue is the projection-weighted
-    group average, which keeps tracking well defined through exact symmetry
-    degeneracies. Returns (alpha, eigenvalue, eigenvector) per grid point,
-    eigenvectors sign-aligned along the branch. This is :func:`track_stack`'s
-    step on a stack of one.
+    An overlap below 0.5 raises :class:`BranchCrossingError` (refine the
+    grid). Returns (alpha, eigenvalue, eigenvector) per grid point,
+    eigenvectors sign-aligned along the branch.
     """
     alphas = [float(a) for a in alpha_grid]
     if not alphas:
@@ -378,37 +413,7 @@ def track_branch(
         raise ValueError("alpha grid must be nonnegative")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")
-    syms, roots = _similarity(g.adjacency(), g.degrees(), alphas)
-    ws, us = _eigh(syms)
-    steps = zip(ws[:, None], us[:, None], roots[:, None])
-    out: list[tuple[float, float, np.ndarray]] = []
-    for alpha, (lam, total, kept, v) in zip(alphas, _follow(steps, np.asarray(v_ref, dtype=float)[None])):
-        if not kept[0]:
-            raise BranchCrossingError(
-                f"branch lost at alpha={alpha}: best overlap {total[0]:.3f} < {_MIN_OVERLAP}"
-            )
-        out.append((alpha, float(lam[0]), v[0]))
-    return out
-
-
-def track_stack(
-    a: np.ndarray,
-    d: np.ndarray,
-    rates: Sequence[float],
-    v_ref: np.ndarray,
-    start: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`track_branch` for a (k, n, n) stack of graphs along the grid 0, ``rates``.
-
-    ``start`` is the alpha = 0 (eigenvalues, eigenvectors, sqrt(d)) of the
-    stack, as :class:`StackedSpectrum` holds them; they are reused, and the
-    ascending positive ``rates`` take one more batched ``eigh``. Returns the
-    tracked eigenvalues, (k, grid points), and where every step kept the
-    branch, (k,). Nothing raises where track_branch would raise
-    :class:`BranchCrossingError`; those rows are False.
-    """
-    syms, roots = _similarity(a[:, None], d[:, None], rates)
-    ws, us = _eigh(syms)
-    steps = [start] + [(ws[:, i], us[:, i], roots[:, i]) for i in range(len(rates))]
-    lams, _, kept, _ = zip(*_follow(steps, v_ref))
-    return np.stack(lams, axis=-1), np.logical_and.reduce(kept)
+    held = {s.alpha: s.solved for s in solved}
+    track = track_stack(g.adjacency()[None], g.degrees()[None], alphas, np.asarray(v_ref, dtype=float)[None], held)
+    track.require_kept(alphas)
+    return list(zip(alphas, track.eigenvalues[0].tolist(), track.vectors[0]))

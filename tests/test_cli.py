@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -180,6 +181,21 @@ def test_sweep_det_zero_pair_gap_decreases(det_zero_pair_file, capsys):
     assert rc == EXIT_OK
     gaps = [float(r.split(",")[2]) for r in out.strip().splitlines()[1:]]
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("args, sha256", [
+    (["--alpha-max", "1", "--steps", "5"],
+     "ded5e0e353a91665409faec0e8e0d8b061c164d365ae9976e705fecf9d55f866"),
+    (["--alpha-max", "0.05", "--steps", "6", "--convention", "slem"],
+     "bd3e9bbc5abcd5e0aea46b518782f827dca241f2985595a3953390679d9a733f"),
+    (["--alpha-max", "10", "--alpha-min", "0.001", "--steps", "7", "--spacing", "log"],
+     "be906ca0cfdc5424d6b436b50ec547ea3d26be574ee68553a30ef99580aa6355"),
+])
+def test_sweep_bytes_pinned(data_dir, capsys, args, sha256):
+    # the tracked column comes from the per-point spectra; on this simple level
+    # it must match, bit for bit, the output of a separate tracking solve
+    assert main(["sweep", "--input", str(data_dir / "two_node.el")] + args) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------------

@@ -118,19 +118,20 @@ def test_degenerate_rejects_bad_basis(k4):
 
 def test_fd_det_zero_pair(det_zero_pair):
     s = spectrum(build_transition(det_zero_pair, 0.0), "slem")
-    fd = finite_difference_derivative(det_zero_pair, s.lambda_star, s.v_star, h=1e-5)
+    fd = finite_difference_derivative(det_zero_pair, s, s.lambda_star, s.v_star, h=1e-5)
     assert fd == pytest.approx(1.0 / 36.0, abs=1e-6)
 
 
 def test_fd_c5_degenerate_start(c5):
     s = spectrum(build_transition(c5, 0.0), "slem")
-    fd = finite_difference_derivative(c5, s.lambda_star, s.v_star, h=1e-5)
+    fd = finite_difference_derivative(c5, s, s.lambda_star, s.v_star, h=1e-5)
     assert fd == pytest.approx(0.4045085, abs=1e-6)
 
 
 def test_fd_rejects_bad_h(det_zero_pair):
+    s = spectrum(build_transition(det_zero_pair, 0.0), "slem")
     with pytest.raises(ValueError):
-        finite_difference_derivative(det_zero_pair, 0.0, np.array([1.0, -2.0]), h=0.0)
+        finite_difference_derivative(det_zero_pair, s, 0.0, np.array([1.0, -2.0]), h=0.0)
 
 
 def test_fd_convergence_order_det_zero_pair(det_zero_pair):
@@ -139,7 +140,7 @@ def test_fd_convergence_order_det_zero_pair(det_zero_pair):
     s = spectrum(build_transition(det_zero_pair, 0.0), "slem")
     hs = np.array([0.02, 0.01, 0.005])
     errs = np.array(
-        [abs(finite_difference_derivative(det_zero_pair, s.lambda_star, s.v_star, h=h) - 1.0 / 36.0) for h in hs]
+        [abs(finite_difference_derivative(det_zero_pair, s, s.lambda_star, s.v_star, h=h) - 1.0 / 36.0) for h in hs]
     )
     assert (errs[:-1] > errs[1:]).all()
     design = np.vstack([np.log(hs), np.ones(3)]).T
@@ -295,6 +296,27 @@ def test_sweep_consistency_all_catalogs(catalog_lines):
             )
 
 
+def test_alpha_zero_spectrum_required():
+    # a summary at alpha = 0.5 once gave a wrong gamma, a flipped sweep and a
+    # misleading D-orthonormality error instead of this one check
+    from rwj import alpha_bar, full_report, parse_graph6
+
+    g = parse_graph6(b"D^{")
+    s0 = spectrum(build_transition(g, 0.0), "slem")
+    r = classify_small_alpha(g, "slem", summary=s0)
+    s = spectrum(build_transition(g, 0.5), "slem")
+    calls = (
+        lambda: full_report(g, "slem", summary=s),
+        lambda: sweep_confirms(g, s, r),
+        lambda: classify_small_alpha(g, "slem", summary=s),
+        lambda: finite_difference_derivative(g, s, s0.lambda_star, s0.v_star),
+        lambda: alpha_bar(g, s),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="needs the alpha=0 spectrum, got alpha=0.5"):
+            call()
+
+
 def test_case_one_property_random_graphs():
     rng = np.random.default_rng(23)
     checked = 0
@@ -316,5 +338,5 @@ def test_formula_vs_oracle_random_sample():
         if s.degenerate_multiplicity != 1 or s.tied_sign:
             continue
         lf = lambda_first_order(g, s.lambda_star, s.v_star)
-        fd = finite_difference_derivative(g, s.lambda_star, s.v_star)
+        fd = finite_difference_derivative(g, s, s.lambda_star, s.v_star)
         assert abs(lf - fd) <= 1e-3 * max(1.0, abs(lf))

@@ -26,7 +26,7 @@ from rwj import (
     track_branch,
 )
 from rwj.cli import main
-from rwj.perturb import finite_difference_guard
+from rwj.perturb import stacked_finite_difference
 from rwj.spectral import TOL_UNIT, alpha_bar_closed_form, stacked_spectrum, track_stack
 
 from conftest import connected_weighted, random_connected_weighted, same_order_stacks
@@ -402,23 +402,80 @@ def test_stacked_spectrum_simple_rows_are_the_simple_spectrum_rows(stack):
 @settings(max_examples=40)
 @given(same_order_stacks())
 def test_stacked_tracking_equals_track_branch_on_simple_rows(stack):
+    # the stack tracks from its held alpha = 0 spectra; track_branch, its one-graph
+    # case, gives the same eigenvalues whether it solves alpha = 0 again or not
     a, d, graphs = stack
     h = 1e-5
+    grid = [0.0, h / 2.0, h]
     spec = stacked_spectrum(a, d)
-    start = (spec.eigenvalues, spec.eigenvectors, spec.root)
-    lam, kept = track_stack(a, d, [h / 2.0, h], spec.basis[..., 0], start)
-    guard = finite_difference_guard(a, d, spec, h)
+    track = track_stack(a, d, grid, spec.basis[..., 0], {0.0: spec.solved})
+    estimate, fd_track, starts = stacked_finite_difference(a, d, spec.solved, spec.lambda_star, spec.basis[..., 0], h)
+    guard = fd_track.kept & starts
+    assert np.array_equal(fd_track.eigenvalues, track.eigenvalues)
     for i in np.flatnonzero(spec.simple):
+        s = spectrum(build_transition(graphs[i], 0.0), "slem")
+        for solved in ((), (s,)):
+            try:
+                branch = track_branch(graphs[i], grid, spec.basis[i, :, 0], solved)
+            except BranchCrossingError:
+                assert not track.kept[i] and not guard[i]
+                continue
+            assert track.kept[i]
+            assert track.eigenvalues[i].tolist() == [point[1] for point in branch]
         try:
-            branch = track_branch(graphs[i], [0.0, h / 2.0, h], spec.basis[i, :, 0])
-        except BranchCrossingError:
-            assert not kept[i] and not guard[i]
-            continue
-        assert kept[i]
-        assert lam[i].tolist() == [point[1] for point in branch]
-        try:
-            finite_difference_derivative(graphs[i], spec.lambda_star[i], spec.basis[i, :, 0], h)
+            fd = finite_difference_derivative(graphs[i], s, spec.lambda_star[i], spec.basis[i, :, 0], h)
         except NumericalError:
             assert not guard[i]
         else:
             assert guard[i]
+            assert fd == estimate[i]
+
+
+# ---------------------------------------------------------------------------
+# eigensolve budget: no spectrum the caller holds is solved again
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def eigh_matrices(monkeypatch):
+    """Matrices each ``numpy.linalg.eigh`` call receives, in call order."""
+    counts = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        counts.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return counts
+
+
+def test_analyze_graph_eigensolves_on_a_simple_level(eigh_matrices):
+    # alpha = 0, the 1 x 1 reduced pencil, then alpha = h/2 and h for the FD check
+    from rwj import analyze_graph, parse_graph6
+
+    record = analyze_graph(parse_graph6(b"D^{"), "slem")
+    assert not record.degenerate and record.classification == "IMPROVES"
+    assert eigh_matrices == [1, 1, 2]
+
+
+def test_sweep_confirms_eigensolves(eigh_matrices, det_zero_pair):
+    # one grid of 0 and four positive rates: alpha = 0 comes from the summary,
+    # and the branches of a tied level share the other four solves
+    from rwj import classify_small_alpha, sweep_confirms
+
+    for g, conv, branches in ((det_zero_pair, "slem", 1), (generate("path", n=4), "paper", 2)):
+        s = spectrum(build_transition(g, 0.0), conv)
+        r = classify_small_alpha(g, conv, summary=s)
+        assert len(r.branches) == branches
+        eigh_matrices.clear()
+        assert sweep_confirms(g, s, r)
+        assert eigh_matrices == [4]
+
+
+@pytest.mark.parametrize("steps", [1, 5])
+def test_cli_sweep_eigensolves(eigh_matrices, data_dir, capsys, steps):
+    # one spectrum per grid point of a linear grid, which includes alpha = 0
+    assert main(["sweep", "--input", str(data_dir / "two_node.el"), "--alpha-max", "1",
+                 "--steps", str(steps)]) == 0
+    capsys.readouterr()
+    assert sum(eigh_matrices) == steps
