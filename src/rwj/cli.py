@@ -109,7 +109,6 @@ def summary_text(s: search.ScanSummary) -> str:
         f"scan: {s.provenance}",
         f"convention: {s.convention}",
         f"total: {s.total}  classified: {s.classified}  skipped: {s.skipped}",
-        f"scalar-path rows: {s.scalar_path}",
         f"counterexamples: {s.counterexamples}  unconfirmed-worsens: {s.worsens_unconfirmed}",
         f"degenerate: {s.degenerate}  tied: {s.tied}  stationary: {s.stationary}",
         f"paper-constant witnesses: {s.paper_constant_witnesses}  "
@@ -223,7 +222,7 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     out.append(
         "  consistency: " + ("ok" if not cond.consistency else "; ".join(cond.consistency))
     )
-    record = search.scan_record(g, base, report, cond) if with_record else None
+    record = search.scan_record(g, base, report, cond.row()) if with_record else None
     return "\n".join(out) + "\n", record
 
 
@@ -248,12 +247,14 @@ def cmd_analyze(args, conditions_only=False) -> int:
 def _sweep_grid(args) -> list[float]:
     if args.steps < 1:
         raise GraphFormatError(f"--steps must be >= 1, got {args.steps}")
-    if args.alpha_max < 0:
-        raise GraphFormatError(f"--alpha-max must be >= 0, got {args.alpha_max}")
+    if not (math.isfinite(args.alpha_max) and args.alpha_max >= 0):
+        raise GraphFormatError(f"--alpha-max must be finite and >= 0, got {args.alpha_max}")
     if args.spacing == "linear":
         return [float(a) for a in np.linspace(0.0, args.alpha_max, args.steps)]
-    if args.alpha_min <= 0:
-        raise GraphFormatError("--alpha-min must be > 0 for log spacing")
+    if not (math.isfinite(args.alpha_min) and args.alpha_min > 0):
+        raise GraphFormatError(f"--alpha-min must be finite and > 0 for log spacing, got {args.alpha_min}")
+    if args.alpha_max <= 0:
+        raise GraphFormatError("--alpha-max must be > 0 for log spacing")
     return [float(a) for a in np.logspace(math.log10(args.alpha_min), math.log10(args.alpha_max), args.steps)]
 
 

@@ -11,7 +11,8 @@ that only uses coarse graph data:
 The degree forms come with two constants: the published one (c = 4) and the
 sharp one (c = 1) that the constrained Rayleigh minimum actually certifies.
 Implication tests run against the sharp constants; the published constant is
-reported and audited, never asserted sound.
+reported and audited, never asserted sound. :func:`ladder_stack` evaluates the
+ladder for a stack of graphs, and :func:`full_report` is its one-graph case.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import DegreeStats, WeightedGraph, degree_stats, degree_stats_of
+from .graphs import DegreeStats, WeightedGraph, degree_stats
 from .perturb import NandS, TOL_SIGN, nand_s_check, nand_s_sides
-from .spectral import SLEM, SpectralSummary, build_transition, normalize_convention, require_alpha_zero, spectrum
+from .spectral import (
+    SLEM, SpectralSummary, StackedSpectrum, build_transition, normalize_convention, require_alpha_zero, spectrum,
+)
 
 PAPER_CONSTANT = 4.0
 SHARP_CONSTANT = 1.0
@@ -134,6 +137,65 @@ class LadderRow(NamedTuple):
     paper_constant_witness: bool
 
 
+class Ladder(NamedTuple):
+    """The condition ladder of every graph of a stack; each verdict holds a (k,) array."""
+
+    cor1: Verdict
+    cor2: Cor2Verdict
+    thm2_paper: Verdict
+    thm2_sharp: Verdict
+    cor4_sharp: Verdict
+    simple: np.ndarray                   # (k,) lambda_star simple and not sign-tied at its modulus level
+    positive: np.ndarray                 # (k,) lambda_star > TOL_SIGN, where NandS is defined
+    nand_s: np.ndarray                   # (k,) (1/n)(1^T v)^2 < lambda_star v^T v
+    consistency: list[tuple[str, ...]]   # implication violations; empty means consistent
+    paper_constant_witness: np.ndarray   # (k,) thm2 with the published constant held but NandS failed
+
+    def rows(self) -> list[LadderRow]:
+        columns = (self.cor1.holds, self.cor2.holds, self.thm2_sharp.holds, self.cor4_sharp.holds, self.nand_s,
+                   self.positive, self.paper_constant_witness)
+        return [
+            LadderRow(c1, c2, t2, c4, nand if positive else None, consistency, witness)
+            for (c1, c2, t2, c4, nand, positive, witness), consistency
+            in zip(zip(*(c.tolist() for c in columns)), self.consistency)
+        ]
+
+
+def ladder_stack(stats: DegreeStats, spec: StackedSpectrum) -> Ladder:
+    """The condition ladder of a stack of graphs with degree statistics ``stats`` and alpha = 0 spectrum ``spec``.
+
+    ``stats`` holds (k,) arrays, or one graph's scalars for a stack of one.
+    Every row must be :meth:`~rwj.spectral.StackedSpectrum.admissible`. For a
+    simple positive lambda_star every sharp sufficient condition that holds
+    must be matched by the necessary-and-sufficient condition; any violation
+    is surfaced in ``consistency`` (and would indicate a bug, these
+    implications are theorems). A NandS failure within the relative band
+    NANDS_TIE is a rounding-level tie and counts as neither a violation nor a
+    paper-constant witness.
+    """
+    gamma, lam, v = spec.gap, spec.lambda_star, spec.v_star
+    n = v.shape[-1]
+    c1 = corollary1(gamma, n)
+    c2 = corollary2(gamma, v)
+    t2p = theorem2(gamma, stats, "paper")
+    t2s = theorem2(gamma, stats, "sharp")
+    c4s = corollary4(gamma, stats, "sharp")
+    simple = spec.level.sum(axis=-1) == 1  # one eigenvalue at the level, so not sign-tied either
+    positive = lam > TOL_SIGN
+    lhs, rhs = nand_s_sides(lam, v, n)
+    nand_failed = positive & simple & _nand_failed(lhs, rhs)
+    implications = _implications(nand_failed, c1.holds, c2.holds, t2s.holds, c4s.holds)
+    consistency = [()] * len(gamma)
+    for i in np.flatnonzero(np.logical_or.reduce([violated for _, violated in implications])).tolist():
+        consistency[i] = tuple(message for message, violated in implications if violated[i])
+    return Ladder(c1, c2, t2p, t2s, c4s, simple, positive, lhs < rhs, consistency, nand_failed & t2p.holds)
+
+
+def _first(verdict):
+    """Row 0 of a stacked verdict; its array fields become Python scalars."""
+    return type(verdict)(**{k: x[0].item() if isinstance(x, np.ndarray) else x for k, x in vars(verdict).items()})
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
     """Every condition evaluated on one graph at alpha = 0."""
@@ -169,55 +231,25 @@ def full_report(
 ) -> ConditionReport:
     """Evaluate the condition ladder, the necessary-and-sufficient condition and the Rayleigh minimum.
 
-    For a simple positive lambda_star every sharp sufficient condition that
-    holds must be matched by the necessary-and-sufficient condition; any
-    violation is surfaced in ``consistency`` (and would indicate a bug, these
-    implications are theorems). A NandS failure within the relative band
-    NANDS_TIE is a rounding-level tie and counts as neither a violation nor a
-    paper-constant witness; ``nand_s`` still reports it as printed.
+    This is :func:`ladder_stack` for one graph, plus what only the report
+    prints: corollary 4 with the published constant, the Laplacian form of
+    NandS and the Rayleigh minimum. ``nand_s`` reports NandS as printed, a
+    rounding-level tie included.
     """
     conv = normalize_convention(convention)
     if summary is None:
         summary = spectrum(build_transition(g, 0.0), conv)
     require_alpha_zero(summary, "full_report")
     stats = degree_stats(g)
-    gamma = summary.gap
     lam = summary.lambda_star
-    simple = summary.degenerate_multiplicity == 1 and not summary.tied_sign
-
-    c1 = corollary1(gamma, g.n)
-    c2 = corollary2(gamma, summary.v_star)
-    t2p = theorem2(gamma, stats, "paper")
-    t2s = theorem2(gamma, stats, "sharp")
-    c4p = corollary4(gamma, stats, "paper")
-    c4s = corollary4(gamma, stats, "sharp")
-    nand = nand_s_check(lam, summary.v_star, g.n) if lam > TOL_SIGN else None
-    ray_min, _ = rayleigh_minimum(stats)
-
-    nand_failed = bool(nand is not None and simple and _nand_failed(nand.lhs, nand.rhs))
-    violations = tuple([
-        message
-        for message, violated in _implications(nand_failed, c1.holds, c2.holds, t2s.holds, c4s.holds)
-        if violated
-    ])
-    witness = nand_failed and t2p.holds
-
+    ladder = ladder_stack(stats, summary.stack)
     return ConditionReport(
-        convention=conv,
-        n=g.n,
-        gamma=gamma,
-        lambda_star=lam,
-        lambda_star_simple=simple,
-        cor1=c1,
-        cor2=c2,
-        thm2_paper=t2p,
-        thm2_sharp=t2s,
-        cor4_paper=c4p,
-        cor4_sharp=c4s,
-        nand_s=nand,
-        rayleigh_min=ray_min,
-        consistency=violations,
-        paper_constant_witness=witness,
+        convention=conv, n=g.n, gamma=summary.gap, lambda_star=lam, lambda_star_simple=bool(ladder.simple[0]),
+        cor1=_first(ladder.cor1), cor2=_first(ladder.cor2), thm2_paper=_first(ladder.thm2_paper),
+        thm2_sharp=_first(ladder.thm2_sharp), cor4_paper=corollary4(summary.gap, stats, "paper"),
+        cor4_sharp=_first(ladder.cor4_sharp), nand_s=nand_s_check(lam, summary.v_star, g.n) if lam > TOL_SIGN else None,
+        rayleigh_min=rayleigh_minimum(stats)[0], consistency=ladder.consistency[0],
+        paper_constant_witness=bool(ladder.paper_constant_witness[0]),
     )
 
 
@@ -234,31 +266,3 @@ def _implications(nand_failed, cor1, cor2, thm2_sharp, cor4_sharp):
         ("thm2(sharp) held but NandS failed", np.logical_and(nand_failed, thm2_sharp)),
         ("cor4(sharp) held but thm2(sharp) failed", np.logical_and(cor4_sharp, np.logical_not(thm2_sharp))),
     )
-
-
-def stacked_ladder(
-    gamma: np.ndarray, d: np.ndarray, v_star: np.ndarray, lambda_star: np.ndarray
-) -> list[LadderRow | None]:
-    """The :class:`LadderRow` of every graph of a stack whose governing levels are simple.
-
-    ``gamma`` and ``lambda_star`` are (k,) arrays, ``d`` the (k, n) degrees and
-    ``v_star`` the (k, n) eigenvectors of the stack. The conditions, thresholds
-    and rules are those of :func:`full_report`, evaluated elementwise. A graph
-    with a consistency violation gets None: :func:`full_report` reports it.
-    """
-    n = d.shape[-1]
-    stats = degree_stats_of(d)
-    c1 = corollary1(gamma, n).holds
-    c2 = corollary2(gamma, v_star).holds
-    t2p = theorem2(gamma, stats, "paper").holds
-    t2s = theorem2(gamma, stats, "sharp").holds
-    c4s = corollary4(gamma, stats, "sharp").holds
-    positive = lambda_star > TOL_SIGN
-    lhs, rhs = nand_s_sides(lambda_star, v_star, n)
-    nand_failed = positive & _nand_failed(lhs, rhs)
-    violated = np.logical_or.reduce([v for _, v in _implications(nand_failed, c1, c2, t2s, c4s)])
-    columns = (c1, c2, t2s, c4s, lhs < rhs, positive, nand_failed & t2p, violated)
-    return [
-        None if bad else LadderRow(r1, r2, rt, r4, nand if pos else None, (), witness)
-        for r1, r2, rt, r4, nand, pos, witness, bad in zip(*(c.tolist() for c in columns))
-    ]

@@ -15,11 +15,15 @@ lambda < 0 the numerator is positive too, so those branches always rise
 Degenerate levels are handled by the reduced pencil V^T((1/n)11^T - lambda I)V
 over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
+:func:`classify_stack` decides a stack of graphs at once, and
+:func:`classify_small_alpha` is its one-graph case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +33,7 @@ from .graphs import WeightedGraph
 from .spectral import (
     SLEM,
     SpectralSummary,
+    StackedSpectrum,
     Track,
     build_transition,
     normalize_convention,
@@ -54,22 +59,28 @@ def degenerate_first_order(g: WeightedGraph, lambda_star: float, basis: np.ndarr
     (V^T D V = I). Returns the eigenvalues of V^T((1/n)11^T - lambda I)V;
     for a single column this equals the simple-branch formula exactly.
     """
-    return np.linalg.eigvalsh(_reduced_pencil(g, lambda_star, basis))
+    return np.linalg.eigvalsh(_reduced_pencil(g.adjacency(), g.degrees(), lambda_star, basis))
 
 
-def _reduced_pencil(g: WeightedGraph, lambda_star: float, basis: np.ndarray) -> np.ndarray:
-    """V^T((1/n)11^T - lambda I)V, symmetrised, after checking V as :func:`degenerate_first_order` requires."""
+def _reduced_pencil(a: np.ndarray, d: np.ndarray, lambda_star: float, basis: np.ndarray) -> np.ndarray:
+    """V^T((1/n)11^T - lambda I)V of one graph, symmetrised, once V passes :func:`degenerate_first_order`'s checks."""
     v = np.asarray(basis, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    if v.ndim != 2 or v.shape[0] != g.n or v.shape[1] < 1:
-        raise ValueError(f"basis must be n x k with n={g.n}, got shape {v.shape}")
-    reduced, gram_err, resid = _pencil(g.adjacency(), g.degrees(), lambda_star, v)
-    if gram_err > _TOL_GRAM:
-        raise ValueError("basis is not D-orthonormal (V^T D V != I within 1e-10)")
-    if resid > _TOL_RESIDUAL:
-        raise ValueError(f"basis does not span the eigenspace (residual {resid:.2e})")
+    n = len(d)
+    if v.ndim != 2 or v.shape[0] != n or v.shape[1] < 1:
+        raise ValueError(f"basis must be n x k with n={n}, got shape {v.shape}")
+    reduced, gram_err, resid = _pencil(a, d, lambda_star, v)
+    _require_eigenbasis(gram_err, resid)
     return reduced
+
+
+def _require_eigenbasis(gram_err, resid) -> None:
+    """Raise ValueError where :func:`_pencil`'s errors show a basis that is not D-orthonormal or not an eigenbasis."""
+    if np.any(gram_err > _TOL_GRAM):
+        raise ValueError("basis is not D-orthonormal (V^T D V != I within 1e-10)")
+    if np.any(resid > _TOL_RESIDUAL):
+        raise ValueError(f"basis does not span the eigenspace (residual {np.max(resid):.2e})")
 
 
 def _pencil(a: np.ndarray, d: np.ndarray, lambda_star, v: np.ndarray):
@@ -89,21 +100,6 @@ def _pencil(a: np.ndarray, d: np.ndarray, lambda_star, v: np.ndarray):
     return (reduced + np.swapaxes(reduced, -1, -2)) / 2.0, gram_err, resid
 
 
-def simple_first_order(
-    a: np.ndarray, d: np.ndarray, lambda_star: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """lambda'(0) of one simple eigenvalue per graph of a stack, and where it may be used.
-
-    ``a`` is a (k, n, n) adjacency stack with degrees ``d``, and ``basis`` the
-    (k, n, 1) D-orthonormal eigenvectors of ``lambda_star``. The derivative is
-    the entry of the 1 x 1 reduced pencil of :func:`degenerate_first_order`,
-    which is its eigenvalue. A row may be used where both of
-    :func:`_reduced_pencil`'s checks pass.
-    """
-    reduced, gram_err, resid = _pencil(a, d, lambda_star, basis)
-    return reduced[:, 0, 0], (gram_err <= _TOL_GRAM) & (resid <= _TOL_RESIDUAL)
-
-
 def stacked_finite_difference(
     a: np.ndarray, d: np.ndarray, start: tuple, lambda_star, v: np.ndarray, h: float = 1e-5
 ) -> tuple[np.ndarray, Track, np.ndarray]:
@@ -114,12 +110,23 @@ def stacked_finite_difference(
     Returns the estimates, the track, and where it starts at ``lambda_star``.
     Independent of the analytic formula; alpha >= 0 forbids central differencing.
     """
-    if h <= 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
     track = track_stack(a, d, [0.0, h / 2.0, h], v, {0.0: start})
     lam = track.eigenvalues
     estimate = (-3.0 * lam[:, 0] + 4.0 * lam[:, 1] - lam[:, 2]) / h
     return estimate, track, np.abs(lam[:, 0] - lambda_star) <= _TOL_FD_START
+
+
+def _checked_finite_difference(a, d, start, lambda_star: list[float], v, h: float) -> list[float]:
+    """:func:`stacked_finite_difference`, raising where :func:`finite_difference_derivative` does."""
+    estimate, track, starts = stacked_finite_difference(a, d, start, lambda_star, v, h)
+    track.require_kept([0.0, h / 2.0, h])
+    if not starts.all():
+        i = int(np.argmin(starts))
+        raise NumericalError(f"tracked branch starts at {track.eigenvalues[i, 0]}, "
+                             f"expected lambda_star={lambda_star[i]}")
+    return estimate.tolist()
 
 
 def finite_difference_derivative(
@@ -132,12 +139,8 @@ def finite_difference_derivative(
     """
     require_alpha_zero(summary, "finite_difference_derivative")
     v = np.asarray(v_star, dtype=float)[None]
-    estimate, track, starts = stacked_finite_difference(g.adjacency()[None], g.degrees()[None], summary.solved,
-                                                        lambda_star, v, h)
-    track.require_kept([0.0, h / 2.0, h])
-    if not starts[0]:
-        raise NumericalError(f"tracked branch starts at {track.eigenvalues[0, 0]}, expected lambda_star={lambda_star}")
-    return float(estimate[0])
+    a, d = g.adjacency()[None], g.degrees()[None]
+    return _checked_finite_difference(a, d, summary.stack.solved, [lambda_star], v, h)[0]
 
 
 class NandS(NamedTuple):
@@ -247,12 +250,14 @@ def verdict(lambda_star: float, worst_rate: float) -> tuple[str, float, bool]:
     return (IMPROVES if worst_rate < 0.0 else WORSENS), -worst_rate, False
 
 
-def _level_branches(g: WeightedGraph, summary: SpectralSummary) -> list[Branch]:
-    """All branches at the modulus level of lambda_star, with their modulus rates."""
-    w = summary.eigenvalues
-    vecs = summary.eigenvectors
-    lam = summary.lambda_star
-    level_idx = summary.level
+def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int) -> list[Branch]:
+    """All branches at the modulus level of row ``i`` of ``spec``, with their modulus rates.
+
+    One reduced-pencil ``eigh`` per sign of the level (one for a level at 0).
+    """
+    w = spec.eigenvalues[i]
+    lam = float(spec.lambda_star[i])
+    level_idx = np.flatnonzero(spec.level[i])
     zero_case = abs(lam) <= TOL_SIGN
 
     branches: list[Branch] = []
@@ -267,20 +272,59 @@ def _level_branches(g: WeightedGraph, summary: SpectralSummary) -> list[Branch]:
         if len(idx) == 0:
             continue
         level_value = float(w[idx[0]])
-        basis = vecs[:, idx]
+        basis = (1.0 / spec.root[i])[:, None] * spec.eigenvectors[i][:, spec.order[i, idx]]  # D-orthonormal
         # eigenvalues of the reduced pencil are the branch derivatives, its
         # eigenvectors give the adapted branch vectors
-        derivs, y = np.linalg.eigh(_reduced_pencil(g, level_value, basis))
-        for k, deriv in enumerate(derivs.tolist()):
-            branches.append(
-                Branch(
-                    level_value=level_value,
-                    derivative=deriv,
-                    rate=modulus_rate(lam, level_value, deriv),
-                    vector=basis @ y[:, k],
-                )
-            )
+        derivs, y = np.linalg.eigh(_reduced_pencil(a[i], d[i], level_value, basis))
+        branches += [Branch(level_value, deriv, modulus_rate(lam, level_value, deriv), basis @ y[:, k])
+                     for k, deriv in enumerate(derivs.tolist())]
     return branches
+
+
+def classify_stack(
+    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, convention: str, h: float = 1e-5
+) -> list[PerturbationReport]:
+    """The small-alpha verdict of every row of a (k, n, n) adjacency stack ``a`` with degrees ``d``.
+
+    ``spec`` is the stack's alpha = 0 spectrum under ``convention``, every row
+    admissible. A level of one eigenvalue takes lambda'(0) from one vectorised
+    1 x 1 reduced pencil, whose entry is its eigenvalue; other levels solve
+    theirs row by row. Each row's worst branch gives its verdict, and one
+    stacked finite-difference check runs along the worst branches. A failed
+    check raises as in :func:`classify_small_alpha`.
+    """
+    if not len(a):
+        return []
+    single = spec.level.sum(axis=-1) == 1
+    reduced, *errors = _pencil(a[single], d[single], spec.lambda_star[single], spec.basis[single])
+    _require_eigenbasis(*errors)
+    derivatives = iter(reduced[:, 0, 0].tolist())
+    rows = []
+    for i, lam in enumerate(spec.lambda_star.tolist()):
+        if single[i]:
+            der = next(derivatives)
+            branches = [Branch(lam, der, modulus_rate(lam, lam, der), spec.basis[i, :, 0])]
+        else:
+            branches = _level_branches(a, d, spec, i)
+        if lam < -TOL_SIGN and any(b.derivative <= 0.0 for b in branches):
+            raise NumericalError(
+                "negative-lambda branch with nonpositive derivative; "
+                "this contradicts the positivity of the first-order term"
+            )
+        worst = max(branches, key=attrgetter("rate"))
+        rows.append((lam, tuple(branches), worst, verdict(lam, worst.rate)))
+    fds = _checked_finite_difference(a, d, spec.solved, [row[2].level_value for row in rows],
+                                     np.array([row[2].vector for row in rows]), h)
+    return [
+        PerturbationReport(
+            convention=convention, lambda_star=lam, lambda_first=worst.derivative, classification=classification,
+            gap_derivative=float(gap_derivative), degenerate=degenerate, tied_sign=tied, stationary=stationary,
+            branches=branches, fd_estimate=fd,
+            fd_agreement=abs(worst.derivative - fd) / max(1.0, abs(worst.derivative)),
+        )
+        for (lam, branches, worst, (classification, gap_derivative, stationary)), fd, degenerate, tied
+        in zip(rows, fds, (~single).tolist(), spec.tied_sign.tolist())
+    ]
 
 
 def classify_small_alpha(
@@ -303,42 +347,14 @@ def classify_small_alpha(
 
     Degenerate levels classify from the worst branch; sign-tied levels
     evaluate both signs and take the worst case. Every report carries a
-    finite-difference cross-check along the governing branch.
+    finite-difference cross-check along the governing branch. This is
+    :func:`classify_stack` for one graph.
     """
     conv = normalize_convention(convention)
     if summary is None:
         summary = spectrum(build_transition(g, 0.0), conv)
     require_alpha_zero(summary, "classify_small_alpha")
-    lam = summary.lambda_star
-    branches = _level_branches(g, summary)
-    if not branches:
-        raise NumericalError("no branches found at the governing level")
-
-    worst = max(branches, key=lambda b: b.rate)
-    classification, gap_derivative, stationary = verdict(lam, worst.rate)
-
-    if lam < -TOL_SIGN and any(b.derivative <= 0.0 for b in branches):
-        raise NumericalError(
-            "negative-lambda branch with nonpositive derivative; "
-            "this contradicts the positivity of the first-order term"
-        )
-
-    fd = finite_difference_derivative(g, summary, worst.level_value, worst.vector, h)
-    fd_agreement = abs(worst.derivative - fd) / max(1.0, abs(worst.derivative))
-
-    return PerturbationReport(
-        convention=conv,
-        lambda_star=lam,
-        lambda_first=worst.derivative,
-        classification=classification,
-        gap_derivative=float(gap_derivative),
-        degenerate=summary.degenerate_multiplicity > 1,
-        tied_sign=summary.tied_sign,
-        stationary=stationary,
-        branches=tuple(branches),
-        fd_estimate=float(fd),
-        fd_agreement=float(fd_agreement),
-    )
+    return classify_stack(g.adjacency()[None], g.degrees()[None], summary.stack, conv, h)[0]
 
 
 def sweep_confirms(
@@ -358,7 +374,7 @@ def sweep_confirms(
     require_alpha_zero(summary, "sweep_confirms")
     grid = sorted({0.0, *alphas, *(a / 2.0 for a in alphas)})
     vectors = np.array([b.vector for b in verdict.branches])
-    track = track_stack(g.adjacency()[None], g.degrees()[None], grid, vectors, {0.0: summary.solved})
+    track = track_stack(g.adjacency()[None], g.degrees()[None], grid, vectors, {0.0: summary.stack.solved})
     track.require_kept(grid)
     gaps = 1.0 - np.abs(track.eigenvalues[:, [grid.index(alpha) for alpha in alphas]]).max(axis=0)
     return bool(np.all(gaps < summary.gap if verdict.classification == WORSENS else gaps > summary.gap))

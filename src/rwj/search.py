@@ -5,6 +5,12 @@ sufficiently small jump rates. Candidates are found by the first-order
 classification and only reported after a direct branch-tracked sweep confirms
 the gap really shrinks at alpha in {1e-3, 1e-2}; the two confirmations
 (derivative sign and sweep) are independent.
+
+Every row, of one graph or of a stack of same-n catalog lines, comes from
+the same cores: the stacked eigensolve of :mod:`rwj.spectral`, the verdict
+core :func:`~rwj.perturb.classify_stack` and the ladder core
+:func:`~rwj.conditions.ladder_stack`; :func:`analyze_graph` runs them on a
+stack of one.
 """
 
 from __future__ import annotations
@@ -18,17 +24,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .conditions import ConditionReport, LadderRow, full_report, stacked_ladder
+from .conditions import LadderRow, ladder_stack
 from .errors import (
     ConventionError,
     DisconnectedGraphError,
     GenerationError,
     GraphFormatError,
-    NumericalError,
 )
 from .graphs import (
     WeightedGraph,
     decode_graph6_stack,
+    degree_stats,
+    degree_stats_of,
     generate,
     graph6_short_n,
     parse_graph6,
@@ -37,24 +44,22 @@ from .graphs import (
 )
 from .perturb import (
     IMPROVES,
-    TOL_SIGN,
     WORSENS,
     Branch,
     SmallAlphaVerdict,
     classify_small_alpha,
+    classify_stack,
     modulus_rate,
-    simple_first_order,
-    stacked_finite_difference,
     sweep_confirms,
     verdict,
 )
 from .spectral import (
     SLEM,
     SpectralSummary,
+    _solve,
     build_transition,
     normalize_convention,
     spectrum,
-    stacked_spectrum,
 )
 
 # Graphs per stacked eigensolve of a catalog scan. Larger stacks barely speed
@@ -201,7 +206,6 @@ class ScanSummary:
     stationary: int = 0
     paper_constant_witnesses: int = 0
     consistency_violations: int = 0
-    scalar_path: int = 0               # classified rows that took the per-graph path
     min_margin_records: tuple[ScanRecord, ...] = ()
     elapsed: float = 0.0
 
@@ -211,18 +215,22 @@ def analyze_graph(g: WeightedGraph, convention: str = SLEM, graph_id: str | None
     conv = normalize_convention(convention)
     summary = spectrum(build_transition(g, 0.0), conv)
     report = classify_small_alpha(g, conv, summary=summary)
-    cond = full_report(g, conv, summary=summary)
-    return scan_record(g, summary, report, cond, graph_id)
+    return scan_record(g, summary, report, _ladder_row(g, summary), graph_id)
+
+
+def _ladder_row(g: WeightedGraph, summary: SpectralSummary) -> LadderRow:
+    """The condition-ladder columns of one graph's row: :func:`ladder_stack` on its alpha=0 stack of one."""
+    return ladder_stack(degree_stats(g), summary.stack).rows()[0]
 
 
 def scan_record(
     g: WeightedGraph,
     summary: SpectralSummary,
     report: SmallAlphaVerdict,
-    cond: ConditionReport,
+    ladder: LadderRow,
     graph_id: str | None = None,
 ) -> ScanRecord:
-    """The scan row of one graph from its alpha=0 spectrum, verdict and condition report.
+    """The scan row of one graph from its alpha=0 spectrum, verdict and condition-ladder columns.
 
     A WORSENS verdict is sweep-confirmed here along the verdict's own
     branches; nothing else is recomputed.
@@ -231,7 +239,7 @@ def scan_record(
     if report.classification == WORSENS:
         confirmed = sweep_confirms(g, summary, report)
     graph_id = graph_id or g.name or "<anonymous>"
-    return _record(graph_id, g.n, g.edges, summary.near_unit, report, cond.row(), confirmed)
+    return _record(graph_id, g.n, g.edges, summary.near_unit, report, ladder, confirmed)
 
 
 def _record(
@@ -288,75 +296,47 @@ def _scan_generated(convention: str, model: str, params: dict, seed: int) -> Sca
         return None
 
 
-def _batched_rows(convention: str, n: int, lines: Sequence[bytes]) -> dict[int, ScanRecord]:
-    """The rows of same-n graph6 lines that the stacked path can decide, by position.
+def _batched_rows(convention: str, n: int, lines: Sequence[bytes]) -> list[ScanRecord | None]:
+    """The rows of same-n graph6 lines, in input order; None for a skipped line.
 
-    One vectorised decode, one stacked ``eigh`` at alpha = 0 and one at
-    alpha in {h/2, h} serve the whole stack. A row is decided here only when
-    its level is simple, away from +-1 and from 0 (neither degenerate, tied,
-    near-unit nor stationary), its verdict is IMPROVES (so a negative
-    lambda_star has a positive derivative), and every check of the per-graph
-    path passes: the spectrum checks, D-orthonormality and eigen-residual, the
-    finite-difference tracking guard and the ladder's consistency (after the
-    D-orthonormality check v_star is nonzero, so corollary 2's sign band is
-    never empty). Its row is then the one :func:`analyze_graph` builds. Every
-    other line is left out, and so is the whole stack when one of its
-    eigensolves fails to converge.
+    One vectorised decode, one stacked ``eigh`` at alpha = 0 under the scan's
+    convention and one at alpha in {h/2, h} for the finite-difference check
+    serve the whole stack. The verdict core and the ladder core decide every
+    row, and a WORSENS row is sweep-confirmed, so each row is the one
+    :func:`analyze_graph` builds and a failed check raises as it does there.
+    A line is skipped when it is malformed, its graph is disconnected, or the
+    convention admits none of its eigenvalues.
     """
     a, ok = decode_graph6_stack(lines, n)
-    keep = np.flatnonzero(ok)
-    position = keep.tolist()
-    a = a[keep]
+    a = a[ok]
     d = a.sum(axis=-1)
-    try:
-        spec = stacked_spectrum(a, d)
-    except NumericalError:
-        return {}
-    derivative, ok = simple_first_order(a, d, spec.lambda_star, spec.basis)
-    ok &= spec.simple & (np.abs(spec.lambda_star) > TOL_SIGN)
-    verdicts = {}
-    for i, lam, der in zip(
-        np.flatnonzero(ok).tolist(), spec.lambda_star[ok].tolist(), derivative[ok].tolist()
-    ):
-        branch = Branch(level_value=lam, derivative=der, rate=modulus_rate(lam, lam, der),
-                        vector=spec.basis[i, :, 0])
-        classification, gap_derivative, stationary = verdict(lam, branch.rate)
-        if classification == IMPROVES:
-            verdicts[i] = SmallAlphaVerdict(
-                convention=convention, lambda_star=lam, lambda_first=der,
-                classification=classification, gap_derivative=float(gap_derivative),
-                degenerate=False, tied_sign=False, stationary=stationary, branches=(branch,),
-            )
-    live = np.fromiter(verdicts, dtype=int, count=len(verdicts))
-    try:
-        _, track, starts = stacked_finite_difference(a[live], d[live], tuple(x[live] for x in spec.solved),
-                                                     spec.lambda_star[live], spec.basis[live, :, 0])
-    except NumericalError:
-        return {}
-    live = live[track.kept & starts]
-    ladders = stacked_ladder(spec.gap[live], d[live], spec.v_star[live], spec.lambda_star[live])
-    edges = stack_edges(a[live])
-    rows = {}
-    for i, ladder, edge_list in zip(live.tolist(), ladders, edges):
-        if ladder is not None:
-            graph_id = lines[position[i]].decode("ascii")
-            rows[position[i]] = _record(graph_id, n, edge_list, near_unit=False, report=verdicts[i],
-                                        ladder=ladder, confirmed=None)
+    spec = _solve(a, d, 0.0, convention)
+    admissible = spec.admissible()
+    a, d, spec = a[admissible], d[admissible], spec.take(admissible)
+    positions = np.flatnonzero(ok)[admissible].tolist()
+    reports = classify_stack(a, d, spec, convention)
+    ladders = ladder_stack(degree_stats_of(d), spec).rows()
+    rows: list[ScanRecord | None] = [None] * len(lines)
+    for j, (i, report, ladder, edges) in enumerate(zip(positions, reports, ladders, stack_edges(a))):
+        graph_id = lines[i].decode("ascii")
+        confirmed = None
+        if report.classification == WORSENS:
+            confirmed = sweep_confirms(WeightedGraph(n, edges, name=graph_id), spec.summary(j, 0.0, convention), report)
+        rows[i] = _record(graph_id, n, edges, bool(spec.near_unit[j]), report, ladder, confirmed)
     return rows
 
 
-def _scan_unit(convention: str, unit: tuple[int, list[bytes]]) -> tuple[list[ScanRecord | None], int]:
-    """The rows of one work unit of a catalog scan and how many of them were batched.
+def _scan_unit(convention: str, unit: tuple[int, list[bytes]]) -> list[ScanRecord | None]:
+    """The rows of one work unit of a catalog scan.
 
-    ``unit`` is (n, lines) from :func:`_work_units`. Lines the stacked path
-    does not decide take :func:`_scan_graph6_line`, as every line of an n = 0
-    unit does.
+    ``unit`` is (n, lines) from :func:`_work_units`: a stack of same-n lines
+    for :func:`_batched_rows`, or, with n = 0, lines that each take
+    :func:`_scan_graph6_line`.
     """
     n, lines = unit
-    batched = _batched_rows(convention, n, lines) if n else {}
-    rows = [batched[i] if i in batched else _scan_graph6_line(convention, line)
-            for i, line in enumerate(lines)]
-    return rows, len(batched)
+    if n:
+        return _batched_rows(convention, n, lines)
+    return [_scan_graph6_line(convention, line) for line in lines]
 
 
 def _work_units(lines: Sequence[bytes]) -> list[tuple[int, list[int]]]:
@@ -383,9 +363,8 @@ def _finalize(
     top_k: int,
     started: float,
     dump_dir: str | Path | None,
-    batched: int = 0,
 ) -> tuple[ScanSummary, list[ScanRecord]]:
-    """The summary and reported rows of a scan; ``batched`` rows took the stacked path."""
+    """The summary and reported rows of a scan."""
     summary = ScanSummary(provenance=provenance, convention=convention)
     all_records: list[ScanRecord] = []
     for record in results:
@@ -405,7 +384,6 @@ def _finalize(
             else:
                 summary.worsens_unconfirmed += 1
         all_records.append(record)
-    summary.scalar_path = summary.classified - batched
     worsens = [r for r in all_records if r.classification == WORSENS]
     improves = [r for r in all_records if r.classification == IMPROVES]
     improves.sort(key=lambda r: r.margin)
@@ -478,11 +456,10 @@ def scan_catalog(
     regardless of parallelism; records contain every (confirmed or not)
     WORSENS graph plus the top-k smallest-margin IMPROVES.
 
-    Lines with a 1-byte header are solved in stacks of up to STACK_SIZE
-    graphs with the same n (see :func:`_batched_rows`); every row the stacked
-    path cannot decide, and every other line, goes through
-    :func:`analyze_graph` alone. Both give the same rows.
-    ``ScanSummary.scalar_path`` counts the classified rows of the second kind.
+    Lines with a 1-byte header are decided in stacks of up to STACK_SIZE
+    graphs with the same n (see :func:`_batched_rows`); every other line
+    (a 4-byte or malformed header) goes through :func:`analyze_graph` alone,
+    which runs the same cores on a stack of one. Both give the same rows.
     """
     if (limit is not None and limit < 0) or top_k < 0:
         raise ValueError(f"limit and top_k must be >= 0, got {limit} and {top_k}")
@@ -494,12 +471,10 @@ def scan_catalog(
     units = _work_units(lines)
     done = _run(partial(_scan_unit, conv), [(n, [lines[i] for i in idx]) for n, idx in units], parallelism)
     results: list[ScanRecord | None] = [None] * len(lines)
-    batched = 0
-    for (_, positions), (rows, count) in zip(units, done):
-        batched += count
+    for (_, positions), rows in zip(units, done):
         for i, row in zip(positions, rows):
             results[i] = row
-    return _finalize(provenance, conv, results, top_k, started, dump_dir, batched)
+    return _finalize(provenance, conv, results, top_k, started, dump_dir)
 
 
 def scan_random(
@@ -553,6 +528,5 @@ def two_node_grid_search(
                     continue
                 g = p.graph()
                 summary = spectrum(build_transition(g, 0.0), SLEM)
-                cond = full_report(g, SLEM, summary=summary)
-                records.append(scan_record(g, summary, cf, cond))
+                records.append(scan_record(g, summary, cf, _ladder_row(g, summary)))
     return records

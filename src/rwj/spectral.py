@@ -66,8 +66,8 @@ class TransitionSystem:
 def build_transition(g: WeightedGraph, alpha: float) -> TransitionSystem:
     """Transition system of the jump walk on a connected graph at a jump rate alpha >= 0."""
     alpha = float(alpha)
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not g.connected:
         raise DisconnectedGraphError("transition system requires a connected graph")
     return TransitionSystem(graph=g, alpha=alpha)
@@ -77,28 +77,32 @@ def build_transition(g: WeightedGraph, alpha: float) -> TransitionSystem:
 class SpectralSummary:
     """Full real spectrum of P(alpha) with the selected non-unit eigenvalue.
 
-    ``eigenvalues`` are sorted descending; ``eigenvectors`` columns are
-    D(alpha)-orthonormal and aligned with them. ``v_star`` is the selected
-    eigenvector renormalised to Euclidean unit length with its largest-modulus
-    entry made positive. ``level`` holds the indices of the governing modulus
-    level: the admissible eigenvalues within TOL_TIE of the largest admissible
-    modulus, lambda_star among them.
+    ``eigenvalues`` are sorted descending; ``eigenvectors`` columns, computed
+    on first read, are D(alpha)-orthonormal and aligned with them. ``v_star``
+    is the selected eigenvector renormalised to Euclidean unit length with its
+    largest-modulus entry made positive. ``level`` holds the indices of the
+    governing modulus level: the admissible eigenvalues within TOL_TIE of the
+    largest admissible modulus, lambda_star among them.
     """
 
     alpha: float
     convention: str
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    solved: tuple[np.ndarray, np.ndarray, np.ndarray]  # StackedSpectrum.solved, a stack of one
+    stack: "StackedSpectrum"  # the stack of one this summary reads
     level: np.ndarray
     lambda_star: float
-    star_index: int
     v_star: np.ndarray
     gap: float
     t_rel: float
     degenerate_multiplicity: int
     tied_sign: bool
     near_unit: bool
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """D(alpha)-orthonormal eigenvectors of P(alpha), one column per entry of ``eigenvalues``."""
+        s = self.stack
+        return ((1.0 / s.root[0])[:, None] * s.eigenvectors[0])[:, s.order[0]]
 
 
 def require_alpha_zero(summary: SpectralSummary, caller: str) -> None:
@@ -135,8 +139,8 @@ class StackedSpectrum(NamedTuple):
     Eigenvalues are sorted descending, ties in ``eigh``'s order; eigenvectors
     stay in ``eigh``'s order. Every row follows :func:`spectrum`'s rule under the
     convention the stack was solved with, and :func:`spectrum` is the k = 1
-    case: on the rows it accepts, the other fields mean what they mean in
-    :class:`SpectralSummary`.
+    case: on the rows :meth:`admissible` accepts, the other fields mean what
+    they mean in :class:`SpectralSummary`.
     """
 
     eigenvalues: np.ndarray   # (k, n), descending
@@ -148,7 +152,6 @@ class StackedSpectrum(NamedTuple):
     units: np.ndarray         # (k,) number of eigenvalues within TOL_UNIT of 1
     near_unit: np.ndarray     # (k,) a second eigenvalue is within TOL_UNIT of +-1
     level: np.ndarray         # (k, n) admissible eigenvalues within TOL_TIE of the largest admissible modulus
-    star_index: np.ndarray    # (k,) the largest eigenvalue of the level, first occurrence
     tied_sign: np.ndarray     # (k,) the level holds both signs (away from 0)
     lambda_star: np.ndarray   # (k,)
     basis: np.ndarray         # (k, n, 1), the D(alpha)-orthonormal eigenvector of lambda_star
@@ -156,22 +159,40 @@ class StackedSpectrum(NamedTuple):
     gap: np.ndarray           # (k,) 1 - |lambda_star|, 0 within TOL_UNIT of 1
 
     @property
-    def simple(self) -> np.ndarray:
-        """(k,) rows :func:`spectrum` accepts under either convention with the same simple lambda_star.
-
-        In range, one unit eigenvalue and no other near +-1 (so both
-        conventions admit the same eigenvalues), a level of one eigenvalue
-        (neither degenerate nor tied) and a positive gap.
-        """
-        return (
-            self.in_range & (self.units == 1) & ~self.near_unit
-            & (self.level.sum(axis=-1) == 1) & (self.gap > 0.0)
-        )
-
-    @property
     def solved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors, root) as ``eigh`` returned them, which :func:`track_stack` reuses."""
         return self.eigh_values, self.eigenvectors, self.root
+
+    def take(self, rows) -> "StackedSpectrum":
+        """The stack of ``rows`` (an index array, a mask or a slice)."""
+        return self._make(f[rows] for f in self)
+
+    def admissible(self) -> np.ndarray:
+        """(k,) rows with an admissible eigenvalue, after the checks of :func:`spectrum`.
+
+        A row with an eigenvalue outside [-1, 1] or without exactly one unit
+        eigenvalue raises :class:`NumericalError`.
+        """
+        for i in np.flatnonzero(~self.in_range | (self.units != 1)).tolist():
+            w = self.eigenvalues[i]
+            if not self.in_range[i]:
+                raise NumericalError(f"eigenvalues escaped [-1, 1]: range [{w[-1]}, {w[0]}]")
+            raise NumericalError(
+                f"expected exactly one unit eigenvalue, found {self.units[i]} (disconnected input?)"
+            )
+        return self.level.any(axis=-1)
+
+    def summary(self, i: int, alpha: float, convention: str) -> SpectralSummary:
+        """Row ``i``, which must be admissible, as the :class:`SpectralSummary` of a stack solved at ``alpha``."""
+        s = self._make(f[i] for f in self)
+        level = np.flatnonzero(s.level)
+        gap = float(s.gap)
+        return SpectralSummary(
+            alpha=alpha, convention=convention, eigenvalues=s.eigenvalues,
+            stack=self.take(slice(i, i + 1)), level=level, lambda_star=float(s.lambda_star), v_star=s.v_star,
+            gap=gap, t_rel=1.0 / gap if gap > 0.0 else math.inf,
+            degenerate_multiplicity=len(level), tied_sign=bool(s.tied_sign), near_unit=bool(s.near_unit),
+        )
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -206,7 +227,7 @@ def _solve(a: np.ndarray, d: np.ndarray, alpha, convention: str) -> StackedSpect
     return StackedSpectrum(
         eigenvalues=w, order=order, eigh_values=raw, eigenvectors=u, root=root,
         in_range=mods.max(axis=-1) <= 1.0 + 1e-10, units=unit.sum(axis=-1), near_unit=near.sum(axis=-1) > 1,
-        level=level, star_index=star,
+        level=level,
         tied_sign=(mstar > TOL_TIE) & (lam > 0.0) & (level & (w <= 0.0)).any(axis=-1),
         lambda_star=lam, basis=basis, v_star=v * sign[:, None],
         gap=np.where(mod < 1.0 - TOL_UNIT, 1.0 - mod, 0.0),
@@ -223,37 +244,13 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
     """
     conv = normalize_convention(convention)
     g, alpha = ts.graph, ts.alpha
-    s = StackedSpectrum._make(f[0] for f in _solve(g.adjacency()[None], g.degrees()[None], alpha, conv))
-    w = s.eigenvalues
-    if not s.in_range:
-        raise NumericalError(f"eigenvalues escaped [-1, 1]: range [{w[-1]}, {w[0]}]")
-    if s.units != 1:
-        raise NumericalError(
-            f"expected exactly one unit eigenvalue, found {s.units} (disconnected input?)"
-        )
-    if not s.level.any():
+    s = _solve(g.adjacency()[None], g.degrees()[None], alpha, conv)
+    if not s.admissible()[0]:
         raise ConventionError(
             "no admissible eigenvalue under the paper-literal convention "
             "(all non-Perron eigenvalues are within 1e-9 of -1 or +1)"
         )
-    level = np.flatnonzero(s.level)
-    gap = float(s.gap)
-    return SpectralSummary(
-        alpha=alpha, convention=conv, eigenvalues=w,
-        eigenvectors=((1.0 / s.root)[:, None] * s.eigenvectors)[:, s.order],  # D(alpha)-orthonormal, of P(alpha)
-        solved=tuple(x[None] for x in s.solved), level=level, lambda_star=float(s.lambda_star),
-        star_index=int(s.star_index), v_star=s.v_star, gap=gap, t_rel=1.0 / gap if gap > 0.0 else math.inf,
-        degenerate_multiplicity=len(level), tied_sign=bool(s.tied_sign), near_unit=bool(s.near_unit),
-    )
-
-
-def stacked_spectrum(a: np.ndarray, d: np.ndarray) -> StackedSpectrum:
-    """alpha = 0 spectra of a (k, n, n) adjacency stack with degrees ``d``: one build, one ``eigh``.
-
-    Solved under ``slem``; on the rows marked ``simple`` the ``paper``
-    selection is the same.
-    """
-    return _solve(a, d, 0.0, SLEM)
+    return s.summary(0, alpha, conv)
 
 
 def mixing_time_bounds(t_rel: float, pi_min: float, epsilon: float) -> tuple[float, float]:
@@ -290,8 +287,8 @@ def dobrushin(ts: TransitionSystem) -> float:
 
 def dobrushin_bound(alpha: float, d_max: float) -> float:
     """Lower bound alpha / (d_max + alpha) on the spectral gap of P(alpha)."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if d_max <= 0.0:
         raise ValueError(f"d_max must be > 0, got {d_max}")
     return alpha / (d_max + alpha)
@@ -413,7 +410,7 @@ def track_branch(
         raise ValueError("alpha grid must be nonnegative")
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha grid must be strictly ascending")
-    held = {s.alpha: s.solved for s in solved}
+    held = {s.alpha: s.stack.solved for s in solved}
     track = track_stack(g.adjacency()[None], g.degrees()[None], alphas, np.asarray(v_ref, dtype=float)[None], held)
     track.require_kept(alphas)
     return list(zip(alphas, track.eigenvalues[0].tolist(), track.vectors[0]))

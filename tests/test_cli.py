@@ -85,6 +85,25 @@ def test_analyze_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--alpha", "nan"], "alpha must be finite and >= 0, got nan"),
+    (["analyze", "--alpha", "inf"], "alpha must be finite and >= 0, got inf"),
+    (["analyze", "--h", "nan"], "h must be finite and > 0, got nan"),
+    (["analyze", "--h", "inf"], "h must be finite and > 0, got inf"),
+    (["sweep", "--alpha-max", "nan"], "--alpha-max must be finite and >= 0, got nan"),
+    (["sweep", "--alpha-max", "inf"], "--alpha-max must be finite and >= 0, got inf"),
+    (["sweep", "--alpha-max", "nan", "--spacing", "log"], "--alpha-max must be finite and >= 0, got nan"),
+    (["sweep", "--alpha-max", "1", "--alpha-min", "inf", "--spacing", "log"],
+     "--alpha-min must be finite and > 0 for log spacing, got inf"),
+    (["sweep", "--alpha-max", "0", "--spacing", "log"], "--alpha-max must be > 0 for log spacing"),
+])
+def test_non_finite_parameters_rejected(k4_file, capsys, argv, message):
+    # invalid input, not a numerical failure: nothing reaches the eigensolver
+    assert main(argv + ["--input", k4_file]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_analyze_epsilon_prints_mixing_bounds(k4_file, capsys):
     rc = main(["analyze", "--input", k4_file, "--epsilon", "0.01"])
     out = capsys.readouterr().out
@@ -208,7 +227,6 @@ def test_scan_catalog_exit_zero(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_OK
     assert "total: 21" in err
-    assert "scalar-path rows: 8" in err
     assert out_csv.read_text().startswith("id,n,convention,lambda_star")
 
 
@@ -232,18 +250,18 @@ def test_scan_skips_disconnected(tmp_path, capsys):
 
 
 def test_scan_counterexample_exit_code(monkeypatch, tmp_path, capsys):
-    # force one WORSENS verdict to exercise the exit-10 contract
+    # force one WORSENS verdict to exercise the exit-10 contract; every scan
+    # row, stacked or not, is built by search._record
     import rwj.search as search_mod
 
-    real = search_mod.analyze_graph
+    real = search_mod._record
 
-    def fake(g, convention="slem", graph_id=None):
-        record = real(g, convention, graph_id)
+    def fake(*args, **kwargs):
         import dataclasses
 
-        return dataclasses.replace(record, classification="WORSENS", sweep_confirmed=True)
+        return dataclasses.replace(real(*args, **kwargs), classification="WORSENS", sweep_confirmed=True)
 
-    monkeypatch.setattr(search_mod, "analyze_graph", fake)
+    monkeypatch.setattr(search_mod, "_record", fake)
     cat = tmp_path / "one.g6"
     cat.write_bytes(b"C~\n")
     rc = main(["scan", "--catalog", str(cat)])

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from rwj import (
     IMPROVES,
     WORSENS,
+    BranchCrossingError,
+    NumericalError,
     build_transition,
     classify_small_alpha,
     degenerate_first_order,
@@ -132,6 +134,18 @@ def test_fd_rejects_bad_h(det_zero_pair):
     s = spectrum(build_transition(det_zero_pair, 0.0), "slem")
     with pytest.raises(ValueError):
         finite_difference_derivative(det_zero_pair, s, 0.0, np.array([1.0, -2.0]), h=0.0)
+
+
+def test_fd_raises_on_a_lost_branch_or_a_wrong_start():
+    # an equal mix of the five distinct eigenvectors of P5 overlaps each by
+    # 1/sqrt(5) < 0.5; the star vector tracked against a shifted lambda_star
+    # starts away from it
+    p5 = generate("path", n=5)
+    s = spectrum(build_transition(p5, 0.0), "slem")
+    with pytest.raises(BranchCrossingError):
+        finite_difference_derivative(p5, s, s.lambda_star, s.eigenvectors.sum(axis=1))
+    with pytest.raises(NumericalError, match="tracked branch starts at"):
+        finite_difference_derivative(p5, s, s.lambda_star + 0.1, s.v_star)
 
 
 def test_fd_convergence_order_det_zero_pair(det_zero_pair):

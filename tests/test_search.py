@@ -212,16 +212,48 @@ def test_scan_catalog_rows_byte_identical_on_bundled_catalogs(data_dir):
     digest = hashlib.sha256()
     for n in range(3, 8):
         for convention in ("slem", "paper"):
-            summary, records = scan_catalog(data_dir / f"graph{n}c.g6", convention, top_k=10**9)
+            _, records = scan_catalog(data_dir / f"graph{n}c.g6", convention, top_k=10**9)
             digest.update(records_to_csv(records).encode())
-            if n == 7:  # degenerate, tied, near-unit and stationary levels
-                assert summary.scalar_path == 69
     assert digest.hexdigest() == "a8edfdc856e82fe327ad1337032f3997b5e34d19ff1336189b53e73de511338e"
 
 
 def _counters(s):
     return (s.total, s.classified, s.skipped, s.counterexamples, s.worsens_unconfirmed, s.degenerate,
             s.tied, s.stationary, s.paper_constant_witnesses, s.consistency_violations)
+
+
+def test_scan_catalog_rows_byte_identical_on_n8_catalog(data_dir):
+    # every row of the 11,117 connected 8-vertex graphs, slem then paper, and
+    # the counters of both scans; degenerate, tied and stationary rows included
+    digest = hashlib.sha256()
+    counters = {}
+    for convention in ("slem", "paper"):
+        summary, records = scan_catalog(data_dir.parent / "perfbench" / "data" / "graph8c.g6", convention,
+                                        top_k=10**9)
+        digest.update(records_to_csv(records).encode())
+        counters[convention] = _counters(summary)
+    assert digest.hexdigest() == "2a8c67250d5fd4c9cc8f61fc88947046dcc851c0f979649145bc84c7034b1010"
+    assert counters == {
+        "slem": (11117, 11117, 0, 0, 0, 79, 29, 0, 0, 0),
+        "paper": (11117, 11117, 0, 0, 0, 261, 207, 4, 0, 0),
+    }
+
+
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_scan_catalog_solves_no_row_on_its_own(data_dir, monkeypatch, convention):
+    # 853 graphs in 4 stacks: each stack makes one eigensolve at alpha = 0 and
+    # one at alpha in {h/2, h}; reduced pencils of degenerate levels are smaller
+    sizes = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-2:])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    summary, _ = scan_catalog(data_dir / "graph7c.g6", convention)
+    assert summary.classified == 853
+    assert sizes.count((7, 7)) == 2 * 4
 
 
 @given(
@@ -250,7 +282,24 @@ def test_scan_catalog_equals_per_line_analyze_graph(lines, convention, stack_siz
         sum(r.degenerate for r in rows), sum(r.tied_sign for r in rows), sum(r.stationary for r in rows),
         sum(r.paper_constant_witness for r in rows), sum(bool(r.consistency_violations) for r in rows),
     )
-    assert 0 <= summary.scalar_path <= summary.classified
+
+
+def test_scan_catalog_sweeps_worsens_rows_in_their_stack(data_dir, monkeypatch):
+    # no unweighted graph here worsens, so every verdict is forced to WORSENS:
+    # each stacked row must carry the sweep result analyze_graph gives it
+    real = rwj.perturb.verdict
+
+    def worsens(lambda_star, worst_rate):
+        return (WORSENS,) + real(lambda_star, worst_rate)[1:]
+
+    monkeypatch.setattr(rwj.perturb, "verdict", worsens)
+    lines = (data_dir / "graph5c.g6").read_bytes().splitlines()
+    for convention in ("slem", "paper"):
+        expected = [analyze_graph(parse_graph6(line), convention) for line in lines]
+        summary, records = scan_catalog(lines, convention)
+        assert [dataclasses.astuple(r) for r in records] == [dataclasses.astuple(r) for r in expected]
+        assert summary.worsens_unconfirmed + summary.counterexamples == len(lines)
+        assert {r.sweep_confirmed for r in records} == {False}  # swept, and every gap really grows
 
 
 def test_scan_skips_graphs_without_admissible_eigenvalue():
@@ -279,7 +328,7 @@ def test_scan_catalog_parallel_equals_serial(data_dir):
         s1, r1 = scan_catalog(lines, convention, top_k=10**9, parallelism=1)
         s2, r2 = scan_catalog(lines, convention, top_k=10**9, parallelism=3)
         assert records_to_csv(r1) == records_to_csv(r2)
-        assert _counters(s1) + (s1.scalar_path,) == _counters(s2) + (s2.scalar_path,)
+        assert _counters(s1) == _counters(s2)
         assert s1.total == 143 and s1.skipped == (3 if convention == "slem" else 4)
 
 

@@ -27,7 +27,7 @@ from rwj import (
 )
 from rwj.cli import main
 from rwj.perturb import stacked_finite_difference
-from rwj.spectral import TOL_UNIT, alpha_bar_closed_form, stacked_spectrum, track_stack
+from rwj.spectral import _solve, alpha_bar_closed_form, normalize_convention, track_stack
 
 from conftest import connected_weighted, random_connected_weighted, same_order_stacks
 from oracles import dobrushin_full_difference, dobrushin_min_form, split_form_transition
@@ -56,6 +56,14 @@ def test_transition_rejects_bad_input(k4):
         build_transition(k4, -0.5)
     with pytest.raises(DisconnectedGraphError):
         build_transition(WeightedGraph.from_pairs(4, [(0, 1), (2, 3)]), 0.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf])
+def test_non_finite_alpha_rejected(k4, alpha):
+    with pytest.raises(ValueError, match="finite"):
+        build_transition(k4, alpha)
+    with pytest.raises(ValueError, match="finite"):
+        dobrushin_bound(alpha, 3.0)
 
 
 def _check_transition_invariants(g, alpha):
@@ -378,25 +386,27 @@ def test_track_branch_crossing_error():
 @settings(max_examples=60)
 @given(same_order_stacks())
 def test_stacked_spectrum_simple_rows_are_the_simple_spectrum_rows(stack):
+    # every row of a stack solved under one convention is the spectrum of its
+    # graph under that convention: the same admissibility, level and
+    # selection, so the simple (single-eigenvalue) rows are the simple spectra
     a, d, graphs = stack
-    spec = stacked_spectrum(a, d)
-    for i, g in enumerate(graphs):
-        summaries = []
-        for conv in ("slem", "paper"):
+    for conv in ("slem", "paper"):
+        spec = _solve(a, d, 0.0, normalize_convention(conv))
+        admissible = spec.admissible()
+        for i, g in enumerate(graphs):
             try:
-                summaries.append(spectrum(build_transition(g, 0.0), conv))
-            except (NumericalError, ConventionError):
-                pass
-        simple = len(summaries) == 2 and all(
-            not s.near_unit and s.degenerate_multiplicity == 1 and abs(s.lambda_star) < 1.0 - TOL_UNIT
-            for s in summaries
-        )
-        assert spec.simple[i] == simple
-        if simple:
-            for s in summaries:
-                assert spec.lambda_star[i] == s.lambda_star
-                assert spec.gap[i] == s.gap
-                assert np.array_equal(spec.v_star[i], s.v_star)
+                s = spectrum(build_transition(g, 0.0), conv)
+            except ConventionError:
+                assert not admissible[i]
+                continue
+            assert admissible[i]
+            assert (spec.level[i].sum() == 1) == (s.degenerate_multiplicity == 1)
+            assert np.flatnonzero(spec.level[i]).tolist() == s.level.tolist()
+            assert spec.lambda_star[i] == s.lambda_star
+            assert spec.gap[i] == s.gap
+            assert np.array_equal(spec.v_star[i], s.v_star)
+            assert (spec.tied_sign[i], spec.near_unit[i]) == (s.tied_sign, s.near_unit)
+            assert spec.summary(i, 0.0, s.convention).stack.eigenvectors.tobytes() == s.stack.eigenvectors.tobytes()
 
 
 @settings(max_examples=40)
@@ -407,12 +417,13 @@ def test_stacked_tracking_equals_track_branch_on_simple_rows(stack):
     a, d, graphs = stack
     h = 1e-5
     grid = [0.0, h / 2.0, h]
-    spec = stacked_spectrum(a, d)
+    spec = _solve(a, d, 0.0, "slem")
+    simple = (spec.level.sum(axis=-1) == 1) & (spec.gap > 0.0)
     track = track_stack(a, d, grid, spec.basis[..., 0], {0.0: spec.solved})
     estimate, fd_track, starts = stacked_finite_difference(a, d, spec.solved, spec.lambda_star, spec.basis[..., 0], h)
     guard = fd_track.kept & starts
     assert np.array_equal(fd_track.eigenvalues, track.eigenvalues)
-    for i in np.flatnonzero(spec.simple):
+    for i in np.flatnonzero(simple):
         s = spectrum(build_transition(graphs[i], 0.0), "slem")
         for solved in ((), (s,)):
             try:
@@ -450,12 +461,13 @@ def eigh_matrices(monkeypatch):
 
 
 def test_analyze_graph_eigensolves_on_a_simple_level(eigh_matrices):
-    # alpha = 0, the 1 x 1 reduced pencil, then alpha = h/2 and h for the FD check
+    # alpha = 0, then alpha = h/2 and h for the FD check; the derivative of a
+    # simple level is the entry of its 1 x 1 reduced pencil, with no eigensolve
     from rwj import analyze_graph, parse_graph6
 
     record = analyze_graph(parse_graph6(b"D^{"), "slem")
     assert not record.degenerate and record.classification == "IMPROVES"
-    assert eigh_matrices == [1, 1, 2]
+    assert eigh_matrices == [1, 2]
 
 
 def test_sweep_confirms_eigensolves(eigh_matrices, det_zero_pair):
