@@ -222,7 +222,7 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     out.append(
         "  consistency: " + ("ok" if not cond.consistency else "; ".join(cond.consistency))
     )
-    record = search.scan_record(g, base, report, cond.row()) if with_record else None
+    record = search.scan_record(g, base, report) if with_record else None
     return "\n".join(out) + "\n", record
 
 
@@ -375,7 +375,10 @@ def cmd_gen(args) -> int:
 def _parse_grid_spec(spec: str) -> list[float]:
     try:
         lo, hi, steps = spec.split(":")
-        return [float(x) for x in np.linspace(float(lo), float(hi), int(steps))]
+        lo, hi = float(lo), float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise GraphFormatError(f"grid spec bounds must be finite, got {spec!r}")
+        return [float(x) for x in np.linspace(lo, hi, int(steps))]
     except ValueError as exc:
         raise GraphFormatError(f"grid spec must be MIN:MAX:STEPS, got {spec!r}") from exc
 

@@ -16,7 +16,9 @@ Degenerate levels are handled by the reduced pencil V^T((1/n)11^T - lambda I)V
 over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
 :func:`classify_stack` decides a stack of graphs at once, and
-:func:`classify_small_alpha` is its one-graph case.
+:func:`classify_small_alpha` is its one-graph case; :func:`sweep_stack`
+checks a stack's verdicts against branch-tracked gaps, and
+:func:`sweep_confirms` is its one-graph case.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -296,9 +298,11 @@ def classify_stack(
     if not len(a):
         return []
     single = spec.level.sum(axis=-1) == 1
-    reduced, *errors = _pencil(a[single], d[single], spec.lambda_star[single], spec.basis[single])
-    _require_eigenbasis(*errors)
-    derivatives = iter(reduced[:, 0, 0].tolist())
+    derivatives = iter(())
+    if single.any():
+        reduced, *errors = _pencil(a[single], d[single], spec.lambda_star[single], spec.basis[single])
+        _require_eigenbasis(*errors)
+        derivatives = iter(reduced[:, 0, 0].tolist())
     rows = []
     for i, lam in enumerate(spec.lambda_star.tolist()):
         if single[i]:
@@ -357,24 +361,51 @@ def classify_small_alpha(
     return classify_stack(g.adjacency()[None], g.degrees()[None], summary.stack, conv, h)[0]
 
 
+def sweep_stack(
+    a: np.ndarray,
+    d: np.ndarray,
+    spec: StackedSpectrum,
+    verdicts: Sequence[SmallAlphaVerdict],
+    alphas: tuple[float, ...] = (1e-3, 1e-2),
+) -> np.ndarray:
+    """(k,) direct check of each row's verdict against branch-tracked gaps.
+
+    ``spec`` is the alpha = 0 spectrum of the (k, n, n) adjacency stack ``a``
+    with degrees ``d``, and ``verdicts`` holds one verdict per row. Every
+    branch of every row is tracked from its alpha = 0 vector along one
+    ascending grid of the test alphas and their midpoints, all in one
+    :func:`~rwj.spectral.track_stack` call; a lost branch raises
+    :class:`~rwj.errors.BranchCrossingError`. A row's gap at a test alpha is
+    1 - max|lambda(alpha)| over its branches, compared with its alpha = 0
+    gap: a WORSENS verdict needs a strictly smaller gap at every test alpha,
+    an IMPROVES verdict a strictly larger one.
+    """
+    grid = sorted({0.0, *alphas, *(x / 2.0 for x in alphas)})
+    counts = [len(v.branches) for v in verdicts]
+    vectors = np.array([b.vector for v in verdicts for b in v.branches])
+    # the stack row of each branch; a stack of one lets track_stack follow all
+    # of its branches along one graph's solves
+    idx = np.repeat(np.arange(len(verdicts)), counts) if len(verdicts) > 1 else np.arange(1)
+    track = track_stack(a[idx], d[idx], grid, vectors, {0.0: tuple(x[idx] for x in spec.solved)})
+    track.require_kept(grid)
+    moduli = np.abs(track.eigenvalues[:, [grid.index(x) for x in alphas]])
+    gaps = 1.0 - np.maximum.reduceat(moduli, np.cumsum([0] + counts[:-1]), axis=0)
+    worsens = np.array([v.classification == WORSENS for v in verdicts])[:, None]
+    gap0 = spec.gap[:, None]
+    return np.where(worsens, gaps < gap0, gaps > gap0).all(axis=-1)
+
+
 def sweep_confirms(
     g: WeightedGraph,
     summary: SpectralSummary,
     verdict: SmallAlphaVerdict,
     alphas: tuple[float, ...] = (1e-3, 1e-2),
 ) -> bool:
-    """Direct check of a verdict against branch-tracked gaps.
+    """Direct check of one graph's verdict against branch-tracked gaps: :func:`sweep_stack` on a stack of one.
 
-    Tracks the verdict's branches together from their alpha=0 vectors along one
-    ascending grid of the test alphas and their midpoints, and compares
-    1 - max|lambda(alpha)| at each test alpha with the alpha=0 gap of
-    ``summary``. A WORSENS verdict needs a strictly smaller gap at every test
-    alpha, an IMPROVES verdict a strictly larger one.
+    Tracks the verdict's branches together from their alpha=0 vectors, the
+    alpha = 0 spectrum ``summary`` reused, and compares 1 - max|lambda(alpha)|
+    at each test alpha with the alpha=0 gap of ``summary``.
     """
     require_alpha_zero(summary, "sweep_confirms")
-    grid = sorted({0.0, *alphas, *(a / 2.0 for a in alphas)})
-    vectors = np.array([b.vector for b in verdict.branches])
-    track = track_stack(g.adjacency()[None], g.degrees()[None], grid, vectors, {0.0: summary.stack.solved})
-    track.require_kept(grid)
-    gaps = 1.0 - np.abs(track.eigenvalues[:, [grid.index(alpha) for alpha in alphas]]).max(axis=0)
-    return bool(np.all(gaps < summary.gap if verdict.classification == WORSENS else gaps > summary.gap))
+    return bool(sweep_stack(g.adjacency()[None], g.degrees()[None], summary.stack, [verdict], alphas)[0])

@@ -6,15 +6,19 @@ classification and only reported after a direct branch-tracked sweep confirms
 the gap really shrinks at alpha in {1e-3, 1e-2}; the two confirmations
 (derivative sign and sweep) are independent.
 
-Every row, of one graph or of a stack of same-n catalog lines, comes from
-the same cores: the stacked eigensolve of :mod:`rwj.spectral`, the verdict
-core :func:`~rwj.perturb.classify_stack` and the ladder core
-:func:`~rwj.conditions.ladder_stack`; :func:`analyze_graph` runs them on a
+Every row, of one graph, of a stack of same-n catalog lines or of a stack of
+two-node grid points, comes from the same cores: the stacked eigensolve of
+:mod:`rwj.spectral`, the verdict core :func:`~rwj.perturb.classify_stack`
+(the closed forms for two-node points), the ladder core
+:func:`~rwj.conditions.ladder_stack` and the stacked sweep
+:func:`~rwj.perturb.sweep_stack`. Catalog stacks and two-node stacks share
+one row core, :func:`_stack_rows`; :func:`analyze_graph` runs the cores on a
 stack of one.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +38,6 @@ from .errors import (
 from .graphs import (
     WeightedGraph,
     decode_graph6_stack,
-    degree_stats,
     degree_stats_of,
     generate,
     graph6_short_n,
@@ -50,12 +53,13 @@ from .perturb import (
     classify_small_alpha,
     classify_stack,
     modulus_rate,
-    sweep_confirms,
+    sweep_stack,
     verdict,
 )
 from .spectral import (
     SLEM,
     SpectralSummary,
+    StackedSpectrum,
     _solve,
     build_transition,
     normalize_convention,
@@ -80,6 +84,8 @@ class TwoNodeParams:
     a22: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a11) and math.isfinite(self.a12) and math.isfinite(self.a22)):
+            raise GraphFormatError(f"weights must be finite, got a11={self.a11} a12={self.a12} a22={self.a22}")
         if self.a12 <= 0.0:
             raise GraphFormatError(f"a12 must be > 0 for connectivity, got {self.a12}")
         if self.a11 < 0.0 or self.a22 < 0.0:
@@ -211,35 +217,24 @@ class ScanSummary:
 
 
 def analyze_graph(g: WeightedGraph, convention: str = SLEM, graph_id: str | None = None) -> ScanRecord:
-    """Classify one graph and evaluate its condition ladder; sweep-confirm WORSENS verdicts."""
+    """Classify one graph and evaluate its condition ladder; sweep-confirm WORSENS verdicts.
+
+    This is :func:`_stack_rows` on the graph's alpha = 0 stack of one.
+    """
     conv = normalize_convention(convention)
     summary = spectrum(build_transition(g, 0.0), conv)
-    report = classify_small_alpha(g, conv, summary=summary)
-    return scan_record(g, summary, report, _ladder_row(g, summary), graph_id)
-
-
-def _ladder_row(g: WeightedGraph, summary: SpectralSummary) -> LadderRow:
-    """The condition-ladder columns of one graph's row: :func:`ladder_stack` on its alpha=0 stack of one."""
-    return ladder_stack(degree_stats(g), summary.stack).rows()[0]
+    return scan_record(g, summary, classify_small_alpha(g, conv, summary=summary), graph_id)
 
 
 def scan_record(
     g: WeightedGraph,
     summary: SpectralSummary,
     report: SmallAlphaVerdict,
-    ladder: LadderRow,
     graph_id: str | None = None,
 ) -> ScanRecord:
-    """The scan row of one graph from its alpha=0 spectrum, verdict and condition-ladder columns.
-
-    A WORSENS verdict is sweep-confirmed here along the verdict's own
-    branches; nothing else is recomputed.
-    """
-    confirmed = None
-    if report.classification == WORSENS:
-        confirmed = sweep_confirms(g, summary, report)
+    """The scan row of one graph from its alpha=0 spectrum and verdict: :func:`_stack_rows` on a stack of one."""
     graph_id = graph_id or g.name or "<anonymous>"
-    return _record(graph_id, g.n, g.edges, summary.near_unit, report, ladder, confirmed)
+    return _stack_rows([graph_id], [g.edges], g.adjacency()[None], g.degrees()[None], summary.stack, [report])[0]
 
 
 def _record(
@@ -300,12 +295,11 @@ def _batched_rows(convention: str, n: int, lines: Sequence[bytes]) -> list[ScanR
     """The rows of same-n graph6 lines, in input order; None for a skipped line.
 
     One vectorised decode, one stacked ``eigh`` at alpha = 0 under the scan's
-    convention and one at alpha in {h/2, h} for the finite-difference check
-    serve the whole stack. The verdict core and the ladder core decide every
-    row, and a WORSENS row is sweep-confirmed, so each row is the one
-    :func:`analyze_graph` builds and a failed check raises as it does there.
-    A line is skipped when it is malformed, its graph is disconnected, or the
-    convention admits none of its eigenvalues.
+    convention and the verdict core serve the whole stack; :func:`_stack_rows`
+    builds the rows. Each row is the one :func:`analyze_graph` builds, and a
+    failed check raises as it does there. A line is skipped when it is
+    malformed, its graph is disconnected, or the convention admits none of
+    its eigenvalues.
     """
     a, ok = decode_graph6_stack(lines, n)
     a = a[ok]
@@ -314,16 +308,43 @@ def _batched_rows(convention: str, n: int, lines: Sequence[bytes]) -> list[ScanR
     admissible = spec.admissible()
     a, d, spec = a[admissible], d[admissible], spec.take(admissible)
     positions = np.flatnonzero(ok)[admissible].tolist()
-    reports = classify_stack(a, d, spec, convention)
-    ladders = ladder_stack(degree_stats_of(d), spec).rows()
+    ids = [lines[i].decode("ascii") for i in positions]
+    records = _stack_rows(ids, stack_edges(a), a, d, spec, classify_stack(a, d, spec, convention))
     rows: list[ScanRecord | None] = [None] * len(lines)
-    for j, (i, report, ladder, edges) in enumerate(zip(positions, reports, ladders, stack_edges(a))):
-        graph_id = lines[i].decode("ascii")
-        confirmed = None
-        if report.classification == WORSENS:
-            confirmed = sweep_confirms(WeightedGraph(n, edges, name=graph_id), spec.summary(j, 0.0, convention), report)
-        rows[i] = _record(graph_id, n, edges, bool(spec.near_unit[j]), report, ladder, confirmed)
+    for i, record in zip(positions, records):
+        rows[i] = record
     return rows
+
+
+def _stack_rows(
+    ids: Sequence[str],
+    edges: Sequence[tuple[tuple[int, int, float], ...]],
+    a: np.ndarray,
+    d: np.ndarray,
+    spec: StackedSpectrum,
+    reports: Sequence[SmallAlphaVerdict],
+) -> list[ScanRecord]:
+    """The scan rows of a (k, n, n) adjacency stack ``a`` with degrees ``d`` and one verdict per row.
+
+    ``spec`` is the stack's alpha = 0 spectrum, every row admissible, under
+    the verdicts' convention. One ladder core evaluates every row's
+    condition ladder, and one stacked sweep confirms or refutes every
+    WORSENS row (:func:`~rwj.perturb.sweep_stack`); ``ids`` and ``edges``
+    name and describe each row's graph.
+    """
+    ladders = ladder_stack(degree_stats_of(d), spec).rows()
+    confirmed: list[bool | None] = [None] * len(reports)
+    worse = np.flatnonzero([report.classification == WORSENS for report in reports])
+    if len(worse):
+        swept = sweep_stack(a[worse], d[worse], spec.take(worse), [reports[i] for i in worse.tolist()])
+        for i, ok in zip(worse.tolist(), swept.tolist()):
+            confirmed[i] = ok
+    n = a.shape[-1]
+    return [
+        _record(graph_id, n, graph_edges, near_unit, report, ladder, ok)
+        for graph_id, graph_edges, near_unit, report, ladder, ok
+        in zip(ids, edges, spec.near_unit.tolist(), reports, ladders, confirmed)
+    ]
 
 
 def _scan_unit(convention: str, unit: tuple[int, list[bytes]]) -> list[ScanRecord | None]:
@@ -513,20 +534,33 @@ def two_node_grid_search(
 ) -> list[ScanRecord]:
     """Classify every grid point via the closed forms; return the WORSENS records.
 
+    Each point is validated and classified by its closed forms on its own.
+    The WORSENS points are then decided in stacks of at most STACK_SIZE
+    graphs [[a11, a12], [a12, a22]]: one stacked ``eigh`` at alpha = 0, the
+    ladder core and one stacked sweep per stack (:func:`_stack_rows`), so
+    each row is the one the closed-form verdict gives a graph alone.
+
     The worsening region sits where det(A) is at or near zero with unequal
     self-loops, on the lambda_star >= 0 side.
     """
     if not (len(a11_values) and len(a12_values) and len(a22_values)):
         raise ValueError("empty two-node grid")
-    records = []
+    worsens: list[tuple[TwoNodeParams, TwoNodeClosedForm]] = []
     for a11 in a11_values:
         for a12 in a12_values:
             for a22 in a22_values:
                 p = TwoNodeParams(float(a11), float(a12), float(a22))
                 cf = two_node_closed_form(p)
-                if cf.classification != WORSENS:
-                    continue
-                g = p.graph()
-                summary = spectrum(build_transition(g, 0.0), SLEM)
-                records.append(scan_record(g, summary, cf, _ladder_row(g, summary)))
+                if cf.classification == WORSENS:
+                    worsens.append((p, cf))
+    records: list[ScanRecord] = []
+    for start in range(0, len(worsens), STACK_SIZE):
+        chunk = worsens[start:start + STACK_SIZE]
+        a = np.array([[[p.a11, p.a12], [p.a12, p.a22]] for p, _ in chunk])
+        d = a.sum(axis=-1)
+        spec = _solve(a, d, 0.0, SLEM)
+        spec.require_admissible()
+        graphs = [p.graph() for p, _ in chunk]
+        records += _stack_rows([g.name for g in graphs], [g.edges for g in graphs], a, d, spec,
+                               [cf for _, cf in chunk])
     return records

@@ -182,6 +182,14 @@ class StackedSpectrum(NamedTuple):
             )
         return self.level.any(axis=-1)
 
+    def require_admissible(self) -> None:
+        """Raise :class:`ConventionError` unless :meth:`admissible` accepts every row."""
+        if not self.admissible().all():
+            raise ConventionError(
+                "no admissible eigenvalue under the paper-literal convention "
+                "(all non-Perron eigenvalues are within 1e-9 of -1 or +1)"
+            )
+
     def summary(self, i: int, alpha: float, convention: str) -> SpectralSummary:
         """Row ``i``, which must be admissible, as the :class:`SpectralSummary` of a stack solved at ``alpha``."""
         s = self._make(f[i] for f in self)
@@ -245,11 +253,7 @@ def spectrum(ts: TransitionSystem, convention: str) -> SpectralSummary:
     conv = normalize_convention(convention)
     g, alpha = ts.graph, ts.alpha
     s = _solve(g.adjacency()[None], g.degrees()[None], alpha, conv)
-    if not s.admissible()[0]:
-        raise ConventionError(
-            "no admissible eigenvalue under the paper-literal convention "
-            "(all non-Perron eigenvalues are within 1e-9 of -1 or +1)"
-        )
+    s.require_admissible()
     return s.summary(0, alpha, conv)
 
 

@@ -282,6 +282,21 @@ def test_two_node_grid_exit_code(capsys):
     assert rc == EXIT_OK
 
 
+@pytest.mark.parametrize("weights", [("nan", "1", "1"), ("1", "nan", "1"), ("1", "1", "nan"), ("inf", "1", "1")])
+@pytest.mark.parametrize("mode", ["point", "grid"])
+def test_two_node_non_finite_weights_rejected(capsys, mode, weights):
+    # invalid input, not a numerical failure: no classification is printed
+    if mode == "point":
+        argv = [arg for name, w in zip(("a11", "a12", "a22"), weights) for arg in (f"--{name}", w)]
+        message = "weights must be finite"
+    else:
+        argv = [arg for name, w in zip(("a11", "a12", "a22"), weights) for arg in (f"--grid-{name}", f"0.5:{w}:3")]
+        message = "grid spec bounds must be finite"
+    assert main(["two-node"] + argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_two_node_point_report(capsys):
     rc = main(["two-node", "--a11", "4", "--a12", "2", "--a22", "1"])
     out = capsys.readouterr().out

@@ -1,11 +1,13 @@
 """First-order perturbation: the derivative formula, its oracle, and the classification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rwj.perturb
 from rwj import (
     IMPROVES,
     WORSENS,
@@ -17,9 +19,12 @@ from rwj import (
     finite_difference_derivative,
     generate,
     nand_s_check,
+    parse_graph6,
     spectrum,
     sweep_confirms,
 )
+from rwj.perturb import Branch, classify_stack, sweep_stack
+from rwj.spectral import PAPER, SLEM, _solve
 
 from conftest import connected_weighted, random_connected_weighted, two_node
 from oracles import lambda_first_order
@@ -294,6 +299,59 @@ def test_classification_sweep_consistency_named_cases(det_zero_pair, k4, c5, sta
         s = spectrum(build_transition(g, 0.0), conv)
         r = classify_small_alpha(g, conv, summary=s)
         assert sweep_confirms(g, s, r)
+
+
+def test_sweep_stack_equals_sweep_confirms_row_by_row(catalog_lines):
+    # a mixed n = 5 stack: every connected unweighted graph (degenerate and
+    # tied levels, several branches per row) and weighted graphs with
+    # self-loops; every third verdict is flipped to WORSENS so both
+    # comparisons run, and both outcomes occur
+    rng = np.random.default_rng(5)
+    graphs = [parse_graph6(line) for line in catalog_lines[5]]
+    graphs += [random_connected_weighted(rng, 5, self_loops=True) for _ in range(20)]
+    for conv in (SLEM, PAPER):
+        a = np.array([g.adjacency() for g in graphs])
+        d = a.sum(axis=-1)
+        spec = _solve(a, d, 0.0, conv)
+        keep = spec.admissible()
+        a, d, spec = a[keep], d[keep], spec.take(keep)
+        kept = [g for g, k in zip(graphs, keep.tolist()) if k]
+        verdicts = [
+            dataclasses.replace(v, classification=WORSENS) if i % 3 == 0 else v
+            for i, v in enumerate(classify_stack(a, d, spec, conv))
+        ]
+        swept = sweep_stack(a, d, spec, verdicts)
+        expected = [sweep_confirms(g, spectrum(build_transition(g, 0.0), conv), v) for g, v in zip(kept, verdicts)]
+        assert swept.tolist() == expected
+        assert set(expected) == {True, False}
+        assert max(len(v.branches) for v in verdicts) > 1
+
+        # a branch whose vector spreads over every eigenvector is lost at alpha = 0
+        i = next(i for i in range(len(kept)) if (np.diff(spec.eigenvalues[i]) < -1e-3).all())
+        s = spec.summary(i, 0.0, conv)
+        worst = verdicts[i].branches[0]
+        lost = dataclasses.replace(verdicts[i], branches=(
+            Branch(worst.level_value, worst.derivative, worst.rate, s.eigenvectors.sum(axis=1)),))
+        with pytest.raises(BranchCrossingError):
+            sweep_stack(a, d, spec, verdicts[:i] + [lost] + verdicts[i + 1:])
+        with pytest.raises(BranchCrossingError):
+            sweep_confirms(kept[i], s, lost)
+
+
+def test_classify_skips_the_empty_simple_level_pencil(monkeypatch):
+    # C5's level is degenerate: one reduced pencil for it, and no vectorised
+    # 1 x 1 pencil over an empty selection of simple levels
+    shapes = []
+    real = rwj.perturb._pencil
+
+    def counting(a, *args):
+        shapes.append(a.shape)
+        return real(a, *args)
+
+    monkeypatch.setattr(rwj.perturb, "_pencil", counting)
+    r = classify_small_alpha(parse_graph6(b"Dhc"), "slem")
+    assert r.degenerate
+    assert shapes == [(5, 5)]
 
 
 def test_sweep_consistency_all_catalogs(catalog_lines):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -123,6 +124,38 @@ def test_grid_search_rows_carry_scan_flags():
     )
     # the flags too, sweep flags included
     assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
+    )
+
+
+def test_grid_search_benchmark_grid_pinned():
+    # the 61 x 16 x 61 grid of the benchmark's two-node workload, every column
+    records = two_node_grid_search(np.linspace(0, 5, 61), np.linspace(0.5, 3, 16), np.linspace(0, 5, 61))
+    assert len(records) == 4012
+    assert sum(r.sweep_confirmed is True for r in records) == 3992
+    assert sum(r.sweep_confirmed is False for r in records) == 20
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
+        "0656cfef3b473db32685f1bd7440666d04c6bedb01ddc8473ad318e2c26817ed"
+    )
+
+
+@pytest.mark.parametrize("stack_size", [1, 7, rwj.search.STACK_SIZE])
+def test_grid_search_eigensolves_per_stack(monkeypatch, stack_size):
+    # each stack of WORSENS points makes one eigensolve at alpha = 0 and one for
+    # the sweep, and its rows are the ones any other stacking gives
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(rwj.search, "STACK_SIZE", stack_size)
+    records = two_node_grid_search(np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
+    assert len(records) == 172
+    assert len(calls) == 2 * math.ceil(len(records) / stack_size)
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
         "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
     )
 
