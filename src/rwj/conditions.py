@@ -216,13 +216,6 @@ class ConditionReport:
     consistency: tuple[str, ...]      # implication violations; empty means consistent
     paper_constant_witness: bool      # thm2 with the published constant held but NandS failed
 
-    def row(self) -> LadderRow:
-        return LadderRow(
-            self.cor1.holds, self.cor2.holds, self.thm2_sharp.holds, self.cor4_sharp.holds,
-            None if self.nand_s is None else self.nand_s.holds,
-            self.consistency, self.paper_constant_witness,
-        )
-
 
 def full_report(
     g: WeightedGraph,

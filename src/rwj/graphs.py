@@ -168,13 +168,18 @@ def _graph6_size(line: bytes) -> tuple[int, bytes]:
 
     n <= 62 is one byte 63+n; 63 <= n <= 258047 is '~' followed by n as 18
     bits, big-endian, in three bytes of 6 bits each offset by 63. The 8-byte
-    form ('~~', n > 258047) is rejected.
+    form ('~~', n > 258047), an empty line and n < 2 are rejected.
     """
+    if not line:
+        raise GraphFormatError("empty graph6 line")
     header = line[0]
     if not 63 <= header <= 126:
         raise GraphFormatError(f"graph6 header byte {header} outside [63, 126]")
     if header != 126:
-        return header - 63, line[1:]
+        n = header - 63
+        if n < 2:
+            raise GraphFormatError(f"graph6 line encodes n={n}; need n >= 2")
+        return n, line[1:]
     size = line[1:4]
     if size[:1] == b"~":
         raise GraphFormatError(f"8-byte graph6 size header (n > {GRAPH6_MAX_N}) is not supported")
@@ -191,10 +196,13 @@ def _graph6_body_bytes(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
 
 
-def graph6_short_n(line: bytes) -> int:
-    """n of a graph6 line with a 1-byte header (2 <= n <= 62) and the body length n needs, else 0."""
-    n = line[0] - 63
-    return n if 2 <= n <= _GRAPH6_SHORT_MAX_N and len(line) == 1 + _graph6_body_bytes(n) else 0
+def graph6_n(line: bytes) -> int:
+    """n of a graph6 line whose size header (1-byte or 4-byte) and body length :func:`parse_graph6` accepts, else 0."""
+    try:
+        n, body = _graph6_size(line)
+    except GraphFormatError:
+        return 0
+    return n if len(body) == _graph6_body_bytes(n) else 0
 
 
 def parse_graph6(data: bytes | str) -> WeightedGraph:
@@ -213,11 +221,7 @@ def parse_graph6(data: bytes | str) -> WeightedGraph:
         except UnicodeEncodeError as exc:
             raise GraphFormatError(f"non-ASCII graph6 input: {exc}") from exc
     line = data.rstrip(b"\r\n")
-    if not line:
-        raise GraphFormatError("empty graph6 line")
     n, body = _graph6_size(line)
-    if n < 2:
-        raise GraphFormatError(f"graph6 line encodes n={n}; need n >= 2")
     nbits = n * (n - 1) // 2
     nbytes = _graph6_body_bytes(n)
     if len(body) != nbytes:
@@ -246,14 +250,15 @@ def parse_graph6(data: bytes | str) -> WeightedGraph:
 def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Adjacency matrices of n-vertex graph6 lines in one vectorised decode.
 
-    Every line must be one that :func:`graph6_short_n` maps to n. Returns the (k, n, n)
-    adjacency stack and a mask of the lines that :func:`parse_graph6` accepts:
-    body bytes in [63, 126], zero padding bits, a connected graph. A line
-    outside the mask is left for :func:`parse_graph6` to name its fault.
+    Every line must be one that :func:`graph6_n` maps to n, so all share one
+    header form. Returns the (k, n, n) adjacency stack and a mask of the lines
+    that :func:`parse_graph6` accepts: body bytes in [63, 126], zero padding
+    bits, a connected graph.
     """
     k = len(lines)
     nbits = n * (n - 1) // 2
-    body = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(k, -1)[:, 1:]
+    header = 1 if n <= _GRAPH6_SHORT_MAX_N else 4
+    body = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(k, -1)[:, header:]
     ok = ((body >= 63) & (body <= 126)).all(axis=1)
     bits = np.unpackbits((body - 63)[..., None], axis=-1)[..., 2:].reshape(k, -1)
     ok &= ~bits[:, nbits:].any(axis=1)

@@ -11,9 +11,11 @@ two-node grid points, comes from the same cores: the stacked eigensolve of
 :mod:`rwj.spectral`, the verdict core :func:`~rwj.perturb.classify_stack`
 (the closed forms for two-node points), the ladder core
 :func:`~rwj.conditions.ladder_stack` and the stacked sweep
-:func:`~rwj.perturb.sweep_stack`. Catalog stacks and two-node stacks share
-one row core, :func:`_stack_rows`; :func:`analyze_graph` runs the cores on a
-stack of one.
+:func:`~rwj.perturb.sweep_stack`. :func:`stack_rows` is the entry point for
+an adjacency stack, used by every catalog unit and every
+:func:`analyze_graph` call (a stack of one); the two-node grid and
+:func:`scan_record` hold their verdicts and enter its row core,
+:func:`_stack_rows`.
 """
 
 from __future__ import annotations
@@ -23,25 +25,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .conditions import LadderRow, ladder_stack
-from .errors import (
-    ConventionError,
-    DisconnectedGraphError,
-    GenerationError,
-    GraphFormatError,
-)
+from .errors import ConventionError, GenerationError, GraphFormatError
 from .graphs import (
     WeightedGraph,
     decode_graph6_stack,
     degree_stats_of,
     generate,
-    graph6_short_n,
-    parse_graph6,
+    graph6_n,
     stack_edges,
     write_edgelist,
 )
@@ -50,24 +47,23 @@ from .perturb import (
     WORSENS,
     Branch,
     SmallAlphaVerdict,
-    classify_small_alpha,
     classify_stack,
     modulus_rate,
     sweep_stack,
     verdict,
 )
 from .spectral import (
+    NO_ADMISSIBLE,
     SLEM,
     SpectralSummary,
     StackedSpectrum,
     _solve,
-    build_transition,
     normalize_convention,
-    spectrum,
+    require_connected,
 )
 
-# Graphs per stacked eigensolve of a catalog scan. Larger stacks barely speed
-# up n <= 8 and hold more memory at larger n.
+# Graphs per stacked eigensolve. Larger stacks barely speed up n <= 8; a
+# catalog unit of larger graphs holds fewer (see _work_units).
 STACK_SIZE = 256
 
 
@@ -219,22 +215,21 @@ class ScanSummary:
 def analyze_graph(g: WeightedGraph, convention: str = SLEM, graph_id: str | None = None) -> ScanRecord:
     """Classify one graph and evaluate its condition ladder; sweep-confirm WORSENS verdicts.
 
-    This is :func:`_stack_rows` on the graph's alpha = 0 stack of one.
+    This is :func:`stack_rows` on a stack of one. A disconnected graph raises
+    DisconnectedGraphError; one with no admissible eigenvalue raises
+    ConventionError.
     """
-    conv = normalize_convention(convention)
-    summary = spectrum(build_transition(g, 0.0), conv)
-    return scan_record(g, summary, classify_small_alpha(g, conv, summary=summary), graph_id)
+    require_connected(g)
+    row, = stack_rows([graph_id or g.name or "<anonymous>"], [g.edges], g.adjacency()[None], convention)
+    if row is None:
+        raise ConventionError(NO_ADMISSIBLE)
+    return row
 
 
-def scan_record(
-    g: WeightedGraph,
-    summary: SpectralSummary,
-    report: SmallAlphaVerdict,
-    graph_id: str | None = None,
-) -> ScanRecord:
+def scan_record(g: WeightedGraph, summary: SpectralSummary, report: SmallAlphaVerdict) -> ScanRecord:
     """The scan row of one graph from its alpha=0 spectrum and verdict: :func:`_stack_rows` on a stack of one."""
-    graph_id = graph_id or g.name or "<anonymous>"
-    return _stack_rows([graph_id], [g.edges], g.adjacency()[None], g.degrees()[None], summary.stack, [report])[0]
+    ids = [g.name or "<anonymous>"]
+    return _stack_rows(ids, [g.edges], g.adjacency()[None], g.degrees()[None], summary.stack, [report])[0]
 
 
 def _record(
@@ -271,18 +266,6 @@ def _record(
     )
 
 
-def _scan_graph6_line(convention: str, line: bytes) -> ScanRecord | None:
-    """The row of one graph6 line; None for a skipped line.
-
-    A line is skipped when it is malformed, its graph is disconnected, or the
-    convention admits none of its eigenvalues (K2 under ``paper``).
-    """
-    try:
-        return analyze_graph(parse_graph6(line), convention)
-    except (DisconnectedGraphError, GraphFormatError, ConventionError):
-        return None
-
-
 def _scan_generated(convention: str, model: str, params: dict, seed: int) -> ScanRecord | None:
     """The row of one seeded random graph; None when generation fails or no eigenvalue is admissible."""
     try:
@@ -291,29 +274,52 @@ def _scan_generated(convention: str, model: str, params: dict, seed: int) -> Sca
         return None
 
 
-def _batched_rows(convention: str, n: int, lines: Sequence[bytes]) -> list[ScanRecord | None]:
-    """The rows of same-n graph6 lines, in input order; None for a skipped line.
+def stack_rows(
+    ids: Sequence[str],
+    edges: Sequence[tuple[tuple[int, int, float], ...]],
+    a: np.ndarray,
+    convention: str,
+) -> list[ScanRecord | None]:
+    """The scan rows of a (k, n, n) stack ``a`` of connected adjacency matrices, in input order.
 
-    One vectorised decode, one stacked ``eigh`` at alpha = 0 under the scan's
-    convention and the verdict core serve the whole stack; :func:`_stack_rows`
-    builds the rows. Each row is the one :func:`analyze_graph` builds, and a
-    failed check raises as it does there. A line is skipped when it is
-    malformed, its graph is disconnected, or the convention admits none of
-    its eigenvalues.
+    One stacked ``eigh`` at alpha = 0 solves every row, and a row the
+    convention admits no eigenvalue of (K2 under ``paper``) is None. The
+    verdict core decides the other rows and :func:`_stack_rows` builds them;
+    ``ids`` and ``edges`` name and describe each row's graph. A failed check
+    raises, as :meth:`~rwj.spectral.StackedSpectrum.admissible` does on a
+    disconnected matrix.
     """
-    a, ok = decode_graph6_stack(lines, n)
-    a = a[ok]
+    conv = normalize_convention(convention)
     d = a.sum(axis=-1)
-    spec = _solve(a, d, 0.0, convention)
-    admissible = spec.admissible()
-    a, d, spec = a[admissible], d[admissible], spec.take(admissible)
-    positions = np.flatnonzero(ok)[admissible].tolist()
-    ids = [lines[i].decode("ascii") for i in positions]
-    records = _stack_rows(ids, stack_edges(a), a, d, spec, classify_stack(a, d, spec, convention))
-    rows: list[ScanRecord | None] = [None] * len(lines)
-    for i, record in zip(positions, records):
-        rows[i] = record
-    return rows
+    spec = _solve(a, d, 0.0, conv)
+    kept = np.flatnonzero(spec.admissible())
+    a, d, spec = a[kept], d[kept], spec.take(kept)
+    kept = kept.tolist()
+    records = _stack_rows([ids[i] for i in kept], [edges[i] for i in kept], a, d, spec,
+                          classify_stack(a, d, spec, conv))
+    return _placed(len(ids), kept, records)
+
+
+def _placed(size: int, positions: Iterable[int], rows: Iterable[ScanRecord | None]) -> list[ScanRecord | None]:
+    """``size`` slots holding each row at its position; the other slots are None."""
+    placed: list[ScanRecord | None] = [None] * size
+    for i, row in zip(positions, rows):
+        placed[i] = row
+    return placed
+
+
+def _batched_rows(convention: str, unit: tuple[int, list[bytes]]) -> list[ScanRecord | None]:
+    """The rows of a catalog scan's work unit (n, lines), in input order; None for a skipped line.
+
+    One vectorised decode, then one :func:`stack_rows` call on the lines it
+    accepts: a line with a malformed body or a disconnected graph is skipped.
+    """
+    n, lines = unit
+    a, ok = decode_graph6_stack(lines, n)
+    positions = np.flatnonzero(ok).tolist()
+    a = a[ok]
+    return _placed(len(lines), positions,
+                   stack_rows([lines[i].decode("ascii") for i in positions], stack_edges(a), a, convention))
 
 
 def _stack_rows(
@@ -347,34 +353,23 @@ def _stack_rows(
     ]
 
 
-def _scan_unit(convention: str, unit: tuple[int, list[bytes]]) -> list[ScanRecord | None]:
-    """The rows of one work unit of a catalog scan.
-
-    ``unit`` is (n, lines) from :func:`_work_units`: a stack of same-n lines
-    for :func:`_batched_rows`, or, with n = 0, lines that each take
-    :func:`_scan_graph6_line`.
-    """
-    n, lines = unit
-    if n:
-        return _batched_rows(convention, n, lines)
-    return [_scan_graph6_line(convention, line) for line in lines]
-
-
 def _work_units(lines: Sequence[bytes]) -> list[tuple[int, list[int]]]:
     """(n, input positions) units of a catalog scan.
 
-    Lines that :func:`graph6_short_n` maps to the same n share units of at
-    most STACK_SIZE lines, in input order; every other line is in a unit with
-    n = 0.
+    Lines that :func:`graph6_n` maps to the same n share units, in input
+    order. A unit holds no more adjacency entries than STACK_SIZE graphs on 8
+    vertices, so an n <= 8 unit holds STACK_SIZE lines and an n >= 128 unit
+    one. A line that :func:`graph6_n` maps to 0 is in no unit.
     """
     groups: dict[int, list[int]] = {}
     for i, line in enumerate(lines):
-        groups.setdefault(graph6_short_n(line), []).append(i)
-    return [
-        (n, positions[start:start + STACK_SIZE])
-        for n, positions in groups.items()
-        for start in range(0, len(positions), STACK_SIZE)
-    ]
+        groups.setdefault(graph6_n(line), []).append(i)
+    groups.pop(0, None)
+    units = []
+    for n, positions in groups.items():
+        size = max(1, min(STACK_SIZE, STACK_SIZE * 8 * 8 // n ** 2))
+        units += [(n, positions[start:start + size]) for start in range(0, len(positions), size)]
+    return units
 
 
 def _finalize(
@@ -459,7 +454,7 @@ def _read_graph6_lines(source) -> tuple[str, list[bytes]]:
     else:
         provenance = "<lines>"
         raw = [line.encode("ascii") if isinstance(line, str) else bytes(line) for line in source]
-    return provenance, [line for line in raw if line.strip()]
+    return provenance, [line.rstrip(b"\r\n") for line in raw if line.strip()]
 
 
 def scan_catalog(
@@ -477,10 +472,9 @@ def scan_catalog(
     regardless of parallelism; records contain every (confirmed or not)
     WORSENS graph plus the top-k smallest-margin IMPROVES.
 
-    Lines with a 1-byte header are decided in stacks of up to STACK_SIZE
-    graphs with the same n (see :func:`_batched_rows`); every other line
-    (a 4-byte or malformed header) goes through :func:`analyze_graph` alone,
-    which runs the same cores on a stack of one. Both give the same rows.
+    Lines with the same n, under either graph6 header, are decided in units
+    (:func:`_work_units`) by one decode and one :func:`stack_rows` call each,
+    so a row is the one :func:`analyze_graph` gives the line's graph.
     """
     if (limit is not None and limit < 0) or top_k < 0:
         raise ValueError(f"limit and top_k must be >= 0, got {limit} and {top_k}")
@@ -490,11 +484,8 @@ def scan_catalog(
     if limit is not None:
         lines = lines[:limit]
     units = _work_units(lines)
-    done = _run(partial(_scan_unit, conv), [(n, [lines[i] for i in idx]) for n, idx in units], parallelism)
-    results: list[ScanRecord | None] = [None] * len(lines)
-    for (_, positions), rows in zip(units, done):
-        for i, row in zip(positions, rows):
-            results[i] = row
+    done = _run(partial(_batched_rows, conv), [(n, [lines[i] for i in idx]) for n, idx in units], parallelism)
+    results = _placed(len(lines), chain.from_iterable(idx for _, idx in units), chain.from_iterable(done))
     return _finalize(provenance, conv, results, top_k, started, dump_dir)
 
 

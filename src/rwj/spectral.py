@@ -35,6 +35,9 @@ PAPER = "paper-literal"
 TOL_UNIT = 1e-9   # band around +1/-1 for the paper-literal exclusion
 TOL_TIE = 1e-9    # eigenvalues closer than this are one level
 
+NO_ADMISSIBLE = ("no admissible eigenvalue under the paper-literal convention "
+                 "(all non-Perron eigenvalues are within 1e-9 of -1 or +1)")
+
 
 def normalize_convention(convention: str) -> str:
     if convention in (SLEM,):
@@ -68,9 +71,14 @@ def build_transition(g: WeightedGraph, alpha: float) -> TransitionSystem:
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    require_connected(g)
+    return TransitionSystem(graph=g, alpha=alpha)
+
+
+def require_connected(g: WeightedGraph) -> None:
+    """Raise :class:`DisconnectedGraphError` unless ``g`` is connected, as the jump walk needs."""
     if not g.connected:
         raise DisconnectedGraphError("transition system requires a connected graph")
-    return TransitionSystem(graph=g, alpha=alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +193,7 @@ class StackedSpectrum(NamedTuple):
     def require_admissible(self) -> None:
         """Raise :class:`ConventionError` unless :meth:`admissible` accepts every row."""
         if not self.admissible().all():
-            raise ConventionError(
-                "no admissible eigenvalue under the paper-literal convention "
-                "(all non-Perron eigenvalues are within 1e-9 of -1 or +1)"
-            )
+            raise ConventionError(NO_ADMISSIBLE)
 
     def summary(self, i: int, alpha: float, convention: str) -> SpectralSummary:
         """Row ``i``, which must be admissible, as the :class:`SpectralSummary` of a stack solved at ``alpha``."""
@@ -213,7 +218,12 @@ def _unit(x: np.ndarray) -> np.ndarray:
 
 
 def _solve(a: np.ndarray, d: np.ndarray, alpha, convention: str) -> StackedSpectrum:
-    """One build, one ``eigh`` and the selection of lambda_star for a (k, n, n) stack ``a`` with degrees ``d``."""
+    """One build, one ``eigh`` and the selection of lambda_star for a (k, n, n) stack ``a`` with degrees ``d``.
+
+    ``convention`` is SLEM or PAPER, as :func:`normalize_convention` gives it; anything else raises ValueError.
+    """
+    if convention not in (SLEM, PAPER):
+        raise ValueError(f"convention must be {SLEM!r} or {PAPER!r}, got {convention!r}")
     sym, root = _similarity(a, d, alpha)
     raw, u = _eigh(sym)
     rows = np.arange(len(raw))

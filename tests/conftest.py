@@ -145,8 +145,10 @@ def same_order_stacks(draw):
 
 
 # malformed graph6 lines: truncated or overlong bodies, bytes outside [63, 126],
-# nonzero padding bits, n < 2, headers out of range, a truncated 4-byte header
-MALFORMED_GRAPH6 = (b"garbage!!", b"A", b"B~~", b"Bx", b"A`", b"B!", b"C ", b"@", b"?", b">", b"\x7f?", b"~??")
+# nonzero padding bits, n < 2, headers out of range, truncated 4-byte headers,
+# the 8-byte header
+MALFORMED_GRAPH6 = (b"garbage!!", b"A", b"B~~", b"Bx", b"A`", b"B!", b"C ", b"@", b"?", b">", b"\x7f?", b"~??",
+                    b"~?", b"~", b"~~??????")
 
 
 def _graph6_of_bits(n: int, bits: int) -> bytes:
@@ -155,14 +157,44 @@ def _graph6_of_bits(n: int, bits: int) -> bytes:
 
 
 @st.composite
+def long_graph6_line(draw):
+    """A graph6 line with a 4-byte size header, n = 63..66, often faulty.
+
+    The graph is random with a drawn edge density, so it is often
+    disconnected at the lowest one. The faults: a body one byte short or one
+    byte long, a body byte outside [63, 126], nonzero padding bits, and a
+    4-byte header that encodes n = 62, which takes one byte.
+    """
+    n = draw(st.integers(min_value=63, max_value=66))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    p = draw(st.sampled_from([0.03, 0.1, 0.5]))
+    pairs = [(u, v) for v in range(1, n) for u in range(v) if rng.random() < p]
+    line = write_graph6(WeightedGraph.from_pairs(n, pairs))
+    fault = draw(st.sampled_from(["none", "none", "none", "short", "long", "byte", "padding", "n62"]))
+    if fault == "short":
+        return line[:-1]
+    if fault == "long":
+        return line + b"?"
+    if fault == "byte":
+        return line[:-2] + b" " + line[-1:]
+    if fault == "padding":  # n = 64 has no padding bits, so its line stays valid
+        return line[:-1] + bytes([63 + ((line[-1] - 63) | 1)])
+    if fault == "n62":
+        return b"~??}" + write_graph6(WeightedGraph.from_pairs(62, [(u, v) for u, v in pairs if v < 62]))[1:]
+    return line
+
+
+@st.composite
 def graph6_lines(draw, max_n: int = 12):
-    """A list of graph6 lines: connected graphs, any graphs (often disconnected) and malformed lines."""
+    """A list of graph6 lines: connected graphs, any graphs (often disconnected), 4-byte-header lines
+    (:func:`long_graph6_line`) and malformed lines."""
     any_graph = st.integers(min_value=2, max_value=max_n).flatmap(
         lambda n: st.integers(min_value=0, max_value=2 ** (n * (n - 1) // 2) - 1).map(
             lambda bits: _graph6_of_bits(n, bits)
         )
     )
     line = st.one_of(
-        connected_unweighted(max_n=max_n).map(write_graph6), any_graph, st.sampled_from(MALFORMED_GRAPH6)
+        connected_unweighted(max_n=max_n).map(write_graph6), any_graph, long_graph6_line(),
+        st.sampled_from(MALFORMED_GRAPH6),
     )
     return draw(st.lists(line, max_size=40))

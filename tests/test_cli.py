@@ -141,7 +141,9 @@ def test_analyze_csv_reuses_the_text_pipeline(det_zero_pair_file, tmp_path, caps
     import rwj.search as search_mod
     from rwj import analyze_graph, parse_edgelist
 
-    real = perturb_mod.classify_small_alpha
+    # every verdict goes through the verdict core, so one classify_stack call
+    # means one run of the pipeline
+    real = perturb_mod.classify_stack
     calls = []
 
     def counting(*args, **kwargs):
@@ -149,7 +151,7 @@ def test_analyze_csv_reuses_the_text_pipeline(det_zero_pair_file, tmp_path, caps
         return real(*args, **kwargs)
 
     for module in (perturb_mod, search_mod):
-        monkeypatch.setattr(module, "classify_small_alpha", counting)
+        monkeypatch.setattr(module, "classify_stack", counting)
     csv_path = tmp_path / "row.csv"
     rc = main(["analyze", "--input", det_zero_pair_file, "--format", "edgelist", "--csv", str(csv_path)])
     capsys.readouterr()

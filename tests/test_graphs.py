@@ -20,7 +20,7 @@ from rwj import (
     write_graph6,
 )
 
-from rwj.graphs import decode_graph6_stack, graph6_short_n, stack_edges
+from rwj.graphs import decode_graph6_stack, graph6_n, stack_edges
 
 from conftest import (
     DET_ZERO_PAIR_TEXT,
@@ -143,10 +143,10 @@ def test_parse_graph6_rejects_disconnected():
 def test_decode_graph6_stack_matches_parse_graph6(lines):
     stacks: dict[int, list[bytes]] = {}
     for line in lines:
-        n = graph6_short_n(line)
+        n = graph6_n(line)
         if n:
             stacks.setdefault(n, []).append(line)
-        else:  # no valid line of this strategy needs a 4-byte header
+        else:  # a malformed header or body length
             with pytest.raises(GraphFormatError):
                 parse_graph6(line)
     for n, stack in stacks.items():

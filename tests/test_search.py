@@ -16,6 +16,7 @@ from rwj import (
     GraphFormatError,
     WORSENS,
     TwoNodeParams,
+    WeightedGraph,
     analyze_graph,
     build_transition,
     generate,
@@ -287,6 +288,41 @@ def test_scan_catalog_solves_no_row_on_its_own(data_dir, monkeypatch, convention
     summary, _ = scan_catalog(data_dir / "graph7c.g6", convention)
     assert summary.classified == 853
     assert sizes.count((7, 7)) == 2 * 4
+
+
+def test_scan_catalog_stacks_four_byte_header_lines(monkeypatch):
+    # 10 connected 64-vertex lines (4-byte headers) in units of 4 lines, so no
+    # more adjacency entries than 256 graphs on 8 vertices: 2 eigensolves per
+    # unit, not 2 per line
+    lines = [write_graph6(generate("er", seed=seed, n=64, p=0.1)) for seed in range(10)]
+    sizes = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-2:])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    summary, _ = scan_catalog(lines, "slem")
+    assert summary.classified == 10
+    assert sizes.count((64, 64)) == 2 * math.ceil(10 / 4)
+
+
+def test_scan_catalog_decides_every_line_in_stacks(monkeypatch):
+    # 1-byte and 4-byte headers, a line that keeps its newline, disconnected
+    # and malformed lines: no line is parsed or analysed on its own
+    lines = ["Bw\r\n", write_graph6(generate("cycle", n=5)), write_graph6(generate("cycle", n=70)),
+             write_graph6(generate("er", seed=1, n=64, p=0.1)),
+             write_graph6(WeightedGraph.from_pairs(63, [(0, 1)])), b"A?", b"~??~", b"~??}", b"garbage!!"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan_catalog decides every line in a stack")
+
+    for module in (rwj.graphs, rwj.search):
+        monkeypatch.setattr(module, "parse_graph6", refuse, raising=False)
+    monkeypatch.setattr(rwj.search, "analyze_graph", refuse)
+    summary, _ = scan_catalog(lines, "slem")
+    assert (summary.total, summary.classified, summary.skipped) == (9, 4, 5)
 
 
 @given(

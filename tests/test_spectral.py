@@ -27,7 +27,8 @@ from rwj import (
 )
 from rwj.cli import main
 from rwj.perturb import stacked_finite_difference
-from rwj.spectral import _solve, alpha_bar_closed_form, normalize_convention, track_stack
+from rwj.search import stack_rows
+from rwj.spectral import PAPER, _solve, alpha_bar_closed_form, normalize_convention, track_stack
 
 from conftest import connected_weighted, random_connected_weighted, same_order_stacks
 from oracles import dobrushin_full_difference, dobrushin_min_form, split_form_transition
@@ -131,6 +132,20 @@ def test_spectrum_star_conventions(star4):
     paper = spectrum(build_transition(star4, 0.0), "paper")
     assert paper.lambda_star == pytest.approx(0.0, abs=1e-12)
     assert paper.gap == pytest.approx(1.0) and paper.t_rel == pytest.approx(1.0)
+
+
+def test_stacked_solve_takes_only_normalised_conventions():
+    # "paper" is a spelling for users: the stacked solve refuses it rather than
+    # select under slem (gap 0 on a star), and stack_rows normalises first
+    star = generate("star", n=5)
+    a, d = star.adjacency()[None], star.degrees()[None]
+    for spelling in ("paper", "SLEM", "lazy"):
+        with pytest.raises(ValueError):
+            _solve(a, d, 0.0, spelling)
+    assert _solve(a, d, 0.0, PAPER).gap == pytest.approx([1.0])
+    row, = stack_rows(["star"], [star.edges], a, "paper")
+    assert row.convention == PAPER
+    assert row.lambda_star == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spectrum_k2_paper_literal_has_no_candidates():
