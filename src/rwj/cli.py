@@ -9,7 +9,6 @@ Commands: analyze, conditions, sweep, scan, gen, two-node. Numbers print with
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -71,12 +70,8 @@ def load_graph(path: str, fmt_name: str) -> graphs.WeightedGraph:
         lines = [line for line in data if line.strip()]
         if len(lines) != 1:
             raise GraphFormatError(f"{path} holds {len(lines)} graph6 lines, expected exactly 1")
-        g = graphs.parse_graph6(lines[0])
-    else:
-        g = graphs.parse_edgelist(p.read_text())
-    if g.name is None:
-        g = dataclasses.replace(g, name=p.stem)
-    return g
+        return graphs.parse_graph6(lines[0])
+    return graphs.parse_edgelist(p.read_text(), name=p.stem)
 
 
 def records_to_csv(records) -> str:
@@ -441,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--alpha", type=float, default=0.0)
     pa.add_argument("--convention", choices=["slem", "paper"], default="paper")
     pa.add_argument("--epsilon", type=float, default=None, help="print mixing-time bounds")
-    pa.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
+    pa.add_argument("--h", type=float, default=perturb.FD_STEP, help="finite-difference step")
     pa.add_argument("--csv", default=None, help="also write the scan-schema CSV row here")
     pa.add_argument("--conditions-only", action="store_true", help="print only the condition report")
     pa.set_defaults(func=cmd_analyze)
@@ -449,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("conditions", help="condition report only (analyze --conditions-only)")
     add_input(pc)
     pc.add_argument("--convention", choices=["slem", "paper"], default="paper")
-    pc.set_defaults(func=lambda a: cmd_analyze(a, conditions_only=True), alpha=0.0, epsilon=None, h=1e-5)
+    pc.set_defaults(func=lambda a: cmd_analyze(a, conditions_only=True), alpha=0.0, epsilon=None, h=perturb.FD_STEP)
 
     ps = sub.add_parser("sweep", help="alpha sweep as CSV")
     add_input(ps)

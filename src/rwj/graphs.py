@@ -196,6 +196,15 @@ def _graph6_body_bytes(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
 
 
+def _graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of every pair u < v in graph6 bit order x01, x02, x12, x03, ...: the upper triangle column by column.
+
+    That is the lower triangle (1,0), (2,0), (2,1), ... read row by row.
+    """
+    v, u = np.tril_indices(n, -1)
+    return u, v
+
+
 def graph6_n(line: bytes) -> int:
     """n of a graph6 line whose size header (1-byte or 4-byte) and body length :func:`parse_graph6` accepts, else 0."""
     try:
@@ -253,7 +262,8 @@ def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.
     Every line must be one that :func:`graph6_n` maps to n, so all share one
     header form. Returns the (k, n, n) adjacency stack and a mask of the lines
     that :func:`parse_graph6` accepts: body bytes in [63, 126], zero padding
-    bits, a connected graph.
+    bits, a connected graph. Bits map to pairs in the :func:`_graph6_pairs`
+    order that :func:`write_graph6` packs them in.
     """
     k = len(lines)
     nbits = n * (n - 1) // 2
@@ -262,8 +272,7 @@ def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.
     ok = ((body >= 63) & (body <= 126)).all(axis=1)
     bits = np.unpackbits((body - 63)[..., None], axis=-1)[..., 2:].reshape(k, -1)
     ok &= ~bits[:, nbits:].any(axis=1)
-    # lower-triangle order (1,0), (2,0), (2,1), ... is the graph6 bit order x01, x02, x12, ...
-    v, u = np.tril_indices(n, -1)
+    u, v = _graph6_pairs(n)
     a = np.zeros((k, n, n))
     a[:, u, v] = bits[:, :nbits]
     a[:, v, u] = bits[:, :nbits]
@@ -289,43 +298,38 @@ def stack_edges(a: np.ndarray) -> list[tuple[tuple[int, int, float], ...]]:
 
 
 def write_graph6(g: WeightedGraph) -> bytes:
-    """Encode an unweighted graph without self-loops as one graph6 line (no newline)."""
+    """Encode an unweighted graph without self-loops as one graph6 line (no newline).
+
+    The body packs one bit per pair in the :func:`_graph6_pairs` order that
+    :func:`decode_graph6_stack` reads, six bits to a byte, zero-padded.
+    """
     if g.n > GRAPH6_MAX_N:
         raise GraphFormatError(f"graph6 with a 1- or 4-byte size header supports n <= {GRAPH6_MAX_N}, got n={g.n}")
     if g.has_self_loops():
         raise GraphFormatError("graph6 cannot encode self-loops")
     if not g.is_unweighted():
         raise GraphFormatError("graph6 cannot encode weighted edges")
-    present = {(u, v) for u, v, _ in g.edges}
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
+    u, v = _graph6_pairs(g.n)
+    bits = np.zeros(6 * _graph6_body_bytes(g.n), dtype=np.uint8)
+    bits[:len(u)] = g.adjacency()[u, v] > 0.0
     if g.n <= _GRAPH6_SHORT_MAX_N:
-        out = bytearray([63 + g.n])
+        header = [63 + g.n]
     else:
-        out = bytearray([126] + [63 + ((g.n >> shift) & 63) for shift in (12, 6, 0)])
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i:i + 6]:
-            val = (val << 1) | b
-        out.append(val + 63)
-    return bytes(out)
+        header = [126] + [63 + ((g.n >> shift) & 63) for shift in (12, 6, 0)]
+    return bytes(header) + ((np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63).tobytes()
 
 
 # ---------------------------------------------------------------------------
 # weighted edge-list text format
 # ---------------------------------------------------------------------------
 
-def parse_edgelist(text: str) -> WeightedGraph:
+def parse_edgelist(text: str, name: str | None = None) -> WeightedGraph:
     """Parse the weighted edge-list format.
 
     Lines starting with '#' are comments; the first data line is the vertex
     count n; each following data line is "u v w" with 0-based endpoints and a
     positive weight. u == v encodes a self-loop. Duplicate unordered pairs are
-    an error, as is a disconnected result.
+    an error, as is a disconnected result. ``name`` names the graph.
     """
     data_lines = []
     for raw in text.splitlines():
@@ -352,7 +356,7 @@ def parse_edgelist(text: str) -> WeightedGraph:
         if not math.isfinite(w) or w <= 0.0:
             raise GraphFormatError(f"nonpositive or non-finite weight in {line!r}")
         edges.append((u, v, w))
-    g = WeightedGraph(n, tuple(edges))
+    g = WeightedGraph(n, tuple(edges), name)
     if not is_connected(g):
         raise DisconnectedGraphError("edge list describes a disconnected graph")
     return g
@@ -371,39 +375,37 @@ def write_edgelist(g: WeightedGraph, comments: Sequence[str] = ()) -> str:
 # generators
 # ---------------------------------------------------------------------------
 
+def _is_int_at_least(x, minimum: int) -> bool:
+    return isinstance(x, (int, np.integer)) and x >= minimum
+
+
 def _require_n(params: dict, minimum: int = 2) -> int:
     n = params.get("n")
-    if not isinstance(n, (int, np.integer)) or n < minimum:
+    if not _is_int_at_least(n, minimum):
         raise GraphFormatError(f"model needs integer n >= {minimum}, got {n!r}")
     return int(n)
 
 
-def _er_pairs(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int]]:
-    draws = rng.random(n * (n - 1) // 2)
-    pairs = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[k] < p:
-                pairs.append((u, v))
-            k += 1
-    return pairs
+def _sample_connected(label: str, sizes: Sequence[int], b: np.ndarray, seed: int, retry_budget: int) -> WeightedGraph:
+    """The first connected stochastic-block-model draw from ``seed``'s stream, named ``<label>,seed=S)``.
 
-
-def _sbm_pairs(sizes: Sequence[int], b: np.ndarray, rng: np.random.Generator) -> list[tuple[int, int]]:
-    block = []
-    for idx, s in enumerate(sizes):
-        block.extend([idx] * s)
+    Vertices get block labels from ``sizes`` in order. Each attempt draws one
+    ``rng.random`` per pair u < v in ``np.triu_indices`` order and keeps the
+    pairs whose draw is below their block probability ``b``. Attempt K > 0 is
+    named ``<label>,seed=S,resampled=K)``.
+    """
+    block = np.repeat(np.arange(len(sizes)), sizes)
     n = len(block)
-    draws = rng.random(n * (n - 1) // 2)
-    pairs = []
-    k = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draws[k] < b[block[u], block[v]]:
-                pairs.append((u, v))
-            k += 1
-    return pairs
+    u, v = np.triu_indices(n, 1)
+    prob = b[block[u], block[v]]
+    rng = np.random.default_rng(seed)
+    for attempt in range(retry_budget):
+        keep = rng.random(len(prob)) < prob
+        name = f"{label},seed={seed})" if attempt == 0 else f"{label},seed={seed},resampled={attempt})"
+        g = WeightedGraph.from_pairs(n, zip(u[keep].tolist(), v[keep].tolist()), name=name)
+        if is_connected(g):
+            return g
+    raise GenerationError(f"no connected {label}) sample in {retry_budget} attempts (seed={seed})")
 
 
 def generate(model: str, seed: int = 0, retry_budget: int = 1000, **params) -> WeightedGraph:
@@ -412,7 +414,10 @@ def generate(model: str, seed: int = 0, retry_budget: int = 1000, **params) -> W
     Deterministic families (path, cycle, star, complete) ignore the seed.
     Random models (er, sbm) resample from the same seeded stream until
     connected, up to ``retry_budget`` attempts; the resample count, when
-    nonzero, is recorded in the graph name.
+    nonzero, is recorded in the graph name. ER is the one-block SBM: each
+    attempt draws one uniform per vertex pair u < v, in ``np.triu_indices``
+    order (0,1), (0,2), ..., (1,2), ..., and keeps the pair when its draw is
+    below the pair's block probability.
     """
     if model == "path":
         n = _require_n(params)
@@ -433,20 +438,12 @@ def generate(model: str, seed: int = 0, retry_budget: int = 1000, **params) -> W
         p = params.get("p")
         if not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
             raise GraphFormatError(f"er needs p in (0, 1], got {p!r}")
-        rng = np.random.default_rng(seed)
-        base = f"er(n={n},p={p:g},seed={seed})"
-        for attempt in range(retry_budget):
-            pairs = _er_pairs(n, float(p), rng)
-            name = base if attempt == 0 else f"er(n={n},p={p:g},seed={seed},resampled={attempt})"
-            g = WeightedGraph.from_pairs(n, pairs, name=name)
-            if is_connected(g):
-                return g
-        raise GenerationError(f"no connected er(n={n},p={p:g}) sample in {retry_budget} attempts (seed={seed})")
+        return _sample_connected(f"er(n={n},p={p:g}", [n], np.array([[float(p)]]), seed, retry_budget)
     if model == "sbm":
         sizes = params.get("sizes")
         b = params.get("b")
-        if not sizes or any(int(s) < 1 for s in sizes):
-            raise GraphFormatError(f"sbm needs positive block sizes, got {sizes!r}")
+        if not sizes or not all(_is_int_at_least(s, 1) for s in sizes):
+            raise GraphFormatError(f"sbm needs positive integer block sizes, got {sizes!r}")
         sizes = [int(s) for s in sizes]
         bmat = np.asarray(b, dtype=float)
         k = len(sizes)
@@ -454,16 +451,7 @@ def generate(model: str, seed: int = 0, retry_budget: int = 1000, **params) -> W
             raise GraphFormatError(f"sbm needs a symmetric {k}x{k} probability matrix")
         if bmat.min() < 0.0 or bmat.max() > 1.0:
             raise GraphFormatError("sbm probabilities must lie in [0, 1]")
-        n = sum(sizes)
-        if n < 2:
+        if sum(sizes) < 2:
             raise GraphFormatError("sbm needs at least 2 vertices in total")
-        rng = np.random.default_rng(seed)
-        base = f"sbm(sizes={tuple(sizes)},seed={seed})"
-        for attempt in range(retry_budget):
-            pairs = _sbm_pairs(sizes, bmat, rng)
-            name = base if attempt == 0 else f"sbm(sizes={tuple(sizes)},seed={seed},resampled={attempt})"
-            g = WeightedGraph.from_pairs(n, pairs, name=name)
-            if is_connected(g):
-                return g
-        raise GenerationError(f"no connected sbm(sizes={tuple(sizes)}) sample in {retry_budget} attempts (seed={seed})")
+        return _sample_connected(f"sbm(sizes={tuple(sizes)}", sizes, bmat, seed, retry_budget)
     raise GraphFormatError(f"unknown model {model!r}; choose one of {GENERATOR_MODELS}")

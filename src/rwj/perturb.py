@@ -52,6 +52,7 @@ TOL_STATIONARY = 1e-12  # branch derivatives below this count as exactly zero
 _TOL_GRAM = 1e-10       # largest |V^T D V - I| entry of a D-orthonormal basis
 _TOL_RESIDUAL = 1e-7    # largest |A V - lambda D V| entry of an eigenspace basis
 _TOL_FD_START = 1e-8    # largest distance of the tracked alpha=0 eigenvalue from lambda_star
+FD_STEP = 1e-5          # default step h of the finite-difference check
 
 
 def degenerate_first_order(g: WeightedGraph, lambda_star: float, basis: np.ndarray) -> np.ndarray:
@@ -103,7 +104,7 @@ def _pencil(a: np.ndarray, d: np.ndarray, lambda_star, v: np.ndarray):
 
 
 def stacked_finite_difference(
-    a: np.ndarray, d: np.ndarray, start: tuple, lambda_star, v: np.ndarray, h: float = 1e-5
+    a: np.ndarray, d: np.ndarray, start: tuple, lambda_star, v: np.ndarray, h: float = FD_STEP
 ) -> tuple[np.ndarray, Track, np.ndarray]:
     """One-sided second-order stencil (-3 f(0) + 4 f(h/2) - f(h)) / h along the branch from ``v``, per stack row.
 
@@ -132,7 +133,7 @@ def _checked_finite_difference(a, d, start, lambda_star: list[float], v, h: floa
 
 
 def finite_difference_derivative(
-    g: WeightedGraph, summary: SpectralSummary, lambda_star: float, v_star: np.ndarray, h: float = 1e-5
+    g: WeightedGraph, summary: SpectralSummary, lambda_star: float, v_star: np.ndarray, h: float = FD_STEP
 ) -> float:
     """:func:`stacked_finite_difference` for one graph, starting from its alpha = 0 spectrum ``summary``.
 
@@ -284,7 +285,7 @@ def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int)
 
 
 def classify_stack(
-    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, convention: str, h: float = 1e-5
+    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, convention: str, h: float = FD_STEP
 ) -> list[PerturbationReport]:
     """The small-alpha verdict of every row of a (k, n, n) adjacency stack ``a`` with degrees ``d``.
 
@@ -334,7 +335,7 @@ def classify_stack(
 def classify_small_alpha(
     g: WeightedGraph,
     convention: str = SLEM,
-    h: float = 1e-5,
+    h: float = FD_STEP,
     summary: SpectralSummary | None = None,
 ) -> PerturbationReport:
     """Classify whether small jump rates improve or worsen the relaxation time.

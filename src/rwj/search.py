@@ -212,7 +212,7 @@ class ScanSummary:
     elapsed: float = 0.0
 
 
-def analyze_graph(g: WeightedGraph, convention: str = SLEM, graph_id: str | None = None) -> ScanRecord:
+def analyze_graph(g: WeightedGraph, convention: str = SLEM) -> ScanRecord:
     """Classify one graph and evaluate its condition ladder; sweep-confirm WORSENS verdicts.
 
     This is :func:`stack_rows` on a stack of one. A disconnected graph raises
@@ -220,7 +220,7 @@ def analyze_graph(g: WeightedGraph, convention: str = SLEM, graph_id: str | None
     ConventionError.
     """
     require_connected(g)
-    row, = stack_rows([graph_id or g.name or "<anonymous>"], [g.edges], g.adjacency()[None], convention)
+    row, = stack_rows([g.name or "<anonymous>"], [g.edges], g.adjacency()[None], convention)
     if row is None:
         raise ConventionError(NO_ADMISSIBLE)
     return row

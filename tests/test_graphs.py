@@ -1,5 +1,7 @@
 """Graph type, formats, generators, degree statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,7 @@ def test_adjacency_and_degrees_cached_read_only(g):
         (b"Bw", 3, [(0, 1), (0, 2), (1, 2)]),   # K3: bits 111000 -> 'w'
         (b"Bg", 3, [(0, 1), (1, 2)]),           # path: bits 101000 -> 'g'
         (b"A_", 2, [(0, 1)]),                   # K2: bits 100000 -> '_'
+        (b"Ch", 4, [(0, 1), (1, 2), (2, 3)]),   # P4: bits x01 x02 x12 x03 x13 x23 = 101001 -> 'h'
     ],
 )
 def test_parse_graph6_hand_encoded(line, n, pairs):
@@ -197,6 +200,8 @@ def test_parse_edgelist_det_zero_instance():
 def test_parse_edgelist_path():
     g = parse_edgelist("3\n0 1 1\n1 2 1\n")
     assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+    assert g.name is None
+    assert parse_edgelist("3\n0 1 1\n1 2 1\n", name="p3").name == "p3"
 
 
 @pytest.mark.parametrize(
@@ -266,6 +271,30 @@ def test_sbm_deterministic():
     assert g1 == g2 and g1.n == 12 and is_connected(g1)
 
 
+@pytest.mark.parametrize("n,p,seed", [(2, 1.0, 0), (5, 0.5, 1), (12, 0.2, 3), (30, 0.1, 4), (45, 0.07, 9)])
+def test_er_is_the_one_block_sbm(n, p, seed):
+    er = generate("er", seed=seed, n=n, p=p)
+    sbm = generate("sbm", seed=seed, sizes=(n,), b=[[p]])
+    assert er.edges == sbm.edges
+    assert er.name.split(",seed=")[1] == sbm.name.split(",seed=")[1]
+
+
+def test_random_draws_are_pinned():
+    # one uniform per pair u < v in np.triu_indices order, one rng.random call per attempt
+    b = [[0.8, 0.05, 0.1], [0.05, 0.6, 0.02], [0.1, 0.02, 0.9]]
+    text = ""
+    resampled = 0
+    for seed in range(40):
+        er = generate("er", seed=seed, n=30, p=0.1)
+        sbm = generate("sbm", seed=seed, sizes=(5, 6, 7), b=b)
+        resampled += "resampled=" in er.name
+        text += write_edgelist(er, comments=[er.name]) + write_edgelist(sbm, comments=[sbm.name])
+    assert resampled == 29
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e26e6e79563498666d4726b52bc3ae186e802b79bf0cb3bfac03a4ce44c92cd6"
+    )
+
+
 def test_generator_validation():
     with pytest.raises(GraphFormatError):
         generate("er", n=10)  # missing p
@@ -277,11 +306,16 @@ def test_generator_validation():
         generate("sbm", sizes=(3, 3), b=[[0.5, 0.1], [0.2, 0.5]])  # asymmetric
     with pytest.raises(GraphFormatError):
         generate("cycle", n=2)
+    with pytest.raises(GraphFormatError):
+        generate("sbm", sizes=(2.7, 3.9), b=[[0.9, 0.5], [0.5, 0.9]])  # non-integer block sizes
+    with pytest.raises(GraphFormatError):
+        generate("sbm", sizes=(3, 0), b=[[0.9, 0.5], [0.5, 0.9]])
 
 
 def test_er_connectivity_budget():
-    with pytest.raises(GenerationError):
+    with pytest.raises(GenerationError) as err:
         generate("er", n=30, p=0.01, seed=0, retry_budget=3)
+    assert str(err.value) == "no connected er(n=30,p=0.01) sample in 3 attempts (seed=0)"
 
 
 # ---------------------------------------------------------------------------
