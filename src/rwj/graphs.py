@@ -442,7 +442,7 @@ def generate(model: str, seed: int = 0, retry_budget: int = 1000, **params) -> W
     if model == "sbm":
         sizes = params.get("sizes")
         b = params.get("b")
-        if not sizes or not all(_is_int_at_least(s, 1) for s in sizes):
+        if sizes is None or not len(sizes) or not all(_is_int_at_least(s, 1) for s in sizes):
             raise GraphFormatError(f"sbm needs positive integer block sizes, got {sizes!r}")
         sizes = [int(s) for s in sizes]
         bmat = np.asarray(b, dtype=float)

@@ -228,42 +228,47 @@ class PerturbationReport(SmallAlphaVerdict):
     fd_agreement: float
 
 
-def modulus_rate(lambda_star: float, level_value: float, derivative: float) -> float:
-    """d|lambda|/dalpha at 0+ of a branch starting at ``level_value`` on the modulus level of lambda_star.
+def modulus_rate(lambda_star, level_value, derivative) -> np.ndarray:
+    """d|lambda|/dalpha at 0+ of branches starting at ``level_value`` on the modulus level of lambda_star.
 
+    The arguments broadcast against each other, so leading axes are a stack.
     At |lambda_star| <= TOL_SIGN the modulus is |alpha lambda'(0)| + O(alpha^2),
     so the rate is |lambda'(0)|; otherwise it is lambda'(0) on the positive
     side and -lambda'(0) on the negative side.
     """
-    if abs(lambda_star) <= TOL_SIGN:
-        return abs(derivative)
-    return derivative if level_value > 0.0 else -derivative
+    derivative = np.asarray(derivative, dtype=float)
+    return np.where(np.abs(lambda_star) <= TOL_SIGN, np.abs(derivative),
+                    np.where(np.asarray(level_value) > 0.0, derivative, -derivative))
 
 
-def verdict(lambda_star: float, worst_rate: float) -> tuple[str, float, bool]:
-    """(classification, gap derivative, stationary) from the worst modulus rate at the governing level.
+def verdict(lambda_star, worst_rate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classification, gap derivative, stationary) arrays from the worst modulus rate at each governing level.
 
-    A negative worst rate IMPROVES. At |lambda_star| <= TOL_SIGN the rate is
-    nonnegative: any rate above TOL_STATIONARY WORSENS, and a smaller one is
-    stationary (reported IMPROVES).
+    ``lambda_star`` and ``worst_rate`` share one shape, whose leading axes are
+    a stack; ``.tolist()`` reads the rows as Python ``str``, ``float`` and
+    ``bool``. A negative worst rate IMPROVES and any other, NaN included,
+    WORSENS. At |lambda_star| <= TOL_SIGN the rate is nonnegative: any rate
+    above TOL_STATIONARY WORSENS, and a smaller one is stationary (reported
+    IMPROVES).
     """
-    if abs(lambda_star) <= TOL_SIGN:
-        stationary = worst_rate <= TOL_STATIONARY
-        return (IMPROVES if stationary else WORSENS), -worst_rate, stationary
-    return (IMPROVES if worst_rate < 0.0 else WORSENS), -worst_rate, False
+    rate = np.asarray(worst_rate, dtype=float)
+    zero = np.abs(lambda_star) <= TOL_SIGN
+    stationary = zero & (rate <= TOL_STATIONARY)
+    worsens = np.where(zero, ~stationary, ~(rate < 0.0))
+    return np.where(worsens, WORSENS, IMPROVES), -rate, stationary
 
 
 def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int) -> list[Branch]:
     """All branches at the modulus level of row ``i`` of ``spec``, with their modulus rates.
 
-    One reduced-pencil ``eigh`` per sign of the level (one for a level at 0).
+    One reduced-pencil ``eigh`` per sign of the level (one for a level at 0),
+    then one :func:`modulus_rate` call on every branch of the level.
     """
     w = spec.eigenvalues[i]
     lam = float(spec.lambda_star[i])
     level_idx = np.flatnonzero(spec.level[i])
     zero_case = abs(lam) <= TOL_SIGN
 
-    branches: list[Branch] = []
     if zero_case:
         groups = [level_idx]
     else:
@@ -271,6 +276,7 @@ def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int)
             level_idx[w[level_idx] > 0.0],
             level_idx[w[level_idx] <= 0.0],
         ]
+    found = []  # (level value, derivative, adapted vector) of each branch
     for idx in groups:
         if len(idx) == 0:
             continue
@@ -279,9 +285,10 @@ def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int)
         # eigenvalues of the reduced pencil are the branch derivatives, its
         # eigenvectors give the adapted branch vectors
         derivs, y = np.linalg.eigh(_reduced_pencil(a[i], d[i], level_value, basis))
-        branches += [Branch(level_value, deriv, modulus_rate(lam, level_value, deriv), basis @ y[:, k])
-                     for k, deriv in enumerate(derivs.tolist())]
-    return branches
+        found += [(level_value, deriv, basis @ y[:, k]) for k, deriv in enumerate(derivs.tolist())]
+    values, derivs, _ = zip(*found)
+    rates = modulus_rate(lam, np.array(values), np.array(derivs)).tolist()
+    return [Branch(value, deriv, rate, vector) for (value, deriv, vector), rate in zip(found, rates)]
 
 
 def classify_stack(
@@ -291,24 +298,27 @@ def classify_stack(
 
     ``spec`` is the stack's alpha = 0 spectrum under ``convention``, every row
     admissible. A level of one eigenvalue takes lambda'(0) from one vectorised
-    1 x 1 reduced pencil, whose entry is its eigenvalue; other levels solve
-    theirs row by row. Each row's worst branch gives its verdict, and one
-    stacked finite-difference check runs along the worst branches. A failed
-    check raises as in :func:`classify_small_alpha`.
+    1 x 1 reduced pencil, whose entry is its eigenvalue, and its rate from one
+    :func:`modulus_rate` call on all such rows; other levels solve theirs row
+    by row. One :func:`verdict` call decides every row from its worst
+    branch, and one stacked finite-difference check runs along the worst
+    branches. A failed check raises as in :func:`classify_small_alpha`.
     """
     if not len(a):
         return []
     single = spec.level.sum(axis=-1) == 1
-    derivatives = iter(())
+    singles = iter(())
     if single.any():
-        reduced, *errors = _pencil(a[single], d[single], spec.lambda_star[single], spec.basis[single])
+        levels = spec.lambda_star[single]
+        reduced, *errors = _pencil(a[single], d[single], levels, spec.basis[single])
         _require_eigenbasis(*errors)
-        derivatives = iter(reduced[:, 0, 0].tolist())
+        der = reduced[:, 0, 0]
+        singles = zip(der.tolist(), modulus_rate(levels, levels, der).tolist())
     rows = []
     for i, lam in enumerate(spec.lambda_star.tolist()):
         if single[i]:
-            der = next(derivatives)
-            branches = [Branch(lam, der, modulus_rate(lam, lam, der), spec.basis[i, :, 0])]
+            der, rate = next(singles)
+            branches = [Branch(lam, der, rate, spec.basis[i, :, 0])]
         else:
             branches = _level_branches(a, d, spec, i)
         if lam < -TOL_SIGN and any(b.derivative <= 0.0 for b in branches):
@@ -316,19 +326,19 @@ def classify_stack(
                 "negative-lambda branch with nonpositive derivative; "
                 "this contradicts the positivity of the first-order term"
             )
-        worst = max(branches, key=attrgetter("rate"))
-        rows.append((lam, tuple(branches), worst, verdict(lam, worst.rate)))
-    fds = _checked_finite_difference(a, d, spec.solved, [row[2].level_value for row in rows],
-                                     np.array([row[2].vector for row in rows]), h)
+        rows.append((lam, tuple(branches), max(branches, key=attrgetter("rate"))))
+    verdicts = verdict(spec.lambda_star, np.array([worst.rate for _, _, worst in rows]))
+    fds = _checked_finite_difference(a, d, spec.solved, [worst.level_value for _, _, worst in rows],
+                                     np.array([worst.vector for _, _, worst in rows]), h)
     return [
         PerturbationReport(
             convention=convention, lambda_star=lam, lambda_first=worst.derivative, classification=classification,
-            gap_derivative=float(gap_derivative), degenerate=degenerate, tied_sign=tied, stationary=stationary,
+            gap_derivative=gap_derivative, degenerate=degenerate, tied_sign=tied, stationary=stationary,
             branches=branches, fd_estimate=fd,
             fd_agreement=abs(worst.derivative - fd) / max(1.0, abs(worst.derivative)),
         )
-        for (lam, branches, worst, (classification, gap_derivative, stationary)), fd, degenerate, tied
-        in zip(rows, fds, (~single).tolist(), spec.tied_sign.tolist())
+        for (lam, branches, worst), classification, gap_derivative, stationary, fd, degenerate, tied
+        in zip(rows, *(x.tolist() for x in verdicts), fds, (~single).tolist(), spec.tied_sign.tolist())
     ]
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,13 +87,17 @@ class TwoNodeParams:
         if self.a11 < 0.0 or self.a22 < 0.0:
             raise GraphFormatError("self-loop weights must be nonnegative")
 
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """Sorted (u, v, w) triples of the graph; a self-loop only where its weight is > 0."""
+        return tuple(e for e in ((0, 0, self.a11), (0, 1, self.a12), (1, 1, self.a22)) if e[2] > 0.0)
+
+    @property
+    def name(self) -> str:
+        return f"two-node({self.a11:g},{self.a12:g},{self.a22:g})"
+
     def graph(self) -> WeightedGraph:
-        edges = [(0, 1, self.a12)]
-        if self.a11 > 0.0:
-            edges.append((0, 0, self.a11))
-        if self.a22 > 0.0:
-            edges.append((1, 1, self.a22))
-        return WeightedGraph(2, tuple(edges), name=f"two-node({self.a11:g},{self.a12:g},{self.a22:g})")
+        return WeightedGraph(2, self.edges, name=self.name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +115,49 @@ class TwoNodeClosedForm(SmallAlphaVerdict):
         return self.branches[0].vector
 
 
+class _TwoNodeForms(NamedTuple):
+    """Closed forms and verdicts of two-vertex graphs, one array entry per graph."""
+
+    lambda_star: np.ndarray
+    r: np.ndarray              # v_star = (1, -r)
+    numerator: np.ndarray
+    lambda_first: np.ndarray
+    rate: np.ndarray
+    classification: np.ndarray
+    gap_derivative: np.ndarray
+    stationary: np.ndarray
+
+    def closed_forms(self) -> list[TwoNodeClosedForm]:
+        """One :class:`TwoNodeClosedForm` per entry of one-dimensional arrays, in order."""
+        return [
+            TwoNodeClosedForm(
+                convention=SLEM, lambda_star=lam, lambda_first=lam1, classification=classification,
+                gap_derivative=gap_derivative, degenerate=False, tied_sign=False, stationary=stationary,
+                branches=(Branch(lam, lam1, rate, np.array([1.0, -r])),), numerator=numerator,
+            )
+            for lam, r, numerator, lam1, rate, classification, gap_derivative, stationary
+            in zip(*(x.tolist() for x in self))
+        ]
+
+
+def _two_node_forms(a11, a12, a22) -> _TwoNodeForms:
+    """The closed forms of every graph [[a11, a12], [a12, a22]] of arrays that broadcast to one shape.
+
+    Only + - * / are used, so every entry rounds as IEEE arithmetic does on
+    any CPU; the weights must be valid :class:`TwoNodeParams`.
+    """
+    d1 = a11 + a12
+    d2 = a22 + a12
+    det = a11 * a22 - a12 * a12
+    lam = det / (d1 * d2)
+    r = d1 / d2
+    dz = a22 - a11
+    numerator = (dz * dz * d1 * d2 - 2.0 * det * (d1 * d1 + d2 * d2)) / (2.0 * d1 * (d2 * d2 * d2))
+    lam1 = numerator / (d1 + d2 * r * r)  # v^T D v = d1 + d2 r^2
+    rate = modulus_rate(lam, lam, lam1)
+    return _TwoNodeForms(lam, r, numerator, lam1, rate, *verdict(lam, rate))
+
+
 def two_node_closed_form(p: TwoNodeParams) -> TwoNodeClosedForm:
     """Closed-form non-unit eigenpair, first-order term and verdict for the two-vertex graph.
 
@@ -121,25 +168,10 @@ def two_node_closed_form(p: TwoNodeParams) -> TwoNodeClosedForm:
         / [2 (a11+a12)(a22+a12)^3].
 
     The non-unit eigenvalue is simple, so the verdict is the shared rule of
-    :mod:`rwj.perturb` applied to this one branch.
+    :mod:`rwj.perturb` applied to this one branch. This is the array formula
+    that :func:`two_node_grid_search` evaluates on whole slabs, on one point.
     """
-    d1 = p.a11 + p.a12
-    d2 = p.a22 + p.a12
-    det = p.a11 * p.a22 - p.a12 * p.a12
-    lam = det / (d1 * d2)
-    r = d1 / d2
-    v = np.array([1.0, -r])
-    numerator = (
-        (p.a22 - p.a11) ** 2 * d1 * d2 - 2.0 * det * (d1 * d1 + d2 * d2)
-    ) / (2.0 * d1 * d2 ** 3)
-    lam1 = float(numerator / (d1 + d2 * r * r))  # v^T D v = d1 + d2 r^2
-    branch = Branch(level_value=lam, derivative=lam1, rate=modulus_rate(lam, lam, lam1), vector=v)
-    classification, gap_derivative, stationary = verdict(lam, branch.rate)
-    return TwoNodeClosedForm(
-        convention=SLEM, lambda_star=float(lam), lambda_first=lam1, classification=classification,
-        gap_derivative=gap_derivative, degenerate=False, tied_sign=False, stationary=stationary,
-        branches=(branch,), numerator=float(numerator),
-    )
+    return _two_node_forms(*np.array([[p.a11], [p.a12], [p.a22]], dtype=float)).closed_forms()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,33 +557,43 @@ def two_node_grid_search(
 ) -> list[ScanRecord]:
     """Classify every grid point via the closed forms; return the WORSENS records.
 
-    Each point is validated and classified by its closed forms on its own.
-    The WORSENS points are then decided in stacks of at most STACK_SIZE
-    graphs [[a11, a12], [a12, a22]]: one stacked ``eigh`` at alpha = 0, the
-    ladder core and one stacked sweep per stack (:func:`_stack_rows`), so
-    each row is the one the closed-form verdict gives a graph alone.
+    The grid is taken one a11 value at a time: each slab of
+    len(a12_values) * len(a22_values) points is validated by array tests and
+    classified by one evaluation of the closed-form array formula, and only
+    its WORSENS points become :class:`TwoNodeClosedForm` verdicts. A slab with
+    an invalid point raises the :class:`TwoNodeParams` error of its first one
+    in a11, a12, a22 order. The WORSENS points are then decided in stacks of
+    at most STACK_SIZE graphs [[a11, a12], [a12, a22]]: one stacked ``eigh``
+    at alpha = 0, the ladder core and one stacked sweep per stack
+    (:func:`_stack_rows`), so each row is the one the closed-form verdict
+    gives a graph alone.
 
     The worsening region sits where det(A) is at or near zero with unequal
     self-loops, on the lambda_star >= 0 side.
     """
-    if not (len(a11_values) and len(a12_values) and len(a22_values)):
+    a11s, a12s, a22s = (np.asarray(v, dtype=float) for v in (a11_values, a12_values, a22_values))
+    if not (a11s.size and a12s.size and a22s.size):
         raise ValueError("empty two-node grid")
-    worsens: list[tuple[TwoNodeParams, TwoNodeClosedForm]] = []
-    for a11 in a11_values:
-        for a12 in a12_values:
-            for a22 in a22_values:
-                p = TwoNodeParams(float(a11), float(a12), float(a22))
-                cf = two_node_closed_form(p)
-                if cf.classification == WORSENS:
-                    worsens.append((p, cf))
+    a12s, a22s = np.broadcast_arrays(a12s[:, None], a22s[None, :])
+    points: list[TwoNodeParams] = []
+    verdicts: list[TwoNodeClosedForm] = []
+    for a11 in a11s.tolist():
+        valid = np.isfinite(a11) & np.isfinite(a12s) & np.isfinite(a22s)
+        valid &= (a11 >= 0.0) & (a12s > 0.0) & (a22s >= 0.0)
+        if not valid.all():
+            first = np.argmin(valid)
+            TwoNodeParams(a11, a12s.flat[first].item(), a22s.flat[first].item())  # raises its error
+        forms = _two_node_forms(a11, a12s, a22s)
+        worse = forms.classification == WORSENS
+        points += [TwoNodeParams(a11, a12, a22) for a12, a22 in zip(a12s[worse].tolist(), a22s[worse].tolist())]
+        verdicts += _TwoNodeForms(*(x[worse] for x in forms)).closed_forms()
     records: list[ScanRecord] = []
-    for start in range(0, len(worsens), STACK_SIZE):
-        chunk = worsens[start:start + STACK_SIZE]
-        a = np.array([[[p.a11, p.a12], [p.a12, p.a22]] for p, _ in chunk])
+    for start in range(0, len(points), STACK_SIZE):
+        chunk = points[start:start + STACK_SIZE]
+        a = np.array([[[p.a11, p.a12], [p.a12, p.a22]] for p in chunk])
         d = a.sum(axis=-1)
         spec = _solve(a, d, 0.0, SLEM)
         spec.require_admissible()
-        graphs = [p.graph() for p, _ in chunk]
-        records += _stack_rows([g.name for g in graphs], [g.edges for g in graphs], a, d, spec,
-                               [cf for _, cf in chunk])
+        records += _stack_rows([p.name for p in chunk], [p.edges for p in chunk], a, d, spec,
+                               verdicts[start:start + STACK_SIZE])
     return records

@@ -58,3 +58,18 @@ def dobrushin_full_difference(ts: TransitionSystem) -> float:
     p = ts.P
     diff = np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2)
     return float(diff.max()) / 2.0
+
+
+def scalar_modulus_rate(lambda_star: float, level_value: float, derivative: float) -> float:
+    """d|lambda|/dalpha at 0+ of one branch, by Python float branches rather than array selection."""
+    if abs(lambda_star) <= 1e-9:
+        return abs(derivative)
+    return derivative if level_value > 0.0 else -derivative
+
+
+def scalar_verdict(lambda_star: float, worst_rate: float) -> tuple[str, float, bool]:
+    """(classification, gap derivative, stationary) of one graph, by Python float branches."""
+    if abs(lambda_star) <= 1e-9:
+        stationary = worst_rate <= 1e-12
+        return ("IMPROVES" if stationary else "WORSENS"), -worst_rate, stationary
+    return ("IMPROVES" if worst_rate < 0.0 else "WORSENS"), -worst_rate, False

@@ -310,6 +310,12 @@ def test_generator_validation():
         generate("sbm", sizes=(2.7, 3.9), b=[[0.9, 0.5], [0.5, 0.9]])  # non-integer block sizes
     with pytest.raises(GraphFormatError):
         generate("sbm", sizes=(3, 0), b=[[0.9, 0.5], [0.5, 0.9]])
+    # numpy integer block sizes are integers, and an empty array is no block sizes
+    g = generate("sbm", sizes=np.array([3, 3]), b=[[0.9, 0.5], [0.5, 0.9]])
+    assert g == generate("sbm", sizes=[3, 3], b=[[0.9, 0.5], [0.5, 0.9]])
+    assert g.name == "sbm(sizes=(3, 3),seed=0)"
+    with pytest.raises(GraphFormatError):
+        generate("sbm", sizes=np.array([], dtype=int), b=np.zeros((0, 0)))
 
 
 def test_er_connectivity_budget():

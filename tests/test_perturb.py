@@ -23,11 +23,11 @@ from rwj import (
     spectrum,
     sweep_confirms,
 )
-from rwj.perturb import Branch, classify_stack, sweep_stack
+from rwj.perturb import Branch, classify_stack, modulus_rate, sweep_stack, verdict
 from rwj.spectral import PAPER, SLEM, _solve
 
 from conftest import connected_weighted, random_connected_weighted, two_node
-from oracles import lambda_first_order
+from oracles import lambda_first_order, scalar_modulus_rate, scalar_verdict
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,59 @@ def test_classify_k4_case_one(k4):
     assert r.lambda_star < 0
     assert r.lambda_first > 0
     assert r.degenerate
+
+
+# ---------------------------------------------------------------------------
+# the verdict rule with stack axes
+# ---------------------------------------------------------------------------
+
+def _rule_cases():
+    """(lambda_star, level value, rate) at every edge of the rule, as a flat list."""
+    tol, still = rwj.perturb.TOL_SIGN, rwj.perturb.TOL_STATIONARY
+    lams = [0.0, -0.0, tol, -tol, np.nextafter(tol, 0.0), -np.nextafter(tol, 0.0),
+            np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0), 0.3, -0.3]
+    rates = [0.0, -0.0, still, -still, np.nextafter(still, 0.0), np.nextafter(still, 1.0),
+             1e-3, -1e-3, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
+    return [(lam, level, rate) for lam in lams for level in (lam, -lam, 0.0) for rate in rates]
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def test_rule_on_arrays_matches_the_scalar_rule():
+    cases = _rule_cases()
+    lam, level, rate = (np.array(column).reshape(-1, 13) for column in zip(*cases))  # a (k, m) stack
+    rates = modulus_rate(lam, level, rate)
+    assert rates.shape == lam.shape
+    assert np.array_equal(_bits(rates).ravel(), _bits([scalar_modulus_rate(*case) for case in cases]))
+    classification, gap, stationary = verdict(lam, rate)
+    assert classification.shape == gap.shape == stationary.shape == lam.shape
+    expected = [scalar_verdict(lam_i, rate_i) for lam_i, _, rate_i in cases]
+    assert classification.ravel().tolist() == [e[0] for e in expected]
+    assert np.array_equal(_bits(gap).ravel(), _bits([e[1] for e in expected]))
+    assert stationary.ravel().tolist() == [e[2] for e in expected]
+    # rows read back as the Python types the scan rows carry
+    assert {type(x) for x in classification.ravel().tolist()} == {str}
+    assert {type(x) for x in gap.ravel().tolist()} == {float}
+    assert {type(x) for x in stationary.ravel().tolist()} == {bool}
+
+
+def test_rule_edges():
+    tol, still = rwj.perturb.TOL_SIGN, rwj.perturb.TOL_STATIONARY
+    # a zero or negative-zero rate off the zero level WORSENS, as does NaN anywhere
+    assert verdict(np.array([0.3, 0.3, -0.3]), np.array([0.0, -0.0, math.nan]))[0].tolist() == [WORSENS] * 3
+    assert verdict(np.array([0.0]), np.array([math.nan]))[0].tolist() == [WORSENS]
+    # on the zero level, a rate of exactly TOL_STATIONARY is stationary and the next one up is not
+    classification, gap, stationary = verdict(np.array([tol, tol]), np.array([still, np.nextafter(still, 1.0)]))
+    assert classification.tolist() == [IMPROVES, WORSENS]
+    assert stationary.tolist() == [True, False]
+    assert gap.tolist() == [-still, -np.nextafter(still, 1.0)]
+    # just outside TOL_SIGN the same rate is no longer stationary, and the rate keeps its sign
+    outside = np.nextafter(tol, 1.0)
+    assert verdict(np.array([outside]), np.array([still]))[0].tolist() == [WORSENS]
+    assert modulus_rate(np.array([outside, -outside]), np.array([outside, -outside]), -1.0).tolist() == [-1.0, 1.0]
+    assert modulus_rate(np.array([tol, -tol]), np.array([tol, -tol]), -1.0).tolist() == [1.0, 1.0]
 
 
 def test_classify_regular_two_node_improves():

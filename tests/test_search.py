@@ -175,6 +175,87 @@ def test_two_node_closed_form_verdict_matches_analyze_graph():
     assert checked == 484
 
 
+def test_grid_slabs_equal_the_closed_form_of_each_point(monkeypatch):
+    # every slab the grid evaluates equals two_node_closed_form on each of its
+    # points, field for field and bit for bit
+    slabs = []
+    real = rwj.search._two_node_forms
+
+    def recording(a11, a12, a22):
+        forms = real(a11, a12, a22)
+        slabs.append((a11, a12, a22, forms))
+        return forms
+
+    monkeypatch.setattr(rwj.search, "_two_node_forms", recording)
+    grid = (np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
+    two_node_grid_search(*grid)
+    monkeypatch.undo()
+    assert [a11 for a11, *_ in slabs] == grid[0].tolist()
+    bits = lambda x: np.float64(x).view(np.uint64)
+    checked = 0
+    for a11, a12s, a22s, forms in slabs:
+        assert a12s.shape == a22s.shape == forms.lambda_star.shape == (6, 21)
+        for j, k in np.ndindex(a12s.shape):
+            assert (a12s[j, k], a22s[j, k]) == (grid[1][j], grid[2][k])
+            cf = two_node_closed_form(TwoNodeParams(a11, float(a12s[j, k]), float(a22s[j, k])))
+            (branch,) = cf.branches
+            for got, want in [
+                (forms.lambda_star, cf.lambda_star), (forms.r, -cf.v_star[1]), (forms.numerator, cf.numerator),
+                (forms.lambda_first, cf.lambda_first), (forms.rate, branch.rate),
+                (forms.gap_derivative, cf.gap_derivative),
+            ]:
+                assert bits(got[j, k]) == bits(want)
+            assert (forms.classification[j, k], forms.stationary[j, k]) == (cf.classification, cf.stationary)
+            assert (branch.level_value, branch.derivative) == (cf.lambda_star, cf.lambda_first)
+            checked += 1
+    assert checked == 21 * 6 * 21
+
+
+def test_grid_search_makes_no_per_point_call(monkeypatch):
+    def per_point(p):
+        raise AssertionError(f"per-point closed form for {p}")
+
+    monkeypatch.setattr(rwj.search, "two_node_closed_form", per_point)
+    records = two_node_grid_search(np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
+        "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
+    )
+
+
+def test_worsens_at_an_exactly_zero_first_order_term():
+    # lambda_star = 0.1 and lambda_first is exactly 0: a rate that is not
+    # negative WORSENS, and the grid keeps the point
+    cf = two_node_closed_form(TwoNodeParams(1.0, 1.5, 3.5))
+    assert cf.lambda_star == pytest.approx(0.1, rel=1e-15)
+    assert (cf.numerator, cf.lambda_first, cf.classification) == (0.0, 0.0, WORSENS)
+    (row,) = two_node_grid_search([1.0], [1.5], [3.5])
+    assert (row.id, row.classification, row.lambda_first) == ("two-node(1,1.5,3.5)", WORSENS, 0.0)
+
+
+@pytest.mark.parametrize("grid,message", [
+    (([1.0], [1.0, -1.0, math.nan], [1.0]), "a12 must be > 0 for connectivity, got -1.0"),
+    (([2.0, 1.0], [1.0, 3.0], [0.5, math.nan, -1.0]), "weights must be finite, got a11=2.0 a12=1.0 a22=nan"),
+    (([0.0, 1.0, math.inf], [1.0], [1.0]), "weights must be finite, got a11=inf a12=1.0 a22=1.0"),
+    (([1.0, 2.0, -1.0, 0.5], [1.0, -2.0], [1.0]), "a12 must be > 0 for connectivity, got -2.0"),
+    (([1.0, 2.0, -1.0, 0.5], [1.0, 2.0], [1.0]), "self-loop weights must be nonnegative"),
+    (([1.0, 2.0], [1.0, 2.0], [1.0, -0.5]), "self-loop weights must be nonnegative"),
+])
+def test_grid_search_reports_its_first_invalid_point(grid, message):
+    # the first invalid point in a11, a12, a22 order raises its TwoNodeParams error
+    with pytest.raises(GraphFormatError) as err:
+        two_node_grid_search(*grid)
+    assert str(err.value) == message
+
+
+def test_grid_search_axis_types():
+    floats = ([0.0, 1.0, 2.0, 4.0], [1.0, 2.0], [0.0, 1.0, 2.0, 4.0])
+    expected = records_to_csv(two_node_grid_search(*floats))
+    assert expected.count("\n") > 2  # some WORSENS rows
+    for axes in ([[int(x) for x in v] for v in floats], [np.array(v) for v in floats],
+                 [np.array(v, dtype=int) for v in floats]):
+        assert records_to_csv(two_node_grid_search(*axes)) == expected
+
+
 def test_grid_search_empty_grid_rejected():
     with pytest.raises(ValueError):
         two_node_grid_search([], [1.0], [1.0])
@@ -359,7 +440,7 @@ def test_scan_catalog_sweeps_worsens_rows_in_their_stack(data_dir, monkeypatch):
     real = rwj.perturb.verdict
 
     def worsens(lambda_star, worst_rate):
-        return (WORSENS,) + real(lambda_star, worst_rate)[1:]
+        return (np.full(np.shape(lambda_star), WORSENS),) + real(lambda_star, worst_rate)[1:]
 
     monkeypatch.setattr(rwj.perturb, "verdict", worsens)
     lines = (data_dir / "graph5c.g6").read_bytes().splitlines()
