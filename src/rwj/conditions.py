@@ -18,7 +18,7 @@ ladder for a stack of graphs, and :func:`full_report` is its one-graph case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -151,13 +151,15 @@ class Ladder(NamedTuple):
     consistency: list[tuple[str, ...]]   # implication violations; empty means consistent
     paper_constant_witness: np.ndarray   # (k,) thm2 with the published constant held but NandS failed
 
-    def rows(self) -> list[LadderRow]:
+    def rows(self, picked: Sequence[int]) -> list[LadderRow]:
+        """The :class:`LadderRow` of each stack row in ``picked``, in its order."""
+        picked = np.asarray(picked, dtype=int)
         columns = (self.cor1.holds, self.cor2.holds, self.thm2_sharp.holds, self.cor4_sharp.holds, self.nand_s,
                    self.positive, self.paper_constant_witness)
         return [
-            LadderRow(c1, c2, t2, c4, nand if positive else None, consistency, witness)
-            for (c1, c2, t2, c4, nand, positive, witness), consistency
-            in zip(zip(*(c.tolist() for c in columns)), self.consistency)
+            LadderRow(c1, c2, t2, c4, nand if positive else None, self.consistency[i], witness)
+            for i, (c1, c2, t2, c4, nand, positive, witness)
+            in zip(picked.tolist(), zip(*(c[picked].tolist() for c in columns)))
         ]
 
 

@@ -121,7 +121,7 @@ def stacked_finite_difference(
     return estimate, track, np.abs(lam[:, 0] - lambda_star) <= _TOL_FD_START
 
 
-def _checked_finite_difference(a, d, start, lambda_star: list[float], v, h: float) -> list[float]:
+def _checked_finite_difference(a, d, start, lambda_star, v, h: float) -> np.ndarray:
     """:func:`stacked_finite_difference`, raising where :func:`finite_difference_derivative` does."""
     estimate, track, starts = stacked_finite_difference(a, d, start, lambda_star, v, h)
     track.require_kept([0.0, h / 2.0, h])
@@ -129,7 +129,7 @@ def _checked_finite_difference(a, d, start, lambda_star: list[float], v, h: floa
         i = int(np.argmin(starts))
         raise NumericalError(f"tracked branch starts at {track.eigenvalues[i, 0]}, "
                              f"expected lambda_star={lambda_star[i]}")
-    return estimate.tolist()
+    return estimate
 
 
 def finite_difference_derivative(
@@ -143,7 +143,7 @@ def finite_difference_derivative(
     require_alpha_zero(summary, "finite_difference_derivative")
     v = np.asarray(v_star, dtype=float)[None]
     a, d = g.adjacency()[None], g.degrees()[None]
-    return _checked_finite_difference(a, d, summary.stack.solved, [lambda_star], v, h)[0]
+    return _checked_finite_difference(a, d, summary.stack.solved, [lambda_star], v, h)[0].item()
 
 
 class NandS(NamedTuple):
@@ -291,55 +291,86 @@ def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int)
     return [Branch(value, deriv, rate, vector) for (value, deriv, vector), rate in zip(found, rates)]
 
 
+@dataclass(frozen=True, eq=False)
+class StackedVerdicts(Sequence[PerturbationReport]):
+    """The small-alpha verdicts of a stack of graphs as (k,) columns, one entry per row.
+
+    Item ``i`` is the :class:`PerturbationReport` of row ``i``, built when it
+    is read. The worst branch of a row is the branch its verdict comes from.
+    """
+
+    convention: str
+    lambda_star: np.ndarray
+    lambda_first: np.ndarray     # derivative of the worst branch
+    classification: np.ndarray
+    gap_derivative: np.ndarray
+    stationary: np.ndarray
+    degenerate: np.ndarray       # the level holds more than one eigenvalue
+    tied_sign: np.ndarray
+    level_value: np.ndarray      # the eigenvalue the worst branch starts from
+    rate: np.ndarray             # modulus rate of the worst branch
+    vector: np.ndarray           # (k, n) adapted vector of the worst branch
+    fd_estimate: np.ndarray
+    fd_agreement: np.ndarray
+    levels: dict[int, tuple[Branch, ...]]  # every branch of each degenerate row
+
+    def __len__(self) -> int:
+        return len(self.lambda_star)
+
+    def __getitem__(self, i: int) -> PerturbationReport:
+        i = range(len(self))[i]
+        lam1 = self.lambda_first[i].item()
+        worst = Branch(self.level_value[i].item(), lam1, self.rate[i].item(), self.vector[i])
+        return PerturbationReport(
+            convention=self.convention, lambda_star=self.lambda_star[i].item(), lambda_first=lam1,
+            classification=self.classification[i].item(), gap_derivative=self.gap_derivative[i].item(),
+            degenerate=self.degenerate[i].item(), tied_sign=self.tied_sign[i].item(),
+            stationary=self.stationary[i].item(), branches=self.levels.get(i, (worst,)),
+            fd_estimate=self.fd_estimate[i].item(), fd_agreement=self.fd_agreement[i].item(),
+        )
+
+
 def classify_stack(
     a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, convention: str, h: float = FD_STEP
-) -> list[PerturbationReport]:
+) -> StackedVerdicts:
     """The small-alpha verdict of every row of a (k, n, n) adjacency stack ``a`` with degrees ``d``.
 
     ``spec`` is the stack's alpha = 0 spectrum under ``convention``, every row
     admissible. A level of one eigenvalue takes lambda'(0) from one vectorised
-    1 x 1 reduced pencil, whose entry is its eigenvalue, and its rate from one
-    :func:`modulus_rate` call on all such rows; other levels solve theirs row
-    by row. One :func:`verdict` call decides every row from its worst
-    branch, and one stacked finite-difference check runs along the worst
-    branches. A failed check raises as in :func:`classify_small_alpha`.
+    1 x 1 reduced pencil, whose entry is its eigenvalue; only the rows whose
+    level holds more than one eigenvalue solve theirs one row at a time. One
+    :func:`modulus_rate` and one :func:`verdict` call then decide every row
+    from its worst branch, one array test makes the negative-lambda check
+    and one stacked finite-difference check runs along the worst branches.
+    A failed check raises as in :func:`classify_small_alpha`.
     """
-    if not len(a):
-        return []
+    lam = spec.lambda_star
     single = spec.level.sum(axis=-1) == 1
-    singles = iter(())
+    level_value = lam.copy()
+    derivative = np.empty(len(lam))
+    vector = spec.basis[..., 0].copy()
     if single.any():
-        levels = spec.lambda_star[single]
-        reduced, *errors = _pencil(a[single], d[single], levels, spec.basis[single])
+        reduced, *errors = _pencil(a[single], d[single], lam[single], spec.basis[single])
         _require_eigenbasis(*errors)
-        der = reduced[:, 0, 0]
-        singles = zip(der.tolist(), modulus_rate(levels, levels, der).tolist())
-    rows = []
-    for i, lam in enumerate(spec.lambda_star.tolist()):
-        if single[i]:
-            der, rate = next(singles)
-            branches = [Branch(lam, der, rate, spec.basis[i, :, 0])]
-        else:
-            branches = _level_branches(a, d, spec, i)
-        if lam < -TOL_SIGN and any(b.derivative <= 0.0 for b in branches):
-            raise NumericalError(
-                "negative-lambda branch with nonpositive derivative; "
-                "this contradicts the positivity of the first-order term"
-            )
-        rows.append((lam, tuple(branches), max(branches, key=attrgetter("rate"))))
-    verdicts = verdict(spec.lambda_star, np.array([worst.rate for _, _, worst in rows]))
-    fds = _checked_finite_difference(a, d, spec.solved, [worst.level_value for _, _, worst in rows],
-                                     np.array([worst.vector for _, _, worst in rows]), h)
-    return [
-        PerturbationReport(
-            convention=convention, lambda_star=lam, lambda_first=worst.derivative, classification=classification,
-            gap_derivative=gap_derivative, degenerate=degenerate, tied_sign=tied, stationary=stationary,
-            branches=branches, fd_estimate=fd,
-            fd_agreement=abs(worst.derivative - fd) / max(1.0, abs(worst.derivative)),
+        derivative[single] = reduced[:, 0, 0]
+    lowest = derivative.copy()  # the smallest branch derivative of each row
+    levels = {}
+    for i in np.flatnonzero(~single).tolist():
+        branches = levels[i] = tuple(_level_branches(a, d, spec, i))
+        worst = max(branches, key=attrgetter("rate"))
+        level_value[i], derivative[i], vector[i] = worst.level_value, worst.derivative, worst.vector
+        lowest[i] = min(b.derivative for b in branches)
+    if np.any((lam < -TOL_SIGN) & (lowest <= 0.0)):
+        raise NumericalError(
+            "negative-lambda branch with nonpositive derivative; "
+            "this contradicts the positivity of the first-order term"
         )
-        for (lam, branches, worst), classification, gap_derivative, stationary, fd, degenerate, tied
-        in zip(rows, *(x.tolist() for x in verdicts), fds, (~single).tolist(), spec.tied_sign.tolist())
-    ]
+    rate = modulus_rate(lam, level_value, derivative)
+    fd = _checked_finite_difference(a, d, spec.solved, level_value, vector, h)
+    return StackedVerdicts(
+        convention, lam, derivative, *verdict(lam, rate), ~single, spec.tied_sign, level_value, rate, vector, fd,
+        np.abs(derivative - fd) / np.fmax(1.0, np.abs(derivative)), levels,
+    )
 
 
 def classify_small_alpha(
@@ -362,8 +393,8 @@ def classify_small_alpha(
 
     Degenerate levels classify from the worst branch; sign-tied levels
     evaluate both signs and take the worst case. Every report carries a
-    finite-difference cross-check along the governing branch. This is
-    :func:`classify_stack` for one graph.
+    finite-difference cross-check along the governing branch. This is the
+    report of row 0 of :func:`classify_stack` on a stack of one.
     """
     conv = normalize_convention(convention)
     if summary is None:

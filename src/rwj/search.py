@@ -11,11 +11,14 @@ two-node grid points, comes from the same cores: the stacked eigensolve of
 :mod:`rwj.spectral`, the verdict core :func:`~rwj.perturb.classify_stack`
 (the closed forms for two-node points), the ladder core
 :func:`~rwj.conditions.ladder_stack` and the stacked sweep
-:func:`~rwj.perturb.sweep_stack`. :func:`stack_rows` is the entry point for
-an adjacency stack, used by every catalog unit and every
-:func:`analyze_graph` call (a stack of one); the two-node grid and
-:func:`scan_record` hold their verdicts and enter its row core,
-:func:`_stack_rows`.
+:func:`~rwj.perturb.sweep_stack`. :func:`_decide` runs them on an adjacency
+stack and keeps the rows as array columns; the two-node grid and
+:func:`scan_record` hold their verdicts and enter the row core,
+:func:`_stack_rows`, directly. A :class:`ScanRecord` is built only for a row
+that is reported: :func:`stack_rows` (and so :func:`analyze_graph`) and the
+two-node grid report every row, while a scan's work units count their rows
+from the columns and send back only their WORSENS rows and their own
+``top_k`` closest calls, which :func:`_finalize` merges.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .conditions import LadderRow, ladder_stack
+from .conditions import Ladder, LadderRow, ladder_stack
 from .errors import ConventionError, GenerationError, GraphFormatError
 from .graphs import (
     WeightedGraph,
@@ -43,7 +47,6 @@ from .graphs import (
     write_edgelist,
 )
 from .perturb import (
-    IMPROVES,
     WORSENS,
     Branch,
     SmallAlphaVerdict,
@@ -144,16 +147,24 @@ def _two_node_forms(a11, a12, a22) -> _TwoNodeForms:
     """The closed forms of every graph [[a11, a12], [a12, a22]] of arrays that broadcast to one shape.
 
     Only + - * / are used, so every entry rounds as IEEE arithmetic does on
-    any CPU; the weights must be valid :class:`TwoNodeParams`.
+    any CPU; the weights must be valid :class:`TwoNodeParams`. Weights whose
+    forms overflow or underflow to a non-finite value raise
+    :class:`GraphFormatError` naming the first such graph in C order.
     """
-    d1 = a11 + a12
-    d2 = a22 + a12
-    det = a11 * a22 - a12 * a12
-    lam = det / (d1 * d2)
-    r = d1 / d2
-    dz = a22 - a11
-    numerator = (dz * dz * d1 * d2 - 2.0 * det * (d1 * d1 + d2 * d2)) / (2.0 * d1 * (d2 * d2 * d2))
-    lam1 = numerator / (d1 + d2 * r * r)  # v^T D v = d1 + d2 r^2
+    with np.errstate(all="ignore"):
+        d1 = a11 + a12
+        d2 = a22 + a12
+        det = a11 * a22 - a12 * a12
+        lam = det / (d1 * d2)
+        r = d1 / d2
+        dz = a22 - a11
+        numerator = (dz * dz * d1 * d2 - 2.0 * det * (d1 * d1 + d2 * d2)) / (2.0 * d1 * (d2 * d2 * d2))
+        lam1 = numerator / (d1 + d2 * r * r)  # v^T D v = d1 + d2 r^2
+    finite = np.isfinite(lam) & np.isfinite(r) & np.isfinite(numerator) & np.isfinite(lam1)
+    if not finite.all():
+        first = np.argmin(finite)
+        p = TwoNodeParams(*(np.broadcast_to(x, finite.shape).flat[first].item() for x in (a11, a12, a22)))
+        raise GraphFormatError(f"the closed forms of {p.name} leave the floating-point range")
     rate = modulus_rate(lam, lam, lam1)
     return _TwoNodeForms(lam, r, numerator, lam1, rate, *verdict(lam, rate))
 
@@ -260,8 +271,9 @@ def analyze_graph(g: WeightedGraph, convention: str = SLEM) -> ScanRecord:
 
 def scan_record(g: WeightedGraph, summary: SpectralSummary, report: SmallAlphaVerdict) -> ScanRecord:
     """The scan row of one graph from its alpha=0 spectrum and verdict: :func:`_stack_rows` on a stack of one."""
-    ids = [g.name or "<anonymous>"]
-    return _stack_rows(ids, [g.edges], g.adjacency()[None], g.degrees()[None], summary.stack, [report])[0]
+    rows = _stack_rows(g.adjacency()[None], g.degrees()[None], summary.stack, [report],
+                       np.array([report.classification == WORSENS]))
+    return rows.records([0], [g.name or "<anonymous>"], [g.edges])[0]
 
 
 def _record(
@@ -298,12 +310,64 @@ def _record(
     )
 
 
-def _scan_generated(convention: str, model: str, params: dict, seed: int) -> ScanRecord | None:
-    """The row of one seeded random graph; None when generation fails or no eigenvalue is admissible."""
-    try:
-        return analyze_graph(generate(model, seed=seed, **params), convention)
-    except (GenerationError, ConventionError):
-        return None
+class _Rows(NamedTuple):
+    """The decided rows of an adjacency stack as columns; :meth:`records` builds the rows a caller reports."""
+
+    n: int
+    verdicts: Sequence[SmallAlphaVerdict]
+    worse: np.ndarray                # (k,) the row's verdict is WORSENS
+    near_unit: np.ndarray
+    ladder: Ladder
+    confirmed: list[bool | None]     # the sweep's answer on each WORSENS row, None elsewhere
+
+    def fields(self, picked: Sequence[int], ids: Sequence[str], edges: Sequence[tuple]) -> list[tuple]:
+        """The :func:`_record` arguments of the stack rows ``picked``, whose graphs ``ids`` and ``edges`` describe."""
+        picked = np.asarray(picked, dtype=int)
+        return [
+            (graph_id, self.n, graph_edges, near_unit, self.verdicts[i], ladder, self.confirmed[i])
+            for i, graph_id, graph_edges, near_unit, ladder
+            in zip(picked.tolist(), ids, edges, self.near_unit[picked].tolist(), self.ladder.rows(picked))
+        ]
+
+    def records(self, picked: Sequence[int], ids: Sequence[str], edges: Sequence[tuple]) -> list[ScanRecord]:
+        """The scan rows of the stack rows ``picked``; see :meth:`fields`."""
+        return [_record(*args) for args in self.fields(picked, ids, edges)]
+
+
+def _stack_rows(
+    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, verdicts: Sequence[SmallAlphaVerdict], worse: np.ndarray
+) -> _Rows:
+    """The rows of a (k, n, n) adjacency stack ``a`` with degrees ``d`` and one verdict per row.
+
+    ``spec`` is the stack's alpha = 0 spectrum, every row admissible, under
+    the verdicts' convention, and ``worse`` marks the WORSENS verdicts. One
+    ladder core evaluates every row's condition ladder, and one stacked sweep
+    confirms or refutes every WORSENS row (:func:`~rwj.perturb.sweep_stack`).
+    """
+    confirmed: list[bool | None] = [None] * len(verdicts)
+    idx = np.flatnonzero(worse).tolist()
+    if idx:
+        swept = sweep_stack(a[idx], d[idx], spec.take(idx), [verdicts[i] for i in idx])
+        for i, ok in zip(idx, swept.tolist()):
+            confirmed[i] = ok
+    return _Rows(a.shape[-1], verdicts, worse, spec.near_unit, ladder_stack(degree_stats_of(d), spec), confirmed)
+
+
+def _decide(a: np.ndarray, convention: str) -> tuple[np.ndarray, _Rows]:
+    """(stack positions, rows) of the rows of a (k, n, n) stack ``a`` of connected adjacency matrices.
+
+    One stacked ``eigh`` at alpha = 0 solves every row; a row without an
+    admissible eigenvalue (K2 under ``paper``) is left out. The verdict core
+    and the row core decide the others, and a failed check raises, as
+    :meth:`~rwj.spectral.StackedSpectrum.admissible` does on a disconnected
+    matrix. ``convention`` must be normalised.
+    """
+    d = a.sum(axis=-1)
+    spec = _solve(a, d, 0.0, convention)
+    kept = np.flatnonzero(spec.admissible())
+    a, d, spec = a[kept], d[kept], spec.take(kept)
+    verdicts = classify_stack(a, d, spec, convention)
+    return kept, _stack_rows(a, d, spec, verdicts, verdicts.classification == WORSENS)
 
 
 def stack_rows(
@@ -314,75 +378,85 @@ def stack_rows(
 ) -> list[ScanRecord | None]:
     """The scan rows of a (k, n, n) stack ``a`` of connected adjacency matrices, in input order.
 
-    One stacked ``eigh`` at alpha = 0 solves every row, and a row the
-    convention admits no eigenvalue of (K2 under ``paper``) is None. The
-    verdict core decides the other rows and :func:`_stack_rows` builds them;
-    ``ids`` and ``edges`` name and describe each row's graph. A failed check
-    raises, as :meth:`~rwj.spectral.StackedSpectrum.admissible` does on a
-    disconnected matrix.
+    Every row is built (:func:`_decide`); a row the convention admits no
+    eigenvalue of (K2 under ``paper``) is None. ``ids`` and ``edges`` name
+    and describe each row's graph.
     """
-    conv = normalize_convention(convention)
-    d = a.sum(axis=-1)
-    spec = _solve(a, d, 0.0, conv)
-    kept = np.flatnonzero(spec.admissible())
-    a, d, spec = a[kept], d[kept], spec.take(kept)
+    kept, rows = _decide(a, normalize_convention(convention))
     kept = kept.tolist()
-    records = _stack_rows([ids[i] for i in kept], [edges[i] for i in kept], a, d, spec,
-                          classify_stack(a, d, spec, conv))
-    return _placed(len(ids), kept, records)
-
-
-def _placed(size: int, positions: Iterable[int], rows: Iterable[ScanRecord | None]) -> list[ScanRecord | None]:
-    """``size`` slots holding each row at its position; the other slots are None."""
-    placed: list[ScanRecord | None] = [None] * size
-    for i, row in zip(positions, rows):
+    placed: list[ScanRecord | None] = [None] * len(ids)
+    for i, row in zip(kept, rows.records(range(len(kept)), [ids[i] for i in kept], [edges[i] for i in kept])):
         placed[i] = row
     return placed
 
 
-def _batched_rows(convention: str, unit: tuple[int, list[bytes]]) -> list[ScanRecord | None]:
-    """The rows of a catalog scan's work unit (n, lines), in input order; None for a skipped line.
+# the ScanSummary counters, in the order of _Unit.counts
+_COUNTERS = ("classified", "counterexamples", "worsens_unconfirmed", "degenerate", "tied", "stationary",
+             "paper_constant_witnesses", "consistency_violations")
 
-    One vectorised decode, then one :func:`stack_rows` call on the lines it
-    accepts: a line with a malformed body or a disconnected graph is skipped.
+
+class _Unit(NamedTuple):
+    """What a scan keeps of one work unit: its counters and the rows it may report."""
+
+    counts: tuple[int, ...]                     # one per name in _COUNTERS
+    worsens: list[tuple[int, ScanRecord]]       # (input position, row) of every WORSENS row
+    closest: list[tuple[float, int, tuple]]     # (margin, input position, _record arguments) of its closest calls
+
+
+_NO_ROWS = _Unit((0,) * len(_COUNTERS), [], [])
+
+
+def _unit(positions: np.ndarray, a: np.ndarray, convention: str, top_k: int, describe) -> _Unit:
+    """The result of one work unit: the stack ``a`` of connected adjacency matrices at input ``positions``.
+
+    Every row is decided and counted in arrays (:func:`_decide`). Only the
+    WORSENS rows become records here; the ``top_k`` IMPROVES rows of smallest
+    margin, earliest first among equal margins, are kept as :func:`_record`
+    arguments, and :func:`_finalize` builds the ones the scan reports.
+    ``describe`` maps stack rows to their ids and edge tuples.
     """
-    n, lines = unit
+    kept, rows = _decide(a, convention)
+    verdicts, ladder = rows.verdicts, rows.ladder
+    improves = np.flatnonzero(~rows.worse)
+    closest = improves[np.argsort(verdicts.gap_derivative[improves], kind="stable")[:top_k]]
+
+    def tagged(picked):
+        return zip(positions[kept[picked]].tolist(), rows.fields(picked, *describe(kept[picked])))
+
+    confirmed = rows.confirmed.count(True)
+    counts = (len(kept), confirmed, int(rows.worse.sum()) - confirmed, int(verdicts.degenerate.sum()),
+              int(verdicts.tied_sign.sum()), int(verdicts.stationary.sum()),
+              int(ladder.paper_constant_witness.sum()), len(ladder.consistency) - ladder.consistency.count(()))
+    return _Unit(counts, [(position, _record(*args)) for position, args in tagged(np.flatnonzero(rows.worse))],
+                 [(margin, position, args) for margin, (position, args)
+                  in zip(verdicts.gap_derivative[closest].tolist(), tagged(closest))])
+
+
+def _batched_rows(convention: str, top_k: int, unit: tuple[int, list[int], list[bytes]]) -> _Unit:
+    """The result of a catalog scan's work unit (n, input positions, lines).
+
+    One vectorised decode, then :func:`_unit` on the lines it accepts: a line
+    with a malformed body or a disconnected graph is skipped. Only reported
+    rows decode their line as an id and build their edge tuple.
+    """
+    n, positions, lines = unit
     a, ok = decode_graph6_stack(lines, n)
-    positions = np.flatnonzero(ok).tolist()
+    ok = np.flatnonzero(ok)
     a = a[ok]
-    return _placed(len(lines), positions,
-                   stack_rows([lines[i].decode("ascii") for i in positions], stack_edges(a), a, convention))
+    return _unit(np.asarray(positions)[ok], a, convention, top_k,
+                 lambda rows: ([lines[i].decode("ascii") for i in ok[rows].tolist()], stack_edges(a[rows])))
 
 
-def _stack_rows(
-    ids: Sequence[str],
-    edges: Sequence[tuple[tuple[int, int, float], ...]],
-    a: np.ndarray,
-    d: np.ndarray,
-    spec: StackedSpectrum,
-    reports: Sequence[SmallAlphaVerdict],
-) -> list[ScanRecord]:
-    """The scan rows of a (k, n, n) adjacency stack ``a`` with degrees ``d`` and one verdict per row.
-
-    ``spec`` is the stack's alpha = 0 spectrum, every row admissible, under
-    the verdicts' convention. One ladder core evaluates every row's
-    condition ladder, and one stacked sweep confirms or refutes every
-    WORSENS row (:func:`~rwj.perturb.sweep_stack`); ``ids`` and ``edges``
-    name and describe each row's graph.
-    """
-    ladders = ladder_stack(degree_stats_of(d), spec).rows()
-    confirmed: list[bool | None] = [None] * len(reports)
-    worse = np.flatnonzero([report.classification == WORSENS for report in reports])
-    if len(worse):
-        swept = sweep_stack(a[worse], d[worse], spec.take(worse), [reports[i] for i in worse.tolist()])
-        for i, ok in zip(worse.tolist(), swept.tolist()):
-            confirmed[i] = ok
-    n = a.shape[-1]
-    return [
-        _record(graph_id, n, graph_edges, near_unit, report, ladder, ok)
-        for graph_id, graph_edges, near_unit, report, ladder, ok
-        in zip(ids, edges, spec.near_unit.tolist(), reports, ladders, confirmed)
-    ]
+def _generated_rows(convention: str, model: str, params: dict, seed: int, top_k: int, i: int) -> _Unit:
+    """The result of the random graph at input position ``i``, drawn with seed ``seed + i``; a failed draw is a skip."""
+    try:
+        g = generate(model, seed=seed + i, **params)
+    except GenerationError:
+        return _NO_ROWS
+    require_connected(g)
+    graph_id = g.name or "<anonymous>"
+    return _unit(np.array([i]), g.adjacency()[None], convention, top_k,
+                 lambda rows: ([graph_id] * len(rows), [g.edges] * len(rows)))
 
 
 def _work_units(lines: Sequence[bytes]) -> list[tuple[int, list[int]]]:
@@ -407,40 +481,30 @@ def _work_units(lines: Sequence[bytes]) -> list[tuple[int, list[int]]]:
 def _finalize(
     provenance: str,
     convention: str,
-    results: Iterable[ScanRecord | None],
+    total: int,
+    units: Sequence[_Unit],
     top_k: int,
     started: float,
     dump_dir: str | Path | None,
 ) -> tuple[ScanSummary, list[ScanRecord]]:
-    """The summary and reported rows of a scan."""
-    summary = ScanSummary(provenance=provenance, convention=convention)
-    all_records: list[ScanRecord] = []
-    for record in results:
-        summary.total += 1
-        if record is None:
-            summary.skipped += 1
-            continue
-        summary.classified += 1
-        summary.degenerate += record.degenerate
-        summary.tied += record.tied_sign
-        summary.stationary += record.stationary
-        summary.paper_constant_witnesses += record.paper_constant_witness
-        summary.consistency_violations += bool(record.consistency_violations)
-        if record.classification == WORSENS:
-            if record.sweep_confirmed:
-                summary.counterexamples += 1
-            else:
-                summary.worsens_unconfirmed += 1
-        all_records.append(record)
-    worsens = [r for r in all_records if r.classification == WORSENS]
-    improves = [r for r in all_records if r.classification == IMPROVES]
-    improves.sort(key=lambda r: r.margin)
-    closest = tuple(improves[:top_k])
-    summary.min_margin_records = closest
+    """The summary and reported rows of a scan of ``total`` inputs from the results of its work units.
+
+    The counters add up. Every WORSENS row is reported, in input order, and
+    the closest calls are the first ``top_k`` IMPROVES rows by (margin,
+    input position), so each unit only sends its own first ``top_k``; their
+    records are built here, for the rows reported only.
+    """
+    summary = ScanSummary(provenance=provenance, convention=convention, total=total)
+    for name, value in zip(_COUNTERS, map(sum, zip(*(unit.counts for unit in units)))):
+        setattr(summary, name, value)
+    summary.skipped = total - summary.classified
+    worsens = [r for _, r in sorted(chain.from_iterable(u.worsens for u in units), key=itemgetter(0))]
+    closest = sorted(chain.from_iterable(u.closest for u in units), key=itemgetter(0, 1))[:top_k]
+    summary.min_margin_records = tuple(_record(*args) for _, _, args in closest)
     summary.elapsed = time.perf_counter() - started
     if dump_dir is not None and worsens:
         dump_counterexamples(worsens, dump_dir)
-    return summary, worsens + list(closest)
+    return summary, worsens + list(summary.min_margin_records)
 
 
 def _run(worker, payloads, parallelism: int):
@@ -502,11 +566,14 @@ def scan_catalog(
     Disconnected and malformed lines, and graphs with no admissible
     eigenvalue, are counted as skips. Output is ordered by input position
     regardless of parallelism; records contain every (confirmed or not)
-    WORSENS graph plus the top-k smallest-margin IMPROVES.
+    WORSENS graph plus the top-k smallest-margin IMPROVES, equal margins in
+    input order.
 
     Lines with the same n, under either graph6 header, are decided in units
-    (:func:`_work_units`) by one decode and one :func:`stack_rows` call each,
-    so a row is the one :func:`analyze_graph` gives the line's graph.
+    (:func:`_work_units`) by one decode and one :func:`_decide` call each,
+    so a row is the one :func:`analyze_graph` gives the line's graph. A unit
+    counts its rows in arrays and builds records only for the rows the scan
+    may report (:func:`_unit`, :func:`_finalize`).
     """
     if (limit is not None and limit < 0) or top_k < 0:
         raise ValueError(f"limit and top_k must be >= 0, got {limit} and {top_k}")
@@ -515,10 +582,9 @@ def scan_catalog(
     provenance, lines = _read_graph6_lines(source)
     if limit is not None:
         lines = lines[:limit]
-    units = _work_units(lines)
-    done = _run(partial(_batched_rows, conv), [(n, [lines[i] for i in idx]) for n, idx in units], parallelism)
-    results = _placed(len(lines), chain.from_iterable(idx for _, idx in units), chain.from_iterable(done))
-    return _finalize(provenance, conv, results, top_k, started, dump_dir)
+    units = [(n, idx, [lines[i] for i in idx]) for n, idx in _work_units(lines)]
+    done = _run(partial(_batched_rows, conv, top_k), units, parallelism)
+    return _finalize(provenance, conv, len(lines), done, top_k, started, dump_dir)
 
 
 def scan_random(
@@ -541,9 +607,8 @@ def scan_random(
     conv = normalize_convention(convention)
     started = time.perf_counter()
     provenance = f"{model}({params},seed={seed},count={count})"
-    worker = partial(_scan_generated, conv, model, dict(params))
-    results = _run(worker, [seed + i for i in range(count)], parallelism)
-    return _finalize(provenance, conv, results, top_k, started, dump_dir)
+    done = _run(partial(_generated_rows, conv, model, dict(params), seed, top_k), range(count), parallelism)
+    return _finalize(provenance, conv, count, done, top_k, started, dump_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +659,6 @@ def two_node_grid_search(
         d = a.sum(axis=-1)
         spec = _solve(a, d, 0.0, SLEM)
         spec.require_admissible()
-        records += _stack_rows([p.name for p in chunk], [p.edges for p in chunk], a, d, spec,
-                               verdicts[start:start + STACK_SIZE])
+        rows = _stack_rows(a, d, spec, verdicts[start:start + STACK_SIZE], np.ones(len(chunk), dtype=bool))
+        records += rows.records(range(len(chunk)), [p.name for p in chunk], [p.edges for p in chunk])
     return records

@@ -252,18 +252,20 @@ def test_scan_skips_disconnected(tmp_path, capsys):
 
 
 def test_scan_counterexample_exit_code(monkeypatch, tmp_path, capsys):
-    # force one WORSENS verdict to exercise the exit-10 contract; every scan
-    # row, stacked or not, is built by search._record
+    # force one sweep-confirmed WORSENS verdict to exercise the exit-10
+    # contract; a scan counts its rows from the verdict core's columns and the
+    # stacked sweep's answers, so both are forced
+    import numpy as np
+    import rwj.perturb as perturb_mod
     import rwj.search as search_mod
 
-    real = search_mod._record
+    real = perturb_mod.verdict
 
-    def fake(*args, **kwargs):
-        import dataclasses
+    def worsens(lambda_star, worst_rate):
+        return (np.full(np.shape(lambda_star), "WORSENS"),) + real(lambda_star, worst_rate)[1:]
 
-        return dataclasses.replace(real(*args, **kwargs), classification="WORSENS", sweep_confirmed=True)
-
-    monkeypatch.setattr(search_mod, "_record", fake)
+    monkeypatch.setattr(perturb_mod, "verdict", worsens)
+    monkeypatch.setattr(search_mod, "sweep_stack", lambda a, *args: np.ones(len(a), dtype=bool))
     cat = tmp_path / "one.g6"
     cat.write_bytes(b"C~\n")
     rc = main(["scan", "--catalog", str(cat)])
@@ -297,6 +299,20 @@ def test_two_node_non_finite_weights_rejected(capsys, mode, weights):
     assert main(["two-node"] + argv) == EXIT_PARSE
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("weights", [("1e120", "1", "1"), ("0", "1e-200", "0"), ("1e200", "1", "0")])
+@pytest.mark.parametrize("mode", ["point", "grid"])
+def test_two_node_weights_out_of_floating_point_range_rejected(capsys, mode, weights):
+    # closed forms that overflow or underflow are invalid input (exit 2), not
+    # a NaN verdict, a sweep-confirmed counterexample or a lost branch
+    if mode == "point":
+        argv = [arg for name, w in zip(("a11", "a12", "a22"), weights) for arg in (f"--{name}", w)]
+    else:
+        argv = [arg for name, w in zip(("a11", "a12", "a22"), weights) for arg in (f"--grid-{name}", f"{w}:{w}:1")]
+    assert main(["two-node"] + argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "leave the floating-point range" in captured.err and captured.out == ""
 
 
 def test_two_node_point_report(capsys):

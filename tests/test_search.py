@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -14,6 +15,7 @@ from rwj import (
     ConventionError,
     DisconnectedGraphError,
     GraphFormatError,
+    NumericalError,
     WORSENS,
     TwoNodeParams,
     WeightedGraph,
@@ -247,6 +249,24 @@ def test_grid_search_reports_its_first_invalid_point(grid, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("weights", [(1e120, 1.0, 1.0), (0.0, 1e-200, 0.0), (1e200, 1.0, 0.0)])
+def test_closed_forms_out_of_floating_point_range_rejected(weights):
+    # a cube or square that overflows, or a product that underflows to 0/0,
+    # is invalid input, never a NaN verdict or a lost branch
+    name = TwoNodeParams(*weights).name
+    with pytest.raises(GraphFormatError, match=rf"closed forms of {re.escape(name)} leave"):
+        two_node_closed_form(TwoNodeParams(*weights))
+    with pytest.raises(GraphFormatError, match=rf"closed forms of {re.escape(name)} leave"):
+        two_node_grid_search(*([w] for w in weights))
+
+
+def test_closed_forms_out_of_floating_point_range_name_the_first_point():
+    # the slab a11 = 4 is in range; the first point of the next slab in
+    # a11, a12, a22 order is named
+    with pytest.raises(GraphFormatError, match=r"closed forms of two-node\(1e\+120,2,1\) leave"):
+        two_node_grid_search([4.0, 1e120, 1e130], [2.0, 1.0], [1.0, 3.0])
+
+
 def test_grid_search_axis_types():
     floats = ([0.0, 1.0, 2.0, 4.0], [1.0, 2.0], [0.0, 1.0, 2.0, 4.0])
     expected = records_to_csv(two_node_grid_search(*floats))
@@ -452,6 +472,48 @@ def test_scan_catalog_sweeps_worsens_rows_in_their_stack(data_dir, monkeypatch):
         assert {r.sweep_confirmed for r in records} == {False}  # swept, and every gap really grows
 
 
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_scan_catalog_builds_only_the_records_it_reports(data_dir, monkeypatch, convention):
+    # no n = 7 graph worsens, so a default scan reports its 10 closest calls
+    # and builds no row object for the other 843 graphs
+    built = []
+    real = rwj.search.ScanRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["id"])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(rwj.search.ScanRecord, "__init__", counting)
+    summary, records = scan_catalog(data_dir / "graph7c.g6", convention)
+    assert (summary.classified, summary.counterexamples + summary.worsens_unconfirmed) == (853, 0)
+    assert len(records) == len(built) == 10
+    assert sorted(built) == sorted(r.id for r in records)
+
+
+@pytest.mark.parametrize("stack_size", [1, rwj.search.STACK_SIZE])
+def test_scan_catalog_ranks_equal_margins_by_input_position(monkeypatch, stack_size):
+    # three graphs (n = 6 and n = 7) with one margin, in lines that put them
+    # in different units whose order is not the input order
+    lines = [b"EznW", b"FtTnw", b"E~nW", b"FtTnw", b"EznW", b"FtTnw"]
+    monkeypatch.setattr(rwj.search, "STACK_SIZE", stack_size)
+    for convention in ("slem", "paper"):
+        rows = [analyze_graph(parse_graph6(line), convention) for line in lines]
+        assert len({r.margin for r in rows}) == 1
+        for top_k in (1, 3, 4, 10):
+            summary, records = scan_catalog(lines, convention, top_k=top_k)
+            assert [r.id for r in records] == [line.decode() for line in lines[:top_k]]
+            assert [dataclasses.astuple(r) for r in summary.min_margin_records] == [
+                dataclasses.astuple(r) for r in rows[:top_k]]
+
+
+def test_scan_catalog_runs_the_finite_difference_check(data_dir, monkeypatch):
+    # scans never read fd_estimate, yet a row whose tracked branch does not
+    # start at lambda_star still ends the scan
+    monkeypatch.setattr(rwj.perturb, "_TOL_FD_START", -1.0)
+    with pytest.raises(NumericalError, match="tracked branch starts at"):
+        scan_catalog(data_dir / "graph7c.g6", "slem")
+
+
 def test_scan_skips_graphs_without_admissible_eigenvalue():
     # K2 has no eigenvalue away from -1 and 1 under paper; it no longer aborts the scan
     summary, _ = scan_catalog([b"A_", b"Bw"], "paper")
@@ -480,6 +542,11 @@ def test_scan_catalog_parallel_equals_serial(data_dir):
         assert records_to_csv(r1) == records_to_csv(r2)
         assert _counters(s1) == _counters(s2)
         assert s1.total == 143 and s1.skipped == (3 if convention == "slem" else 4)
+        # at the default top_k each worker sends only its units' own closest calls
+        s3, r3 = scan_catalog(lines, convention)
+        s4, r4 = scan_catalog(lines, convention, parallelism=2)
+        assert len(r3) == 10 and records_to_csv(r3) == records_to_csv(r4)
+        assert _counters(s3) == _counters(s4) == _counters(s1)
 
 
 def test_scan_accepts_streams_and_lines(data_dir):
