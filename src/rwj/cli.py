@@ -66,8 +66,7 @@ def load_graph(path: str, fmt_name: str) -> graphs.WeightedGraph:
                 f"cannot infer format from {p.suffix!r}; pass --format g6|edgelist"
             )
     if fmt_name == "g6":
-        data = p.read_bytes().splitlines()
-        lines = [line for line in data if line.strip()]
+        _, lines = graphs.read_graph6_lines(p)
         if len(lines) != 1:
             raise GraphFormatError(f"{path} holds {len(lines)} graph6 lines, expected exactly 1")
         return graphs.parse_graph6(lines[0])

@@ -1,5 +1,7 @@
 """Weighted graphs, graph6 and edge-list formats, generators, degree statistics.
 
+graph6 is known here alone: one line reader, one size rule, one body decoder.
+
 Conventions used throughout:
 
 * a self-loop (u, u, w) contributes its weight once to the degree d_u,
@@ -15,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -163,8 +166,28 @@ def is_connected(g: WeightedGraph) -> bool:
 # graph6 (McKay's format; 1-byte size header for n <= 62, 4-byte for n <= 258047)
 # ---------------------------------------------------------------------------
 
-def _graph6_size(line: bytes) -> tuple[int, bytes]:
-    """Split a graph6 line into (n, body).
+GRAPH6_PREFIX = b">>graph6<<"  # optional, as networkx's write_graph6 writes it
+
+
+def read_graph6_lines(source) -> tuple[str, list[bytes]]:
+    """(provenance, lines) of a path, stream or iterable of lines: no blank line, line end or :data:`GRAPH6_PREFIX`."""
+    if isinstance(source, (str, Path)):
+        provenance = str(source)
+        raw = Path(source).read_bytes().splitlines()
+    elif hasattr(source, "read"):
+        provenance = getattr(source, "name", "<stream>")
+        data = source.read()
+        if isinstance(data, str):
+            data = data.encode("ascii")
+        raw = data.splitlines()
+    else:
+        provenance = "<lines>"
+        raw = [line.encode("ascii") if isinstance(line, str) else bytes(line) for line in source]
+    return provenance, [line.rstrip(b"\r\n").removeprefix(GRAPH6_PREFIX) for line in raw if line.strip()]
+
+
+def _graph6_size(line: bytes) -> int:
+    """n of a graph6 line whose size header and body length are valid; else :class:`GraphFormatError`.
 
     n <= 62 is one byte 63+n; 63 <= n <= 258047 is '~' followed by n as 18
     bits, big-endian, in three bytes of 6 bits each offset by 63. The 8-byte
@@ -176,19 +199,21 @@ def _graph6_size(line: bytes) -> tuple[int, bytes]:
     if not 63 <= header <= 126:
         raise GraphFormatError(f"graph6 header byte {header} outside [63, 126]")
     if header != 126:
-        n = header - 63
+        n, body = header - 63, line[1:]
         if n < 2:
             raise GraphFormatError(f"graph6 line encodes n={n}; need n >= 2")
-        return n, line[1:]
-    size = line[1:4]
-    if size[:1] == b"~":
-        raise GraphFormatError(f"8-byte graph6 size header (n > {GRAPH6_MAX_N}) is not supported")
-    if len(size) != 3 or any(not 63 <= b <= 126 for b in size):
-        raise GraphFormatError("truncated or invalid 4-byte graph6 size header")
-    n = ((size[0] - 63) << 12) | ((size[1] - 63) << 6) | (size[2] - 63)
-    if n <= _GRAPH6_SHORT_MAX_N:
-        raise GraphFormatError(f"4-byte graph6 size header encodes n={n}; n <= 62 takes one byte")
-    return n, line[4:]
+    else:
+        size = line[1:4]
+        if size[:1] == b"~":
+            raise GraphFormatError(f"8-byte graph6 size header (n > {GRAPH6_MAX_N}) is not supported")
+        if len(size) != 3 or any(not 63 <= b <= 126 for b in size):
+            raise GraphFormatError("truncated or invalid 4-byte graph6 size header")
+        n, body = ((size[0] - 63) << 12) | ((size[1] - 63) << 6) | (size[2] - 63), line[4:]
+        if n <= _GRAPH6_SHORT_MAX_N:
+            raise GraphFormatError(f"4-byte graph6 size header encodes n={n}; n <= 62 takes one byte")
+    if len(body) != _graph6_body_bytes(n):
+        raise GraphFormatError(f"graph6 body has {len(body)} bytes, expected {_graph6_body_bytes(n)} for n={n}")
+    return n
 
 
 def _graph6_body_bytes(n: int) -> int:
@@ -208,84 +233,78 @@ def _graph6_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 def graph6_n(line: bytes) -> int:
     """n of a graph6 line whose size header (1-byte or 4-byte) and body length :func:`parse_graph6` accepts, else 0."""
     try:
-        n, body = _graph6_size(line)
+        return _graph6_size(line)
     except GraphFormatError:
         return 0
-    return n if len(body) == _graph6_body_bytes(n) else 0
+
+
+def graph6_groups(lines: Sequence[bytes]) -> dict[int, list[int]]:
+    """For each n, the positions of the lines :func:`graph6_n` maps to n, in input order.
+
+    n depends only on a line's size header and length, so :func:`graph6_n`
+    reads one line of each (header, length) group.
+    """
+    groups: dict[tuple[bytes, int], list[int]] = {}
+    for i, line in enumerate(lines):
+        groups.setdefault((line[:4] if line[:1] == b"~" else line[:1], len(line)), []).append(i)
+    sized = {graph6_n(lines[positions[0]]): positions for positions in groups.values()}
+    sized.pop(0, None)
+    return sized
 
 
 def parse_graph6(data: bytes | str) -> WeightedGraph:
-    """Parse one graph6 line into an unweighted graph.
+    """Parse one graph6 line, with or without :data:`GRAPH6_PREFIX`, into an unweighted graph.
 
-    Layout: the size header (see :func:`_graph6_size`), then the upper
-    triangle read column by column (x01, x02, x12, x03, ...), packed
-    big-endian 6 bits per byte, each byte offset by 63. Trailing padding bits
-    must be zero. Disconnected graphs are rejected with
-    :class:`DisconnectedGraphError` so catalog scans can count them as skips
-    rather than failures.
+    A malformed line raises :class:`GraphFormatError`; a disconnected graph
+    raises :class:`DisconnectedGraphError`, which catalog scans count as a skip.
     """
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
         except UnicodeEncodeError as exc:
             raise GraphFormatError(f"non-ASCII graph6 input: {exc}") from exc
-    line = data.rstrip(b"\r\n")
-    n, body = _graph6_size(line)
-    nbits = n * (n - 1) // 2
-    nbytes = _graph6_body_bytes(n)
-    if len(body) != nbytes:
-        raise GraphFormatError(f"graph6 body has {len(body)} bytes, expected {nbytes} for n={n}")
-    bits = []
-    for b in body:
-        if not 63 <= b <= 126:
-            raise GraphFormatError(f"graph6 body byte {b} outside [63, 126]")
-        val = b - 63
-        bits.extend((val >> k) & 1 for k in range(5, -1, -1))
-    if any(bits[nbits:]):
-        raise GraphFormatError("nonzero padding bits in graph6 body")
-    pairs = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                pairs.append((u, v))
-            k += 1
-    g = WeightedGraph.from_pairs(n, pairs, name=line.decode("ascii"))
-    if not is_connected(g):
+    line = data.rstrip(b"\r\n").removeprefix(GRAPH6_PREFIX)
+    n = _graph6_size(line)
+    a, valid, connected = decode_graph6_stack([line], n)
+    if not valid[0]:
+        raise GraphFormatError(f"graph6 line {line!r} has a body byte outside [63, 126] or nonzero padding bits")
+    if not connected[0]:
         raise DisconnectedGraphError(f"graph6 line {line.decode('ascii')!r} is disconnected")
-    return g
+    return WeightedGraph(n, stack_edges(a)[0], name=line.decode("ascii"))
 
 
-def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency matrices of n-vertex graph6 lines in one vectorised decode.
+def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The only graph6 body decoder: adjacency matrices of n-vertex lines in one vectorised pass.
 
-    Every line must be one that :func:`graph6_n` maps to n, so all share one
-    header form. Returns the (k, n, n) adjacency stack and a mask of the lines
-    that :func:`parse_graph6` accepts: body bytes in [63, 126], zero padding
-    bits, a connected graph. Bits map to pairs in the :func:`_graph6_pairs`
-    order that :func:`write_graph6` packs them in.
+    :func:`parse_graph6` is its stack of one. Every line must be one that
+    :func:`graph6_n` maps to n. Returns the (k, n, n) adjacency stack, a mask
+    of the valid bodies (bytes in [63, 126], zero padding bits; bits map to
+    pairs in :func:`_graph6_pairs` order) and a mask of the connected graphs.
+    It costs O(k·n²) whatever the diameters: the frontier grown from vertex 0
+    of every graph at once reads each reached vertex's adjacency row once.
     """
     k = len(lines)
     nbits = n * (n - 1) // 2
     header = 1 if n <= _GRAPH6_SHORT_MAX_N else 4
     body = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(k, -1)[:, header:]
-    ok = ((body >= 63) & (body <= 126)).all(axis=1)
+    valid = ((body >= 63) & (body <= 126)).all(axis=1)
     bits = np.unpackbits((body - 63)[..., None], axis=-1)[..., 2:].reshape(k, -1)
-    ok &= ~bits[:, nbits:].any(axis=1)
+    valid &= ~bits[:, nbits:].any(axis=1)
     u, v = _graph6_pairs(n)
-    a = np.zeros((k, n, n))
-    a[:, u, v] = bits[:, :nbits]
-    a[:, v, u] = bits[:, :nbits]
-    # breadth-first search from vertex 0, one frontier step for the whole stack at a time
-    reach = np.zeros((k, 1, n))
-    reach[:, 0, 0] = 1.0
-    for _ in range(n - 1):
-        grown = np.minimum(reach + reach @ a, 1.0)
-        if (grown == reach).all():
-            break
-        reach = grown
-    ok &= reach.all(axis=(1, 2))
-    return a, ok
+    adj = np.zeros((k, n, n), dtype=bool)
+    adj[:, u, v] = bits[:, :nbits]
+    adj[:, v, u] = bits[:, :nbits]
+    rows = adj.reshape(k * n, n)  # row g * n + x: vertex x of graph g
+    reached = np.zeros(k * n, dtype=bool)
+    frontier = np.arange(0, k * n, n)
+    reached[frontier] = True
+    while frontier.size:
+        i, w = np.nonzero(rows[frontier])
+        hit = np.zeros(k * n, dtype=bool)
+        hit[frontier[i] // n * n + w] = True
+        frontier = np.flatnonzero(hit > reached)
+        reached[frontier] = True
+    return adj.astype(float), valid, reached.reshape(k, n).all(axis=1)
 
 
 def stack_edges(a: np.ndarray) -> list[tuple[tuple[int, int, float], ...]]:

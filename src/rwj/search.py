@@ -42,7 +42,8 @@ from .graphs import (
     decode_graph6_stack,
     degree_stats_of,
     generate,
-    graph6_n,
+    graph6_groups,
+    read_graph6_lines,
     stack_edges,
     write_edgelist,
 )
@@ -440,8 +441,8 @@ def _batched_rows(convention: str, top_k: int, unit: tuple[int, list[int], list[
     rows decode their line as an id and build their edge tuple.
     """
     n, positions, lines = unit
-    a, ok = decode_graph6_stack(lines, n)
-    ok = np.flatnonzero(ok)
+    a, valid, connected = decode_graph6_stack(lines, n)
+    ok = np.flatnonzero(valid & connected)
     a = a[ok]
     return _unit(np.asarray(positions)[ok], a, convention, top_k,
                  lambda rows: ([lines[i].decode("ascii") for i in ok[rows].tolist()], stack_edges(a[rows])))
@@ -462,17 +463,13 @@ def _generated_rows(convention: str, model: str, params: dict, seed: int, top_k:
 def _work_units(lines: Sequence[bytes]) -> list[tuple[int, list[int]]]:
     """(n, input positions) units of a catalog scan.
 
-    Lines that :func:`graph6_n` maps to the same n share units, in input
-    order. A unit holds no more adjacency entries than STACK_SIZE graphs on 8
-    vertices, so an n <= 8 unit holds STACK_SIZE lines and an n >= 128 unit
-    one. A line that :func:`graph6_n` maps to 0 is in no unit.
+    Each n-vertex group of :func:`~rwj.graphs.graph6_groups` is cut into
+    units, in input order. A unit holds no more adjacency entries than
+    STACK_SIZE graphs on 8 vertices, so an n <= 8 unit holds STACK_SIZE lines
+    and an n >= 128 unit one.
     """
-    groups: dict[int, list[int]] = {}
-    for i, line in enumerate(lines):
-        groups.setdefault(graph6_n(line), []).append(i)
-    groups.pop(0, None)
     units = []
-    for n, positions in groups.items():
+    for n, positions in graph6_groups(lines).items():
         size = max(1, min(STACK_SIZE, STACK_SIZE * 8 * 8 // n ** 2))
         units += [(n, positions[start:start + size]) for start in range(0, len(positions), size)]
     return units
@@ -537,22 +534,6 @@ def dump_counterexamples(records: Sequence[ScanRecord], dump_dir: str | Path) ->
     return written
 
 
-def _read_graph6_lines(source) -> tuple[str, list[bytes]]:
-    if isinstance(source, (str, Path)):
-        provenance = str(source)
-        raw = Path(source).read_bytes().splitlines()
-    elif hasattr(source, "read"):
-        provenance = getattr(source, "name", "<stream>")
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode("ascii")
-        raw = data.splitlines()
-    else:
-        provenance = "<lines>"
-        raw = [line.encode("ascii") if isinstance(line, str) else bytes(line) for line in source]
-    return provenance, [line.rstrip(b"\r\n") for line in raw if line.strip()]
-
-
 def scan_catalog(
     source,
     convention: str = SLEM,
@@ -561,7 +542,7 @@ def scan_catalog(
     parallelism: int = 1,
     dump_dir: str | Path | None = None,
 ) -> tuple[ScanSummary, list[ScanRecord]]:
-    """Scan a graph6 catalog (path, stream, or iterable of lines).
+    """Scan a graph6 catalog (path, stream, or iterable of lines; see :func:`~rwj.graphs.read_graph6_lines`).
 
     Disconnected and malformed lines, and graphs with no admissible
     eigenvalue, are counted as skips. Output is ordered by input position
@@ -579,7 +560,7 @@ def scan_catalog(
         raise ValueError(f"limit and top_k must be >= 0, got {limit} and {top_k}")
     conv = normalize_convention(convention)
     started = time.perf_counter()
-    provenance, lines = _read_graph6_lines(source)
+    provenance, lines = read_graph6_lines(source)
     if limit is not None:
         lines = lines[:limit]
     units = [(n, idx, [lines[i] for i in idx]) for n, idx in _work_units(lines)]

@@ -73,3 +73,14 @@ def scalar_verdict(lambda_star: float, worst_rate: float) -> tuple[str, float, b
         stationary = worst_rate <= 1e-12
         return ("IMPROVES" if stationary else "WORSENS"), -worst_rate, stationary
     return ("IMPROVES" if worst_rate < 0.0 else "WORSENS"), -worst_rate, False
+
+
+def graph6_body_valid(line: bytes, n: int) -> bool:
+    """Whether a graph6 line of an n-vertex graph has a well-formed body, read bit by bit through a string.
+
+    Every body byte lies in [63, 126] and every bit past the n(n-1)/2 pair bits is zero.
+    """
+    body = line[1 if n <= 62 else 4:]
+    if not all(63 <= b <= 126 for b in body):
+        return False
+    return "1" not in "".join(f"{b - 63:06b}" for b in body)[n * (n - 1) // 2:]

@@ -242,6 +242,17 @@ def test_scan_deterministic_bytes(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_analyze_networkx_graph6_file(tmp_path, capsys):
+    # networkx writes the optional >>graph6<< prefix by default
+    import networkx as nx
+
+    path = tmp_path / "petersen.g6"
+    nx.write_graph6(nx.petersen_graph(), str(path))
+    assert path.read_bytes().startswith(b">>graph6<<")
+    assert main(["analyze", "--input", str(path)]) == EXIT_OK
+    assert "graph: IheA@GUAo" in capsys.readouterr().out
+
+
 def test_scan_skips_disconnected(tmp_path, capsys):
     cat = tmp_path / "mixed.g6"
     cat.write_bytes(b"C~\nA?\nA?\nBw\n")

@@ -22,15 +22,17 @@ from rwj import (
     write_graph6,
 )
 
-from rwj.graphs import decode_graph6_stack, graph6_n, stack_edges
+from rwj.graphs import decode_graph6_stack, graph6_groups, graph6_n, stack_edges
 
 from conftest import (
     DET_ZERO_PAIR_TEXT,
+    MALFORMED_GRAPH6,
     connected_unweighted,
     connected_weighted,
     graph6_lines,
     random_connected_weighted,
 )
+from oracles import graph6_body_valid
 
 
 # ---------------------------------------------------------------------------
@@ -142,28 +144,67 @@ def test_parse_graph6_rejects_disconnected():
         parse_graph6(b"A?")  # two vertices, no edge
 
 
+@pytest.mark.parametrize("line", MALFORMED_GRAPH6)
+def test_parse_graph6_rejects_malformed_catalog_lines(line):
+    with pytest.raises(GraphFormatError):
+        parse_graph6(line)
+
+
+def test_parse_graph6_strips_the_optional_prefix():
+    g = parse_graph6(b">>graph6<<Bw\n")
+    assert g == parse_graph6(b"Bw") and g.name == "Bw"
+    petersen = nx.petersen_graph()
+    g = parse_graph6(nx.to_graph6_bytes(petersen))  # networkx writes the prefix by default
+    assert {(u, v) for u, v, _ in g.edges} == {tuple(sorted(e)) for e in petersen.edges()}
+
+
 @given(graph6_lines())
-def test_decode_graph6_stack_matches_parse_graph6(lines):
-    stacks: dict[int, list[bytes]] = {}
-    for line in lines:
-        n = graph6_n(line)
-        if n:
-            stacks.setdefault(n, []).append(line)
-        else:  # a malformed header or body length
-            with pytest.raises(GraphFormatError):
-                parse_graph6(line)
-    for n, stack in stacks.items():
-        a, ok = decode_graph6_stack(stack, n)
+def test_decode_graph6_stack_matches_networkx(lines):
+    groups = graph6_groups(lines)
+    by_line: dict[int, list[int]] = {}
+    for i, line in enumerate(lines):
+        by_line.setdefault(graph6_n(line), []).append(i)
+    for i in by_line.pop(0, []):  # a malformed header or body length
+        with pytest.raises(GraphFormatError):
+            parse_graph6(lines[i])
+    assert groups == by_line
+    for n, positions in groups.items():
+        stack = [lines[i] for i in positions]
+        a, valid, connected = decode_graph6_stack(stack, n)
         assert a.shape == (len(stack), n, n)
-        for line, adjacency, edges, accepted in zip(stack, a, stack_edges(a), ok.tolist()):
-            try:
-                g = parse_graph6(line)
-            except (GraphFormatError, DisconnectedGraphError):
-                assert not accepted, line
+        for line, adjacency, edges, ok, conn in zip(stack, a, stack_edges(a), valid.tolist(), connected.tolist()):
+            assert ok == graph6_body_valid(line, n), line
+            if not ok:
+                with pytest.raises(GraphFormatError):
+                    parse_graph6(line)
                 continue
-            assert accepted, line
+            ref = nx.from_graph6_bytes(line)
+            assert (adjacency == nx.to_numpy_array(ref, nodelist=range(n))).all()
+            assert conn == nx.is_connected(ref), line
+            if not conn:
+                with pytest.raises(DisconnectedGraphError):
+                    parse_graph6(line)
+                continue
+            g = parse_graph6(line)
             assert (adjacency == g.adjacency()).all()
             assert edges == g.edges
+
+
+@pytest.mark.parametrize("n", [63, 300, 600])
+def test_decode_graph6_stack_long_diameter_lines(n):
+    # 4-byte headers; a path has diameter n - 1, and two disjoint paths are disconnected
+    half = n // 2
+    graphs = [generate("path", n=n), generate("cycle", n=n),
+              WeightedGraph.from_pairs(n, [(i, i + 1) for i in range(n - 1) if i != half - 1])]
+    lines = [write_graph6(g) for g in graphs]
+    a, valid, connected = decode_graph6_stack(lines, n)
+    assert valid.all()
+    assert connected.tolist() == [nx.is_connected(nx.from_graph6_bytes(line)) for line in lines] == [True, True, False]
+    for g, adjacency in zip(graphs, a):
+        assert (adjacency == g.adjacency()).all()
+    assert parse_graph6(lines[0]) == graphs[0] and parse_graph6(lines[1]) == graphs[1]
+    with pytest.raises(DisconnectedGraphError):
+        parse_graph6(lines[2])
 
 
 def test_write_graph6_rejects_weighted_and_loops(det_zero_pair):

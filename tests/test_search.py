@@ -557,6 +557,15 @@ def test_scan_accepts_streams_and_lines(data_dir):
     assert s1.total == s2.total == 6
 
 
+def test_scan_catalog_strips_the_graph6_prefix(tmp_path):
+    # networkx's write_graph6 starts a line with >>graph6<<; the row id is the stripped line
+    path = tmp_path / "prefixed.g6"
+    path.write_bytes(b">>graph6<<C~\nDhc\n")
+    summary, records = scan_catalog(path, "slem")
+    assert (summary.total, summary.classified, summary.skipped) == (2, 2, 0)
+    assert {r.id for r in records} == {"C~", "Dhc"}
+
+
 # ---------------------------------------------------------------------------
 # random scanning
 # ---------------------------------------------------------------------------
