@@ -123,17 +123,19 @@ def summary_text(s: search.ScanSummary) -> str:
 def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_record=False):
     """The analyze report text and, with ``with_record``, the scan row built from the same results.
 
-    The alpha=0 system is built and solved once; it feeds the verdict, the
-    condition report, alpha_bar and the row, and is the alpha view when alpha is 0.
+    One :func:`~rwj.search._decide` call decides the graph as a stack of one
+    (:func:`~rwj.search._decide_one`), for the condition report too: its rows
+    hold the alpha = 0 spectrum, the verdict with its finite-difference check,
+    the condition ladder and the sweep of a WORSENS verdict. The report and
+    the row read them; only a nonzero alpha is solved again, and alpha_bar
+    searches from the alpha = 0 gap.
     """
     out = []
     stats = graphs.degree_stats(g)
     conv = spectral.normalize_convention(convention)
-    ts0 = spectral.build_transition(g, 0.0)
-    base = spectral.spectrum(ts0, conv)
-    report = None
-    if with_record or not conditions_only:
-        report = perturb.classify_small_alpha(g, conv, h=h, summary=base)
+    rows = search._decide_one(g, conv, h)
+    base = rows.spec.summary(0, 0.0, conv)
+    report = rows.verdicts[0]
     out.append(f"graph: {g.name or '<unnamed>'}  n={g.n}  volume={fmt(stats.volume)}")
     out.append("degrees: " + " ".join(fmt(x) for x in stats.d))
     out.append(
@@ -142,8 +144,8 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     )
 
     if not conditions_only:
-        ts = ts0 if alpha == 0.0 else spectral.build_transition(g, alpha)
-        summary = base if ts is ts0 else spectral.spectrum(ts, conv)
+        ts = spectral.build_transition(g, alpha)
+        summary = base if alpha == 0.0 else spectral.spectrum(ts, conv)
         out.append(f"alpha={fmt(alpha)}  convention={conv}")
         out.append("pi(alpha): " + " ".join(fmt(x) for x in ts.pi))
         out.append("eigenvalues: " + " ".join(fmt(x) for x in summary.eigenvalues))
@@ -186,7 +188,7 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
             + (" [tied]" if report.tied_sign else "")
         )
 
-    cond = cond_mod.full_report(g, conv, summary=base)
+    cond = cond_mod.condition_report(stats, rows.spec, rows.ladder, conv)
     out.append(f"conditions (alpha=0, gamma={fmt(cond.gamma)}):")
     out.append(f"  cor1: gap < 1/n = {fmt(cond.cor1.threshold)} -> {_fmt_bool(cond.cor1.holds)}")
     out.append(
@@ -210,13 +212,13 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
             f"(laplacian form: {fmt(cond.nand_s.laplacian_lhs)} < {fmt(cond.nand_s.laplacian_rhs)})"
         )
     out.append(f"  rayleigh minimum: {fmt(cond.rayleigh_min)}")
-    bar = spectral.alpha_bar(g, base)
+    bar = spectral.alpha_bar(g, base.gap, conv)
     searched = "none" if bar.searched is None else fmt(bar.searched)
     out.append(f"  alpha_bar: closed_form={fmt(bar.closed_form)} searched={searched}")
     out.append(
         "  consistency: " + ("ok" if not cond.consistency else "; ".join(cond.consistency))
     )
-    record = search.scan_record(g, base, report) if with_record else None
+    record = rows.records([0], [g.name or "<anonymous>"], [g.edges])[0] if with_record else None
     return "\n".join(out) + "\n", record
 
 

@@ -12,7 +12,9 @@ The degree forms come with two constants: the published one (c = 4) and the
 sharp one (c = 1) that the constrained Rayleigh minimum actually certifies.
 Implication tests run against the sharp constants; the published constant is
 reported and audited, never asserted sound. :func:`ladder_stack` evaluates the
-ladder for a stack of graphs, and :func:`full_report` is its one-graph case.
+ladder for a stack of graphs; :func:`condition_report` turns the ladder of a
+stack of one into the printed report, and :func:`full_report` is its one-graph
+case.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ import numpy as np
 
 from .graphs import DegreeStats, WeightedGraph, degree_stats
 from .perturb import NandS, TOL_SIGN, nand_s_check, nand_s_sides
-from .spectral import (
-    SLEM, SpectralSummary, StackedSpectrum, build_transition, normalize_convention, require_alpha_zero, spectrum,
-)
+from .spectral import SLEM, StackedSpectrum, build_transition, normalize_convention, spectrum
 
 PAPER_CONSTANT = 4.0
 SHARP_CONSTANT = 1.0
@@ -219,30 +219,33 @@ class ConditionReport:
     paper_constant_witness: bool      # thm2 with the published constant held but NandS failed
 
 
-def full_report(
-    g: WeightedGraph,
-    convention: str = SLEM,
-    summary: SpectralSummary | None = None,
-) -> ConditionReport:
+def full_report(g: WeightedGraph, convention: str = SLEM) -> ConditionReport:
     """Evaluate the condition ladder, the necessary-and-sufficient condition and the Rayleigh minimum.
 
-    This is :func:`ladder_stack` for one graph, plus what only the report
-    prints: corollary 4 with the published constant, the Laplacian form of
-    NandS and the Rayleigh minimum. ``nand_s`` reports NandS as printed, a
-    rounding-level tie included.
+    This is :func:`ladder_stack` on the alpha = 0 spectrum of ``g`` as a stack
+    of one, reported by :func:`condition_report`.
     """
     conv = normalize_convention(convention)
-    if summary is None:
-        summary = spectrum(build_transition(g, 0.0), conv)
-    require_alpha_zero(summary, "full_report")
+    spec = spectrum(build_transition(g, 0.0), conv).stack
     stats = degree_stats(g)
-    lam = summary.lambda_star
-    ladder = ladder_stack(stats, summary.stack)
+    return condition_report(stats, spec, ladder_stack(stats, spec), conv)
+
+
+def condition_report(stats: DegreeStats, spec: StackedSpectrum, ladder: Ladder, convention: str) -> ConditionReport:
+    """The report of a stack of one from its alpha = 0 spectrum ``spec`` and its ``ladder``.
+
+    ``stats`` holds the graph's own degree statistics. The report adds what
+    only it prints: corollary 4 with the published constant, the Laplacian
+    form of NandS and the Rayleigh minimum. ``nand_s`` reports NandS as
+    printed, a rounding-level tie included.
+    """
+    gamma, lam, v = spec.gap[0].item(), spec.lambda_star[0].item(), spec.v_star[0]
+    n = len(v)
     return ConditionReport(
-        convention=conv, n=g.n, gamma=summary.gap, lambda_star=lam, lambda_star_simple=bool(ladder.simple[0]),
+        convention=convention, n=n, gamma=gamma, lambda_star=lam, lambda_star_simple=bool(ladder.simple[0]),
         cor1=_first(ladder.cor1), cor2=_first(ladder.cor2), thm2_paper=_first(ladder.thm2_paper),
-        thm2_sharp=_first(ladder.thm2_sharp), cor4_paper=corollary4(summary.gap, stats, "paper"),
-        cor4_sharp=_first(ladder.cor4_sharp), nand_s=nand_s_check(lam, summary.v_star, g.n) if lam > TOL_SIGN else None,
+        thm2_sharp=_first(ladder.thm2_sharp), cor4_paper=corollary4(gamma, stats, "paper"),
+        cor4_sharp=_first(ladder.cor4_sharp), nand_s=nand_s_check(lam, v, n) if lam > TOL_SIGN else None,
         rayleigh_min=rayleigh_minimum(stats)[0], consistency=ladder.consistency[0],
         paper_constant_witness=bool(ladder.paper_constant_witness[0]),
     )

@@ -16,9 +16,10 @@ Degenerate levels are handled by the reduced pencil V^T((1/n)11^T - lambda I)V
 over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
 :func:`classify_stack` decides a stack of graphs at once, and
-:func:`classify_small_alpha` is its one-graph case; :func:`sweep_stack`
-checks a stack's verdicts against branch-tracked gaps, and
-:func:`sweep_confirms` is its one-graph case.
+:func:`sweep_stack` checks a stack's verdicts against branch-tracked gaps.
+:func:`classify_small_alpha`, :func:`sweep_confirms` and
+:func:`finite_difference_derivative` are their one-graph cases: each takes a
+graph and solves its alpha = 0 spectrum as a stack of one.
 """
 
 from __future__ import annotations
@@ -32,17 +33,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .graphs import WeightedGraph
-from .spectral import (
-    SLEM,
-    SpectralSummary,
-    StackedSpectrum,
-    Track,
-    build_transition,
-    normalize_convention,
-    require_alpha_zero,
-    spectrum,
-    track_stack,
-)
+from .spectral import SLEM, StackedSpectrum, Track, build_transition, normalize_convention, spectrum, track_stack
 
 IMPROVES = "IMPROVES"
 WORSENS = "WORSENS"
@@ -132,18 +123,15 @@ def _checked_finite_difference(a, d, start, lambda_star, v, h: float) -> np.ndar
     return estimate
 
 
-def finite_difference_derivative(
-    g: WeightedGraph, summary: SpectralSummary, lambda_star: float, v_star: np.ndarray, h: float = FD_STEP
-) -> float:
-    """:func:`stacked_finite_difference` for one graph, starting from its alpha = 0 spectrum ``summary``.
+def finite_difference_derivative(g: WeightedGraph, lambda_star: float, v_star: np.ndarray, h: float = FD_STEP) -> float:
+    """:func:`stacked_finite_difference` for one graph, from the alpha = 0 eigensolve of ``g`` as a stack of one.
 
-    A lost branch raises :class:`~rwj.errors.BranchCrossingError`, a branch
+    The eigensolve is the same under either convention. A lost branch raises :class:`~rwj.errors.BranchCrossingError`, a branch
     that does not start at ``lambda_star`` :class:`NumericalError`.
     """
-    require_alpha_zero(summary, "finite_difference_derivative")
+    start = spectrum(build_transition(g, 0.0), SLEM).stack.solved
     v = np.asarray(v_star, dtype=float)[None]
-    a, d = g.adjacency()[None], g.degrees()[None]
-    return _checked_finite_difference(a, d, summary.stack.solved, [lambda_star], v, h)[0].item()
+    return _checked_finite_difference(g.adjacency()[None], g.degrees()[None], start, [lambda_star], v, h)[0].item()
 
 
 class NandS(NamedTuple):
@@ -373,12 +361,7 @@ def classify_stack(
     )
 
 
-def classify_small_alpha(
-    g: WeightedGraph,
-    convention: str = SLEM,
-    h: float = FD_STEP,
-    summary: SpectralSummary | None = None,
-) -> PerturbationReport:
+def classify_small_alpha(g: WeightedGraph, convention: str = SLEM, h: float = FD_STEP) -> PerturbationReport:
     """Classify whether small jump rates improve or worsen the relaxation time.
 
     Rules at the governing modulus level (:func:`modulus_rate` and :func:`verdict`):
@@ -394,13 +377,12 @@ def classify_small_alpha(
     Degenerate levels classify from the worst branch; sign-tied levels
     evaluate both signs and take the worst case. Every report carries a
     finite-difference cross-check along the governing branch. This is the
-    report of row 0 of :func:`classify_stack` on a stack of one.
+    report of row 0 of :func:`classify_stack` on the alpha = 0 spectrum of
+    ``g`` as a stack of one.
     """
     conv = normalize_convention(convention)
-    if summary is None:
-        summary = spectrum(build_transition(g, 0.0), conv)
-    require_alpha_zero(summary, "classify_small_alpha")
-    return classify_stack(g.adjacency()[None], g.degrees()[None], summary.stack, conv, h)[0]
+    spec = spectrum(build_transition(g, 0.0), conv).stack
+    return classify_stack(g.adjacency()[None], g.degrees()[None], spec, conv, h)[0]
 
 
 def sweep_stack(
@@ -437,17 +419,12 @@ def sweep_stack(
     return np.where(worsens, gaps < gap0, gaps > gap0).all(axis=-1)
 
 
-def sweep_confirms(
-    g: WeightedGraph,
-    summary: SpectralSummary,
-    verdict: SmallAlphaVerdict,
-    alphas: tuple[float, ...] = (1e-3, 1e-2),
-) -> bool:
+def sweep_confirms(g: WeightedGraph, verdict: SmallAlphaVerdict, alphas: tuple[float, ...] = (1e-3, 1e-2)) -> bool:
     """Direct check of one graph's verdict against branch-tracked gaps: :func:`sweep_stack` on a stack of one.
 
-    Tracks the verdict's branches together from their alpha=0 vectors, the
-    alpha = 0 spectrum ``summary`` reused, and compares 1 - max|lambda(alpha)|
-    at each test alpha with the alpha=0 gap of ``summary``.
+    Solves the alpha = 0 spectrum of ``g`` under the verdict's convention,
+    tracks the verdict's branches together from their alpha=0 vectors, and
+    compares 1 - max|lambda(alpha)| at each test alpha with the alpha=0 gap.
     """
-    require_alpha_zero(summary, "sweep_confirms")
-    return bool(sweep_stack(g.adjacency()[None], g.degrees()[None], summary.stack, [verdict], alphas)[0])
+    spec = spectrum(build_transition(g, 0.0), verdict.convention).stack
+    return bool(sweep_stack(g.adjacency()[None], g.degrees()[None], spec, [verdict], alphas)[0])

@@ -12,20 +12,20 @@ two-node grid points, comes from the same cores: the stacked eigensolve of
 (the closed forms for two-node points), the ladder core
 :func:`~rwj.conditions.ladder_stack` and the stacked sweep
 :func:`~rwj.perturb.sweep_stack`. :func:`_decide` runs them on an adjacency
-stack and keeps the rows as array columns; the two-node grid and
-:func:`scan_record` hold their verdicts and enter the row core,
+stack and keeps the rows as array columns, the alpha = 0 spectrum among them;
+one graph (:func:`analyze_graph` and ``rwj analyze``) is a stack of one, and
+the two-node grid holds its verdicts and enters the row core,
 :func:`_stack_rows`, directly. A :class:`ScanRecord` is built only for a row
-that is reported: :func:`stack_rows` (and so :func:`analyze_graph`) and the
-two-node grid report every row, while a scan's work units count their rows
-from the columns and send back only their WORSENS rows and their own
-``top_k`` closest calls, which :func:`_finalize` merges.
+that is reported: :func:`analyze_graph` and the two-node grid report every
+row, while a scan's work units count their rows from the columns and send
+back only their WORSENS rows and their own ``top_k`` closest calls, which
+:func:`_finalize` merges.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -48,6 +48,7 @@ from .graphs import (
     write_edgelist,
 )
 from .perturb import (
+    FD_STEP,
     WORSENS,
     Branch,
     SmallAlphaVerdict,
@@ -59,7 +60,6 @@ from .perturb import (
 from .spectral import (
     NO_ADMISSIBLE,
     SLEM,
-    SpectralSummary,
     StackedSpectrum,
     _solve,
     normalize_convention,
@@ -259,21 +259,12 @@ class ScanSummary:
 def analyze_graph(g: WeightedGraph, convention: str = SLEM) -> ScanRecord:
     """Classify one graph and evaluate its condition ladder; sweep-confirm WORSENS verdicts.
 
-    This is :func:`stack_rows` on a stack of one. A disconnected graph raises
+    This is :func:`_decide` on a stack of one (:func:`_decide_one`), as
+    ``rwj analyze`` runs it. A disconnected graph raises
     DisconnectedGraphError; one with no admissible eigenvalue raises
     ConventionError.
     """
-    require_connected(g)
-    row, = stack_rows([g.name or "<anonymous>"], [g.edges], g.adjacency()[None], convention)
-    if row is None:
-        raise ConventionError(NO_ADMISSIBLE)
-    return row
-
-
-def scan_record(g: WeightedGraph, summary: SpectralSummary, report: SmallAlphaVerdict) -> ScanRecord:
-    """The scan row of one graph from its alpha=0 spectrum and verdict: :func:`_stack_rows` on a stack of one."""
-    rows = _stack_rows(g.adjacency()[None], g.degrees()[None], summary.stack, [report],
-                       np.array([report.classification == WORSENS]))
+    rows = _decide_one(g, normalize_convention(convention))
     return rows.records([0], [g.name or "<anonymous>"], [g.edges])[0]
 
 
@@ -317,7 +308,7 @@ class _Rows(NamedTuple):
     n: int
     verdicts: Sequence[SmallAlphaVerdict]
     worse: np.ndarray                # (k,) the row's verdict is WORSENS
-    near_unit: np.ndarray
+    spec: StackedSpectrum            # the alpha = 0 spectrum of the rows
     ladder: Ladder
     confirmed: list[bool | None]     # the sweep's answer on each WORSENS row, None elsewhere
 
@@ -327,7 +318,7 @@ class _Rows(NamedTuple):
         return [
             (graph_id, self.n, graph_edges, near_unit, self.verdicts[i], ladder, self.confirmed[i])
             for i, graph_id, graph_edges, near_unit, ladder
-            in zip(picked.tolist(), ids, edges, self.near_unit[picked].tolist(), self.ladder.rows(picked))
+            in zip(picked.tolist(), ids, edges, self.spec.near_unit[picked].tolist(), self.ladder.rows(picked))
         ]
 
     def records(self, picked: Sequence[int], ids: Sequence[str], edges: Sequence[tuple]) -> list[ScanRecord]:
@@ -351,44 +342,39 @@ def _stack_rows(
         swept = sweep_stack(a[idx], d[idx], spec.take(idx), [verdicts[i] for i in idx])
         for i, ok in zip(idx, swept.tolist()):
             confirmed[i] = ok
-    return _Rows(a.shape[-1], verdicts, worse, spec.near_unit, ladder_stack(degree_stats_of(d), spec), confirmed)
+    return _Rows(a.shape[-1], verdicts, worse, spec, ladder_stack(degree_stats_of(d), spec), confirmed)
 
 
-def _decide(a: np.ndarray, convention: str) -> tuple[np.ndarray, _Rows]:
+def _decide(a: np.ndarray, convention: str, h: float = FD_STEP) -> tuple[np.ndarray, _Rows]:
     """(stack positions, rows) of the rows of a (k, n, n) stack ``a`` of connected adjacency matrices.
 
     One stacked ``eigh`` at alpha = 0 solves every row; a row without an
-    admissible eigenvalue (K2 under ``paper``) is left out. The verdict core
-    and the row core decide the others, and a failed check raises, as
+    admissible eigenvalue (K2 under ``paper``) is left out, and only then are
+    the kept rows copied. The verdict core, with its finite-difference step
+    ``h``, and the row core decide the others, and a failed check raises, as
     :meth:`~rwj.spectral.StackedSpectrum.admissible` does on a disconnected
     matrix. ``convention`` must be normalised.
     """
     d = a.sum(axis=-1)
     spec = _solve(a, d, 0.0, convention)
     kept = np.flatnonzero(spec.admissible())
-    a, d, spec = a[kept], d[kept], spec.take(kept)
-    verdicts = classify_stack(a, d, spec, convention)
+    if len(kept) < len(a):
+        a, d, spec = a[kept], d[kept], spec.take(kept)
+    verdicts = classify_stack(a, d, spec, convention, h)
     return kept, _stack_rows(a, d, spec, verdicts, verdicts.classification == WORSENS)
 
 
-def stack_rows(
-    ids: Sequence[str],
-    edges: Sequence[tuple[tuple[int, int, float], ...]],
-    a: np.ndarray,
-    convention: str,
-) -> list[ScanRecord | None]:
-    """The scan rows of a (k, n, n) stack ``a`` of connected adjacency matrices, in input order.
+def _decide_one(g: WeightedGraph, convention: str, h: float = FD_STEP) -> _Rows:
+    """The row of one graph: :func:`_decide` on its stack of one.
 
-    Every row is built (:func:`_decide`); a row the convention admits no
-    eigenvalue of (K2 under ``paper``) is None. ``ids`` and ``edges`` name
-    and describe each row's graph.
+    A disconnected graph raises DisconnectedGraphError; one with no admissible
+    eigenvalue raises ConventionError. ``convention`` must be normalised.
     """
-    kept, rows = _decide(a, normalize_convention(convention))
-    kept = kept.tolist()
-    placed: list[ScanRecord | None] = [None] * len(ids)
-    for i, row in zip(kept, rows.records(range(len(kept)), [ids[i] for i in kept], [edges[i] for i in kept])):
-        placed[i] = row
-    return placed
+    require_connected(g)
+    kept, rows = _decide(g.adjacency()[None], convention, h)
+    if not len(kept):
+        raise ConventionError(NO_ADMISSIBLE)
+    return rows
 
 
 # the ScanSummary counters, in the order of _Unit.counts
@@ -510,6 +496,8 @@ def _run(worker, payloads, parallelism: int):
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if parallelism == 1:
         return [worker(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor  # only worker pools load multiprocessing
+
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         chunk = max(1, len(payloads) // (4 * parallelism))
         return list(pool.map(worker, payloads, chunksize=chunk))

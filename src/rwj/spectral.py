@@ -113,12 +113,6 @@ class SpectralSummary:
         return ((1.0 / s.root[0])[:, None] * s.eigenvectors[0])[:, s.order[0]]
 
 
-def require_alpha_zero(summary: SpectralSummary, caller: str) -> None:
-    """Raise ValueError unless ``summary`` is an alpha = 0 spectrum, which ``caller`` needs."""
-    if summary.alpha != 0.0:
-        raise ValueError(f"{caller} needs the alpha=0 spectrum, got alpha={summary.alpha}")
-
-
 def _similarity(a: np.ndarray, d: np.ndarray, alpha) -> tuple[np.ndarray, np.ndarray]:
     """N(alpha) = D(alpha)^{-1/2} A(alpha) D(alpha)^{-1/2}, symmetrised, and sqrt(d(alpha)).
 
@@ -324,17 +318,16 @@ class AlphaBar:
     searched: float | None
 
 
-def alpha_bar(g: WeightedGraph, base: SpectralSummary, grid: Sequence[float] | None = None) -> AlphaBar:
+def alpha_bar(g: WeightedGraph, gamma0: float, convention: str, grid: Sequence[float] | None = None) -> AlphaBar:
     """Closed-form and grid-searched improvement thresholds for the jump rate.
 
-    ``base`` is the alpha=0 spectrum of ``g``; its convention selects the gaps
-    along the grid. ``closed_form`` makes the Dobrushin bound exceed the alpha=0
-    gap (infinite when that gap is already 1); ``searched`` is the smallest grid
+    ``gamma0`` is the alpha=0 gap of ``g`` under ``convention``, which selects
+    the gaps along the grid. ``closed_form`` makes the Dobrushin bound exceed
+    gamma0 (infinite when it is already 1); ``searched`` is the smallest grid
     point whose recomputed gap actually beats it (None if none does). Default
-    grid: 64 log-spaced points in [1e-3, 1e3].
+    grid: 64 log-spaced points in [1e-3, 1e3], solved one at a time up to the
+    first hit.
     """
-    require_alpha_zero(base, "alpha_bar")
-    gamma0 = base.gap
     d_max = float(g.degrees().max())
     closed = alpha_bar_closed_form(gamma0, d_max)
     if gamma0 >= 1.0:
@@ -344,7 +337,7 @@ def alpha_bar(g: WeightedGraph, base: SpectralSummary, grid: Sequence[float] | N
         grid = np.logspace(-3.0, 3.0, 64)
     searched = None
     for a in grid:
-        if spectrum(build_transition(g, float(a)), base.convention).gap > gamma0:
+        if spectrum(build_transition(g, float(a)), convention).gap > gamma0:
             searched = float(a)
             break
     return AlphaBar(gamma0=gamma0, closed_form=closed, searched=searched)

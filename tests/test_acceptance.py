@@ -173,7 +173,7 @@ def test_criterion_4_derivative_vs_oracle(er200):
     rel_errs = []
     for g, s in er200:
         lf = lambda_first_order(g, s.lambda_star, s.v_star)
-        fd = finite_difference_derivative(g, s, s.lambda_star, s.v_star, h=1e-5)
+        fd = finite_difference_derivative(g, s.lambda_star, s.v_star, h=1e-5)
         rel_errs.append(abs(lf - fd) / max(1.0, abs(lf)))
     worst = max(rel_errs)
     assert worst <= 1e-3
@@ -187,7 +187,7 @@ def test_criterion_4_derivative_vs_oracle(er200):
     for g, s in er200:
         lf = lambda_first_order(g, s.lambda_star, s.v_star)
         errs = np.array(
-            [abs(finite_difference_derivative(g, s, s.lambda_star, s.v_star, h=h) - lf) for h in hs]
+            [abs(finite_difference_derivative(g, s.lambda_star, s.v_star, h=h) - lf) for h in hs]
         )
         if (errs == 0).any():
             continue

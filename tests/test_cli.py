@@ -96,6 +96,8 @@ def test_analyze_exit_codes(tmp_path, capsys):
     (["sweep", "--alpha-max", "1", "--alpha-min", "inf", "--spacing", "log"],
      "--alpha-min must be finite and > 0 for log spacing, got inf"),
     (["sweep", "--alpha-max", "0", "--spacing", "log"], "--alpha-max must be > 0 for log spacing"),
+    (["analyze", "--conditions-only", "--h", "0"], "h must be finite and > 0, got 0.0"),
+    (["analyze", "--conditions-only", "--h", "nan"], "h must be finite and > 0, got nan"),
 ])
 def test_non_finite_parameters_rejected(k4_file, capsys, argv, message):
     # invalid input, not a numerical failure: nothing reaches the eigensolver
@@ -124,6 +126,38 @@ def test_conditions_command(det_zero_pair_file, capsys):
     alias_out = capsys.readouterr().out
     assert rc == EXIT_OK
     assert alias_out == out
+
+
+@pytest.mark.parametrize("graph, convention, analyze_sha256, conditions_sha256", [
+    ("two_node", "slem", "b8079209156cdff2310ccbff26f270f6b801ca7a5afe18916d274bc43b880195",
+     "fbd851ec3ea9b51609ff76d6e1089ed643da037a48651c6b5b3458d36a51700c"),
+    ("two_node", "paper", "6a1c78ff9124c535b42732915ef475dcca1245152f28197f7de7c58dbc3edc3b",
+     "fbd851ec3ea9b51609ff76d6e1089ed643da037a48651c6b5b3458d36a51700c"),
+    ("Dhc", "slem", "034d3ddf7e2b4dcd6fc3887140131667351359c614555827eb235cec4a445a43",
+     "e3acd7b37e1e4a4e9937dc8b369bbb8bcc1fd3a24a756c0a4664de3c5a9d8806"),
+    ("Dhc", "paper", "b97e4ff697b625bf1f0f42fc6a4be364fd48771d4696def89990f9ee10b610b6",
+     "e3acd7b37e1e4a4e9937dc8b369bbb8bcc1fd3a24a756c0a4664de3c5a9d8806"),
+    ("C~", "slem", "d563ce63ce44a0cd1153ccd086cf2e960d3bb6da7c517d84d3249a23f152e521",
+     "a5f2f5cff5cb3267505d69cc5cb149de1d67aaef64c0102aa24215517c5173b2"),
+    ("C~", "paper", "0f9a07747ff4d79464ed0184f38f532c9baee7c157d162c94224c2f9f87833af",
+     "a5f2f5cff5cb3267505d69cc5cb149de1d67aaef64c0102aa24215517c5173b2"),
+])
+def test_analyze_and_conditions_bytes_pinned(data_dir, tmp_path, capsys, graph, convention, analyze_sha256,
+                                            conditions_sha256):
+    # the WORSENS pair, the degenerate C5 and K4: the analyze text with its CSV
+    # row, and the condition report, byte for byte
+    if graph == "two_node":
+        path = data_dir / "two_node.el"
+    else:
+        path = tmp_path / "graph.g6"
+        path.write_bytes(graph.encode() + b"\n")
+    csv_path = tmp_path / "row.csv"
+    argv = ["--input", str(path), "--convention", convention]
+    assert main(["analyze", "--epsilon", "0.01", "--csv", str(csv_path)] + argv) == EXIT_OK
+    text = capsys.readouterr().out + csv_path.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == analyze_sha256
+    assert main(["conditions"] + argv) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == conditions_sha256
 
 
 def test_analyze_csv_row(det_zero_pair_file, tmp_path, capsys):

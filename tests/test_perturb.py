@@ -125,20 +125,19 @@ def test_degenerate_rejects_bad_basis(k4):
 
 def test_fd_det_zero_pair(det_zero_pair):
     s = spectrum(build_transition(det_zero_pair, 0.0), "slem")
-    fd = finite_difference_derivative(det_zero_pair, s, s.lambda_star, s.v_star, h=1e-5)
+    fd = finite_difference_derivative(det_zero_pair, s.lambda_star, s.v_star, h=1e-5)
     assert fd == pytest.approx(1.0 / 36.0, abs=1e-6)
 
 
 def test_fd_c5_degenerate_start(c5):
     s = spectrum(build_transition(c5, 0.0), "slem")
-    fd = finite_difference_derivative(c5, s, s.lambda_star, s.v_star, h=1e-5)
+    fd = finite_difference_derivative(c5, s.lambda_star, s.v_star, h=1e-5)
     assert fd == pytest.approx(0.4045085, abs=1e-6)
 
 
 def test_fd_rejects_bad_h(det_zero_pair):
-    s = spectrum(build_transition(det_zero_pair, 0.0), "slem")
     with pytest.raises(ValueError):
-        finite_difference_derivative(det_zero_pair, s, 0.0, np.array([1.0, -2.0]), h=0.0)
+        finite_difference_derivative(det_zero_pair, 0.0, np.array([1.0, -2.0]), h=0.0)
 
 
 def test_fd_raises_on_a_lost_branch_or_a_wrong_start():
@@ -148,9 +147,9 @@ def test_fd_raises_on_a_lost_branch_or_a_wrong_start():
     p5 = generate("path", n=5)
     s = spectrum(build_transition(p5, 0.0), "slem")
     with pytest.raises(BranchCrossingError):
-        finite_difference_derivative(p5, s, s.lambda_star, s.eigenvectors.sum(axis=1))
+        finite_difference_derivative(p5, s.lambda_star, s.eigenvectors.sum(axis=1))
     with pytest.raises(NumericalError, match="tracked branch starts at"):
-        finite_difference_derivative(p5, s, s.lambda_star + 0.1, s.v_star)
+        finite_difference_derivative(p5, s.lambda_star + 0.1, s.v_star)
 
 
 def test_fd_convergence_order_det_zero_pair(det_zero_pair):
@@ -159,7 +158,7 @@ def test_fd_convergence_order_det_zero_pair(det_zero_pair):
     s = spectrum(build_transition(det_zero_pair, 0.0), "slem")
     hs = np.array([0.02, 0.01, 0.005])
     errs = np.array(
-        [abs(finite_difference_derivative(det_zero_pair, s, s.lambda_star, s.v_star, h=h) - 1.0 / 36.0) for h in hs]
+        [abs(finite_difference_derivative(det_zero_pair, s.lambda_star, s.v_star, h=h) - 1.0 / 36.0) for h in hs]
     )
     assert (errs[:-1] > errs[1:]).all()
     design = np.vstack([np.log(hs), np.ones(3)]).T
@@ -240,7 +239,7 @@ def test_nand_s_form_equivalence(g):
 def test_classify_det_zero_pair_worsens(det_zero_pair):
     for conv in ("slem", "paper"):
         s = spectrum(build_transition(det_zero_pair, 0.0), conv)
-        r = classify_small_alpha(det_zero_pair, conv, summary=s)
+        r = classify_small_alpha(det_zero_pair, conv)
         assert r.classification == WORSENS
         assert abs(r.lambda_star) <= 1e-9
         assert r.lambda_first == pytest.approx(1.0 / 36.0, rel=1e-9)
@@ -349,9 +348,8 @@ def test_classification_sweep_consistency_named_cases(det_zero_pair, k4, c5, sta
     for g, conv in ((det_zero_pair, "slem"), (k4, "slem"), (c5, "slem"), (star4, "slem"),
                     (two_node(4.0, 2.0, 1.05), "slem"), (two_node(3.0, 1.0, 3.0), "slem"),
                     (generate("path", n=4), "paper")):
-        s = spectrum(build_transition(g, 0.0), conv)
-        r = classify_small_alpha(g, conv, summary=s)
-        assert sweep_confirms(g, s, r)
+        r = classify_small_alpha(g, conv)
+        assert sweep_confirms(g, r)
 
 
 def test_sweep_stack_equals_sweep_confirms_row_by_row(catalog_lines):
@@ -374,7 +372,7 @@ def test_sweep_stack_equals_sweep_confirms_row_by_row(catalog_lines):
             for i, v in enumerate(classify_stack(a, d, spec, conv))
         ]
         swept = sweep_stack(a, d, spec, verdicts)
-        expected = [sweep_confirms(g, spectrum(build_transition(g, 0.0), conv), v) for g, v in zip(kept, verdicts)]
+        expected = [sweep_confirms(g, v) for g, v in zip(kept, verdicts)]
         assert swept.tolist() == expected
         assert set(expected) == {True, False}
         assert max(len(v.branches) for v in verdicts) > 1
@@ -388,7 +386,7 @@ def test_sweep_stack_equals_sweep_confirms_row_by_row(catalog_lines):
         with pytest.raises(BranchCrossingError):
             sweep_stack(a, d, spec, verdicts[:i] + [lost] + verdicts[i + 1:])
         with pytest.raises(BranchCrossingError):
-            sweep_confirms(kept[i], s, lost)
+            sweep_confirms(kept[i], lost)
 
 
 def test_classify_skips_the_empty_simple_level_pencil(monkeypatch):
@@ -414,32 +412,10 @@ def test_sweep_consistency_all_catalogs(catalog_lines):
     for n, lines in catalog_lines.items():
         for line in lines:
             g = parse_graph6(line)
-            s = spectrum(build_transition(g, 0.0), "slem")
-            r = classify_small_alpha(g, "slem", summary=s)
-            assert sweep_confirms(g, s, r, alphas=(1e-3,)), (
+            r = classify_small_alpha(g, "slem")
+            assert sweep_confirms(g, r, alphas=(1e-3,)), (
                 f"{line!r}: {r.classification} not confirmed at alpha=1e-3"
             )
-
-
-def test_alpha_zero_spectrum_required():
-    # a summary at alpha = 0.5 once gave a wrong gamma, a flipped sweep and a
-    # misleading D-orthonormality error instead of this one check
-    from rwj import alpha_bar, full_report, parse_graph6
-
-    g = parse_graph6(b"D^{")
-    s0 = spectrum(build_transition(g, 0.0), "slem")
-    r = classify_small_alpha(g, "slem", summary=s0)
-    s = spectrum(build_transition(g, 0.5), "slem")
-    calls = (
-        lambda: full_report(g, "slem", summary=s),
-        lambda: sweep_confirms(g, s, r),
-        lambda: classify_small_alpha(g, "slem", summary=s),
-        lambda: finite_difference_derivative(g, s, s0.lambda_star, s0.v_star),
-        lambda: alpha_bar(g, s),
-    )
-    for call in calls:
-        with pytest.raises(ValueError, match="needs the alpha=0 spectrum, got alpha=0.5"):
-            call()
 
 
 def test_case_one_property_random_graphs():
@@ -463,5 +439,5 @@ def test_formula_vs_oracle_random_sample():
         if s.degenerate_multiplicity != 1 or s.tied_sign:
             continue
         lf = lambda_first_order(g, s.lambda_star, s.v_star)
-        fd = finite_difference_derivative(g, s, s.lambda_star, s.v_star)
+        fd = finite_difference_derivative(g, s.lambda_star, s.v_star)
         assert abs(lf - fd) <= 1e-3 * max(1.0, abs(lf))

@@ -27,7 +27,7 @@ from rwj import (
 )
 from rwj.cli import main
 from rwj.perturb import stacked_finite_difference
-from rwj.search import stack_rows
+from rwj.search import analyze_graph
 from rwj.spectral import PAPER, _solve, alpha_bar_closed_form, normalize_convention, track_stack
 
 from conftest import connected_weighted, random_connected_weighted, same_order_stacks
@@ -136,14 +136,14 @@ def test_spectrum_star_conventions(star4):
 
 def test_stacked_solve_takes_only_normalised_conventions():
     # "paper" is a spelling for users: the stacked solve refuses it rather than
-    # select under slem (gap 0 on a star), and stack_rows normalises first
+    # select under slem (gap 0 on a star), and analyze_graph normalises first
     star = generate("star", n=5)
     a, d = star.adjacency()[None], star.degrees()[None]
     for spelling in ("paper", "SLEM", "lazy"):
         with pytest.raises(ValueError):
             _solve(a, d, 0.0, spelling)
     assert _solve(a, d, 0.0, PAPER).gap == pytest.approx([1.0])
-    row, = stack_rows(["star"], [star.edges], a, "paper")
+    row = analyze_graph(star, "paper")
     assert row.convention == PAPER
     assert row.lambda_star == pytest.approx(0.0, abs=1e-12)
 
@@ -297,7 +297,7 @@ def test_alpha_bar_closed_form_values():
 
 
 def test_alpha_bar_regular_search_below_closed_form(c5):
-    bar = alpha_bar(c5, spectrum(build_transition(c5, 0.0), "slem"))
+    bar = alpha_bar(c5, spectrum(build_transition(c5, 0.0), "slem").gap, "slem")
     assert bar.searched is not None
     assert bar.searched <= bar.closed_form
     # for a regular graph any alpha > 0 improves, so the search hits the first grid point
@@ -305,13 +305,13 @@ def test_alpha_bar_regular_search_below_closed_form(c5):
 
 
 def test_alpha_bar_k4_searched(k4):
-    bar = alpha_bar(k4, spectrum(build_transition(k4, 0.0), "slem"))
+    bar = alpha_bar(k4, spectrum(build_transition(k4, 0.0), "slem").gap, "slem")
     assert bar.searched is not None
     assert bar.searched <= bar.closed_form
 
 
 def test_alpha_bar_bipartite_slem(star4):
-    bar = alpha_bar(star4, spectrum(build_transition(star4, 0.0), "slem"))
+    bar = alpha_bar(star4, spectrum(build_transition(star4, 0.0), "slem").gap, "slem")
     assert bar.gamma0 == 0.0
     assert bar.closed_form == 0.0
     assert bar.searched == pytest.approx(1e-3)
@@ -321,7 +321,7 @@ def test_alpha_bar_guarantee_beyond_closed_form():
     rng = np.random.default_rng(3)
     for i in range(8):
         g = random_connected_weighted(rng, int(rng.integers(3, 10)))
-        bar = alpha_bar(g, spectrum(build_transition(g, 0.0), "slem"), grid=[])
+        bar = alpha_bar(g, spectrum(build_transition(g, 0.0), "slem").gap, "slem", grid=[])
         if math.isinf(bar.closed_form):
             continue
         alpha = bar.closed_form * 1.01 + 1e-6
@@ -337,7 +337,7 @@ def test_alpha_bar_skips_the_grid_at_unit_gap(data_dir, monkeypatch, capsys):
     calls = []
     real = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
-    bar = alpha_bar(g, base)
+    bar = alpha_bar(g, base.gap, "paper")
     assert calls == []
     assert (bar.gamma0, bar.closed_form, bar.searched) == (1.0, math.inf, None)
     monkeypatch.undo()
@@ -347,11 +347,6 @@ def test_alpha_bar_skips_the_grid_at_unit_gap(data_dir, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "1a9c174b5922175dbb0355c312d975cef9eae89e582f895b406ed11ca4b6f98e"
     )
-
-
-def test_alpha_bar_rejects_a_nonzero_alpha_base(c5):
-    with pytest.raises(ValueError):
-        alpha_bar(c5, spectrum(build_transition(c5, 0.5), "slem"))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +444,7 @@ def test_stacked_tracking_equals_track_branch_on_simple_rows(stack):
             assert track.kept[i]
             assert track.eigenvalues[i].tolist() == [point[1] for point in branch]
         try:
-            fd = finite_difference_derivative(graphs[i], s, spec.lambda_star[i], spec.basis[i, :, 0], h)
+            fd = finite_difference_derivative(graphs[i], spec.lambda_star[i], spec.basis[i, :, 0], h)
         except NumericalError:
             assert not guard[i]
         else:
@@ -486,17 +481,16 @@ def test_analyze_graph_eigensolves_on_a_simple_level(eigh_matrices):
 
 
 def test_sweep_confirms_eigensolves(eigh_matrices, det_zero_pair):
-    # one grid of 0 and four positive rates: alpha = 0 comes from the summary,
-    # and the branches of a tied level share the other four solves
+    # one grid of 0 and four positive rates: alpha = 0 is solved once, and the
+    # branches of a tied level share the other four solves
     from rwj import classify_small_alpha, sweep_confirms
 
     for g, conv, branches in ((det_zero_pair, "slem", 1), (generate("path", n=4), "paper", 2)):
-        s = spectrum(build_transition(g, 0.0), conv)
-        r = classify_small_alpha(g, conv, summary=s)
+        r = classify_small_alpha(g, conv)
         assert len(r.branches) == branches
         eigh_matrices.clear()
-        assert sweep_confirms(g, s, r)
-        assert eigh_matrices == [4]
+        assert sweep_confirms(g, r)
+        assert eigh_matrices == [1, 4]
 
 
 @pytest.mark.parametrize("steps", [1, 5])
