@@ -128,9 +128,11 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     hold the alpha = 0 spectrum, the verdict with its finite-difference check,
     the condition ladder and the sweep of a WORSENS verdict. The report and
     the row read them; only a nonzero alpha is solved again, and alpha_bar
-    searches from the alpha = 0 gap.
+    searches from the alpha = 0 gap. ``alpha`` is checked first, in every
+    form of the report.
     """
     out = []
+    ts = spectral.build_transition(g, alpha)
     stats = graphs.degree_stats(g)
     conv = spectral.normalize_convention(convention)
     rows = search._decide_one(g, conv, h)
@@ -144,7 +146,6 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     )
 
     if not conditions_only:
-        ts = spectral.build_transition(g, alpha)
         summary = base if alpha == 0.0 else spectral.spectrum(ts, conv)
         out.append(f"alpha={fmt(alpha)}  convention={conv}")
         out.append("pi(alpha): " + " ".join(fmt(x) for x in ts.pi))

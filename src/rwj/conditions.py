@@ -20,7 +20,7 @@ case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,18 +125,6 @@ def rayleigh_minimum(stats: DegreeStats) -> tuple[float, np.ndarray]:
     return min_value, f
 
 
-class LadderRow(NamedTuple):
-    """The condition-ladder columns of a scan row."""
-
-    cor1: bool
-    cor2: bool
-    thm2_sharp: bool
-    cor4_sharp: bool
-    nand_s: bool | None       # None when lambda_star <= TOL_SIGN
-    consistency: tuple[str, ...]
-    paper_constant_witness: bool
-
-
 class Ladder(NamedTuple):
     """The condition ladder of every graph of a stack; each verdict holds a (k,) array."""
 
@@ -150,17 +138,6 @@ class Ladder(NamedTuple):
     nand_s: np.ndarray                   # (k,) (1/n)(1^T v)^2 < lambda_star v^T v
     consistency: list[tuple[str, ...]]   # implication violations; empty means consistent
     paper_constant_witness: np.ndarray   # (k,) thm2 with the published constant held but NandS failed
-
-    def rows(self, picked: Sequence[int]) -> list[LadderRow]:
-        """The :class:`LadderRow` of each stack row in ``picked``, in its order."""
-        picked = np.asarray(picked, dtype=int)
-        columns = (self.cor1.holds, self.cor2.holds, self.thm2_sharp.holds, self.cor4_sharp.holds, self.nand_s,
-                   self.positive, self.paper_constant_witness)
-        return [
-            LadderRow(c1, c2, t2, c4, nand if positive else None, self.consistency[i], witness)
-            for i, (c1, c2, t2, c4, nand, positive, witness)
-            in zip(picked.tolist(), zip(*(c[picked].tolist() for c in columns)))
-        ]
 
 
 def ladder_stack(stats: DegreeStats, spec: StackedSpectrum) -> Ladder:

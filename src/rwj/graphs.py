@@ -95,6 +95,8 @@ class WeightedGraph:
     @cached_property
     def connected(self) -> bool:
         """True iff the positive-weight adjacency has one component (self-loops ignored)."""
+        if sum(u != v for u, v, _ in self.edges) < self.n - 1:
+            return False  # too few edges for a spanning tree; nothing is allocated per vertex
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v, _ in self.edges:
             if u != v:

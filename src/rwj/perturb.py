@@ -16,7 +16,8 @@ Degenerate levels are handled by the reduced pencil V^T((1/n)11^T - lambda I)V
 over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
 :func:`classify_stack` decides a stack of graphs at once, and
-:func:`sweep_stack` checks a stack's verdicts against branch-tracked gaps.
+:func:`sweep_stack` checks a stack's verdicts against branch-tracked gaps
+from the vectors of their branches and a WORSENS mask.
 :func:`classify_small_alpha`, :func:`sweep_confirms` and
 :func:`finite_difference_derivative` are their one-graph cases: each takes a
 graph and solves its alpha = 0 spectrum as a stack of one.
@@ -284,7 +285,8 @@ class StackedVerdicts(Sequence[PerturbationReport]):
     """The small-alpha verdicts of a stack of graphs as (k,) columns, one entry per row.
 
     Item ``i`` is the :class:`PerturbationReport` of row ``i``, built when it
-    is read. The worst branch of a row is the branch its verdict comes from.
+    is read; a scan reads the columns and :meth:`branch_vectors` only. The
+    worst branch of a row is the branch its verdict comes from.
     """
 
     convention: str
@@ -316,6 +318,11 @@ class StackedVerdicts(Sequence[PerturbationReport]):
             stationary=self.stationary[i].item(), branches=self.levels.get(i, (worst,)),
             fd_estimate=self.fd_estimate[i].item(), fd_agreement=self.fd_agreement[i].item(),
         )
+
+    def branch_vectors(self, rows: Sequence[int]) -> list[np.ndarray]:
+        """The alpha = 0 vectors of every branch of each row in ``rows``, one (b, n) array per row."""
+        return [np.array([b.vector for b in self.levels[i]]) if i in self.levels else self.vector[i:i + 1]
+                for i in rows]
 
 
 def classify_stack(
@@ -389,34 +396,34 @@ def sweep_stack(
     a: np.ndarray,
     d: np.ndarray,
     spec: StackedSpectrum,
-    verdicts: Sequence[SmallAlphaVerdict],
+    branches: Sequence[np.ndarray],
+    worsens: np.ndarray,
     alphas: tuple[float, ...] = (1e-3, 1e-2),
 ) -> np.ndarray:
     """(k,) direct check of each row's verdict against branch-tracked gaps.
 
     ``spec`` is the alpha = 0 spectrum of the (k, n, n) adjacency stack ``a``
-    with degrees ``d``, and ``verdicts`` holds one verdict per row. Every
-    branch of every row is tracked from its alpha = 0 vector along one
-    ascending grid of the test alphas and their midpoints, all in one
-    :func:`~rwj.spectral.track_stack` call; a lost branch raises
-    :class:`~rwj.errors.BranchCrossingError`. A row's gap at a test alpha is
-    1 - max|lambda(alpha)| over its branches, compared with its alpha = 0
-    gap: a WORSENS verdict needs a strictly smaller gap at every test alpha,
-    an IMPROVES verdict a strictly larger one.
+    with degrees ``d``. ``branches`` holds one (b, n) array per row, the
+    alpha = 0 vectors of the row's b branches, and the (k,) mask ``worsens``
+    marks the rows classified WORSENS. Every branch of every row is tracked
+    from its vector along one ascending grid of the test alphas and their
+    midpoints, all in one :func:`~rwj.spectral.track_stack` call; a lost
+    branch raises :class:`~rwj.errors.BranchCrossingError`. A row's gap at a
+    test alpha is 1 - max|lambda(alpha)| over its branches, compared with its
+    alpha = 0 gap: a WORSENS row needs a strictly smaller gap at every test
+    alpha, any other row a strictly larger one.
     """
     grid = sorted({0.0, *alphas, *(x / 2.0 for x in alphas)})
-    counts = [len(v.branches) for v in verdicts]
-    vectors = np.array([b.vector for v in verdicts for b in v.branches])
+    counts = [len(v) for v in branches]
     # the stack row of each branch; a stack of one lets track_stack follow all
     # of its branches along one graph's solves
-    idx = np.repeat(np.arange(len(verdicts)), counts) if len(verdicts) > 1 else np.arange(1)
-    track = track_stack(a[idx], d[idx], grid, vectors, {0.0: tuple(x[idx] for x in spec.solved)})
+    idx = np.repeat(np.arange(len(counts)), counts) if len(counts) > 1 else np.arange(1)
+    track = track_stack(a[idx], d[idx], grid, np.concatenate(branches), {0.0: tuple(x[idx] for x in spec.solved)})
     track.require_kept(grid)
     moduli = np.abs(track.eigenvalues[:, [grid.index(x) for x in alphas]])
     gaps = 1.0 - np.maximum.reduceat(moduli, np.cumsum([0] + counts[:-1]), axis=0)
-    worsens = np.array([v.classification == WORSENS for v in verdicts])[:, None]
     gap0 = spec.gap[:, None]
-    return np.where(worsens, gaps < gap0, gaps > gap0).all(axis=-1)
+    return np.where(worsens[:, None], gaps < gap0, gaps > gap0).all(axis=-1)
 
 
 def sweep_confirms(g: WeightedGraph, verdict: SmallAlphaVerdict, alphas: tuple[float, ...] = (1e-3, 1e-2)) -> bool:
@@ -427,4 +434,6 @@ def sweep_confirms(g: WeightedGraph, verdict: SmallAlphaVerdict, alphas: tuple[f
     compares 1 - max|lambda(alpha)| at each test alpha with the alpha=0 gap.
     """
     spec = spectrum(build_transition(g, 0.0), verdict.convention).stack
-    return bool(sweep_stack(g.adjacency()[None], g.degrees()[None], spec, [verdict], alphas)[0])
+    vectors = np.array([b.vector for b in verdict.branches])
+    worsens = np.array([verdict.classification == WORSENS])
+    return bool(sweep_stack(g.adjacency()[None], g.degrees()[None], spec, [vectors], worsens, alphas)[0])

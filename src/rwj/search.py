@@ -14,11 +14,12 @@ two-node grid points, comes from the same cores: the stacked eigensolve of
 :func:`~rwj.perturb.sweep_stack`. :func:`_decide` runs them on an adjacency
 stack and keeps the rows as array columns, the alpha = 0 spectrum among them;
 one graph (:func:`analyze_graph` and ``rwj analyze``) is a stack of one, and
-the two-node grid holds its verdicts and enters the row core,
-:func:`_stack_rows`, directly. A :class:`ScanRecord` is built only for a row
-that is reported: :func:`analyze_graph` and the two-node grid report every
-row, while a scan's work units count their rows from the columns and send
-back only their WORSENS rows and their own ``top_k`` closest calls, which
+the two-node grid hands the columns of its closed forms to the row core,
+:func:`_stack_rows`, directly. The row core reads verdict columns only, and a
+:class:`ScanRecord` is built straight from the columns, only for a row that
+is reported: :func:`analyze_graph` and the two-node grid report every row,
+while a scan's work units count their rows from the columns and send back
+only their WORSENS rows and their own ``top_k`` closest calls, which
 :func:`_finalize` merges.
 """
 
@@ -35,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .conditions import Ladder, LadderRow, ladder_stack
+from .conditions import Ladder, ladder_stack
 from .errors import ConventionError, GenerationError, GraphFormatError
 from .graphs import (
     WeightedGraph,
@@ -52,6 +53,7 @@ from .perturb import (
     WORSENS,
     Branch,
     SmallAlphaVerdict,
+    StackedVerdicts,
     classify_stack,
     modulus_rate,
     sweep_stack,
@@ -120,7 +122,11 @@ class TwoNodeClosedForm(SmallAlphaVerdict):
 
 
 class _TwoNodeForms(NamedTuple):
-    """Closed forms and verdicts of two-vertex graphs, one array entry per graph."""
+    """Closed forms and verdicts of two-vertex graphs, one array entry per graph.
+
+    One-dimensional, they are verdict columns as in :class:`~rwj.perturb.StackedVerdicts`:
+    each level is one simple eigenvalue, whose one branch starts along v_star.
+    """
 
     lambda_star: np.ndarray
     r: np.ndarray              # v_star = (1, -r)
@@ -131,17 +137,12 @@ class _TwoNodeForms(NamedTuple):
     gap_derivative: np.ndarray
     stationary: np.ndarray
 
-    def closed_forms(self) -> list[TwoNodeClosedForm]:
-        """One :class:`TwoNodeClosedForm` per entry of one-dimensional arrays, in order."""
-        return [
-            TwoNodeClosedForm(
-                convention=SLEM, lambda_star=lam, lambda_first=lam1, classification=classification,
-                gap_derivative=gap_derivative, degenerate=False, tied_sign=False, stationary=stationary,
-                branches=(Branch(lam, lam1, rate, np.array([1.0, -r])),), numerator=numerator,
-            )
-            for lam, r, numerator, lam1, rate, classification, gap_derivative, stationary
-            in zip(*(x.tolist() for x in self))
-        ]
+    convention = SLEM
+    degenerate = tied_sign = property(lambda self: np.zeros(self.r.shape, dtype=bool))
+
+    def branch_vectors(self, rows: Sequence[int]) -> np.ndarray:
+        """The (1, 2) branch vector v_star of each row in ``rows``."""
+        return np.stack([np.ones(len(rows)), -self.r[rows]], axis=-1)[:, None]
 
 
 def _two_node_forms(a11, a12, a22) -> _TwoNodeForms:
@@ -183,7 +184,13 @@ def two_node_closed_form(p: TwoNodeParams) -> TwoNodeClosedForm:
     :mod:`rwj.perturb` applied to this one branch. This is the array formula
     that :func:`two_node_grid_search` evaluates on whole slabs, on one point.
     """
-    return _two_node_forms(*np.array([[p.a11], [p.a12], [p.a22]], dtype=float)).closed_forms()[0]
+    forms = _two_node_forms(*np.array([[p.a11], [p.a12], [p.a22]], dtype=float))
+    lam, r, numerator, lam1, rate, classification, gap_derivative, stationary = (x.item() for x in forms)
+    return TwoNodeClosedForm(
+        convention=SLEM, lambda_star=lam, lambda_first=lam1, classification=classification,
+        gap_derivative=gap_derivative, degenerate=False, tied_sign=False, stationary=stationary,
+        branches=(Branch(lam, lam1, rate, np.array([1.0, -r])),), numerator=numerator,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,78 +275,55 @@ def analyze_graph(g: WeightedGraph, convention: str = SLEM) -> ScanRecord:
     return rows.records([0], [g.name or "<anonymous>"], [g.edges])[0]
 
 
-def _record(
-    graph_id: str,
-    n: int,
-    edges: tuple[tuple[int, int, float], ...],
-    near_unit: bool,
-    report: SmallAlphaVerdict,
-    ladder: LadderRow,
-    confirmed: bool | None,
-) -> ScanRecord:
-    """The only place a :class:`ScanRecord` is built."""
-    return ScanRecord(
-        id=graph_id,
-        n=n,
-        convention=report.convention,
-        lambda_star=report.lambda_star,
-        lambda_first=report.lambda_first,
-        classification=report.classification,
-        margin=report.gap_derivative,
-        cor1=ladder.cor1,
-        cor2=ladder.cor2,
-        thm2_sharp=ladder.thm2_sharp,
-        cor4_sharp=ladder.cor4_sharp,
-        nand_s=ladder.nand_s,
-        degenerate=report.degenerate,
-        tied_sign=report.tied_sign,
-        stationary=report.stationary,
-        near_unit=near_unit,
-        sweep_confirmed=confirmed,
-        consistency_violations=ladder.consistency,
-        paper_constant_witness=ladder.paper_constant_witness,
-        edges=edges,
-    )
-
-
 class _Rows(NamedTuple):
     """The decided rows of an adjacency stack as columns; :meth:`records` builds the rows a caller reports."""
 
     n: int
-    verdicts: Sequence[SmallAlphaVerdict]
+    verdicts: StackedVerdicts | _TwoNodeForms  # the verdict columns, one entry per row
     worse: np.ndarray                # (k,) the row's verdict is WORSENS
     spec: StackedSpectrum            # the alpha = 0 spectrum of the rows
     ladder: Ladder
     confirmed: list[bool | None]     # the sweep's answer on each WORSENS row, None elsewhere
 
-    def fields(self, picked: Sequence[int], ids: Sequence[str], edges: Sequence[tuple]) -> list[tuple]:
-        """The :func:`_record` arguments of the stack rows ``picked``, whose graphs ``ids`` and ``edges`` describe."""
+    def fields(self, picked: Sequence[int], ids: Sequence[str], edges: Sequence[tuple]) -> list[dict]:
+        """The :class:`ScanRecord` fields of the stack rows ``picked``, whose graphs ``ids`` and ``edges`` describe."""
         picked = np.asarray(picked, dtype=int)
+        v, ladder = self.verdicts, self.ladder
+        columns = {
+            "lambda_star": v.lambda_star, "lambda_first": v.lambda_first, "classification": v.classification,
+            "margin": v.gap_derivative, "cor1": ladder.cor1.holds, "cor2": ladder.cor2.holds,
+            "thm2_sharp": ladder.thm2_sharp.holds, "cor4_sharp": ladder.cor4_sharp.holds,
+            "nand_s": np.where(ladder.positive, ladder.nand_s, None), "degenerate": v.degenerate,
+            "tied_sign": v.tied_sign, "stationary": v.stationary, "near_unit": self.spec.near_unit,
+            "paper_constant_witness": ladder.paper_constant_witness,
+        }
         return [
-            (graph_id, self.n, graph_edges, near_unit, self.verdicts[i], ladder, self.confirmed[i])
-            for i, graph_id, graph_edges, near_unit, ladder
-            in zip(picked.tolist(), ids, edges, self.spec.near_unit[picked].tolist(), self.ladder.rows(picked))
+            dict(zip(columns, values), id=graph_id, n=self.n, convention=v.convention,
+                 sweep_confirmed=self.confirmed[i], consistency_violations=ladder.consistency[i], edges=graph_edges)
+            for i, graph_id, graph_edges, *values
+            in zip(picked.tolist(), ids, edges, *(c[picked].tolist() for c in columns.values()))
         ]
 
     def records(self, picked: Sequence[int], ids: Sequence[str], edges: Sequence[tuple]) -> list[ScanRecord]:
         """The scan rows of the stack rows ``picked``; see :meth:`fields`."""
-        return [_record(*args) for args in self.fields(picked, ids, edges)]
+        return [ScanRecord(**fields) for fields in self.fields(picked, ids, edges)]
 
 
 def _stack_rows(
-    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, verdicts: Sequence[SmallAlphaVerdict], worse: np.ndarray
+    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, verdicts: StackedVerdicts | _TwoNodeForms
 ) -> _Rows:
-    """The rows of a (k, n, n) adjacency stack ``a`` with degrees ``d`` and one verdict per row.
+    """The rows of a (k, n, n) adjacency stack ``a`` with degrees ``d`` and the verdict columns ``verdicts``.
 
     ``spec`` is the stack's alpha = 0 spectrum, every row admissible, under
-    the verdicts' convention, and ``worse`` marks the WORSENS verdicts. One
-    ladder core evaluates every row's condition ladder, and one stacked sweep
-    confirms or refutes every WORSENS row (:func:`~rwj.perturb.sweep_stack`).
+    the verdicts' convention. One ladder core evaluates every row's condition
+    ladder, and one stacked sweep confirms or refutes every WORSENS row from
+    its branch vectors (:func:`~rwj.perturb.sweep_stack`).
     """
-    confirmed: list[bool | None] = [None] * len(verdicts)
+    worse = verdicts.classification == WORSENS
+    confirmed: list[bool | None] = [None] * len(worse)
     idx = np.flatnonzero(worse).tolist()
     if idx:
-        swept = sweep_stack(a[idx], d[idx], spec.take(idx), [verdicts[i] for i in idx])
+        swept = sweep_stack(a[idx], d[idx], spec.take(idx), verdicts.branch_vectors(idx), worse[idx])
         for i, ok in zip(idx, swept.tolist()):
             confirmed[i] = ok
     return _Rows(a.shape[-1], verdicts, worse, spec, ladder_stack(degree_stats_of(d), spec), confirmed)
@@ -360,8 +344,7 @@ def _decide(a: np.ndarray, convention: str, h: float = FD_STEP) -> tuple[np.ndar
     kept = np.flatnonzero(spec.admissible())
     if len(kept) < len(a):
         a, d, spec = a[kept], d[kept], spec.take(kept)
-    verdicts = classify_stack(a, d, spec, convention, h)
-    return kept, _stack_rows(a, d, spec, verdicts, verdicts.classification == WORSENS)
+    return kept, _stack_rows(a, d, spec, classify_stack(a, d, spec, convention, h))
 
 
 def _decide_one(g: WeightedGraph, convention: str, h: float = FD_STEP) -> _Rows:
@@ -387,7 +370,7 @@ class _Unit(NamedTuple):
 
     counts: tuple[int, ...]                     # one per name in _COUNTERS
     worsens: list[tuple[int, ScanRecord]]       # (input position, row) of every WORSENS row
-    closest: list[tuple[float, int, tuple]]     # (margin, input position, _record arguments) of its closest calls
+    closest: list[tuple[float, int, dict]]      # (margin, input position, ScanRecord fields) of its closest calls
 
 
 _NO_ROWS = _Unit((0,) * len(_COUNTERS), [], [])
@@ -398,9 +381,9 @@ def _unit(positions: np.ndarray, a: np.ndarray, convention: str, top_k: int, des
 
     Every row is decided and counted in arrays (:func:`_decide`). Only the
     WORSENS rows become records here; the ``top_k`` IMPROVES rows of smallest
-    margin, earliest first among equal margins, are kept as :func:`_record`
-    arguments, and :func:`_finalize` builds the ones the scan reports.
-    ``describe`` maps stack rows to their ids and edge tuples.
+    margin, earliest first among equal margins, are kept as their
+    :class:`ScanRecord` fields, and :func:`_finalize` builds the ones the scan
+    reports. ``describe`` maps stack rows to their ids and edge tuples.
     """
     kept, rows = _decide(a, convention)
     verdicts, ladder = rows.verdicts, rows.ladder
@@ -414,8 +397,8 @@ def _unit(positions: np.ndarray, a: np.ndarray, convention: str, top_k: int, des
     counts = (len(kept), confirmed, int(rows.worse.sum()) - confirmed, int(verdicts.degenerate.sum()),
               int(verdicts.tied_sign.sum()), int(verdicts.stationary.sum()),
               int(ladder.paper_constant_witness.sum()), len(ladder.consistency) - ladder.consistency.count(()))
-    return _Unit(counts, [(position, _record(*args)) for position, args in tagged(np.flatnonzero(rows.worse))],
-                 [(margin, position, args) for margin, (position, args)
+    return _Unit(counts, [(position, ScanRecord(**fields)) for position, fields in tagged(np.flatnonzero(rows.worse))],
+                 [(margin, position, fields) for margin, (position, fields)
                   in zip(verdicts.gap_derivative[closest].tolist(), tagged(closest))])
 
 
@@ -483,7 +466,7 @@ def _finalize(
     summary.skipped = total - summary.classified
     worsens = [r for _, r in sorted(chain.from_iterable(u.worsens for u in units), key=itemgetter(0))]
     closest = sorted(chain.from_iterable(u.closest for u in units), key=itemgetter(0, 1))[:top_k]
-    summary.min_margin_records = tuple(_record(*args) for _, _, args in closest)
+    summary.min_margin_records = tuple(ScanRecord(**fields) for _, _, fields in closest)
     summary.elapsed = time.perf_counter() - started
     if dump_dir is not None and worsens:
         dump_counterexamples(worsens, dump_dir)
@@ -594,13 +577,13 @@ def two_node_grid_search(
     The grid is taken one a11 value at a time: each slab of
     len(a12_values) * len(a22_values) points is validated by array tests and
     classified by one evaluation of the closed-form array formula, and only
-    its WORSENS points become :class:`TwoNodeClosedForm` verdicts. A slab with
-    an invalid point raises the :class:`TwoNodeParams` error of its first one
-    in a11, a12, a22 order. The WORSENS points are then decided in stacks of
-    at most STACK_SIZE graphs [[a11, a12], [a12, a22]]: one stacked ``eigh``
-    at alpha = 0, the ladder core and one stacked sweep per stack
-    (:func:`_stack_rows`), so each row is the one the closed-form verdict
-    gives a graph alone.
+    the columns of its WORSENS points are kept. A slab with an invalid point
+    raises the :class:`TwoNodeParams` error of its first one in a11, a12, a22
+    order. The WORSENS columns of every slab are then cut into stacks of at
+    most STACK_SIZE graphs [[a11, a12], [a12, a22]] and each stack enters the
+    row core (:func:`_stack_rows`) as its verdict columns: one stacked ``eigh``
+    at alpha = 0, the ladder core and one stacked sweep per stack, so each row
+    is the one the closed-form verdict gives a graph alone.
 
     The worsening region sits where det(A) is at or near zero with unequal
     self-loops, on the lambda_star >= 0 side.
@@ -609,8 +592,7 @@ def two_node_grid_search(
     if not (a11s.size and a12s.size and a22s.size):
         raise ValueError("empty two-node grid")
     a12s, a22s = np.broadcast_arrays(a12s[:, None], a22s[None, :])
-    points: list[TwoNodeParams] = []
-    verdicts: list[TwoNodeClosedForm] = []
+    weights, slabs = [], []
     for a11 in a11s.tolist():
         valid = np.isfinite(a11) & np.isfinite(a12s) & np.isfinite(a22s)
         valid &= (a11 >= 0.0) & (a12s > 0.0) & (a22s >= 0.0)
@@ -619,15 +601,18 @@ def two_node_grid_search(
             TwoNodeParams(a11, a12s.flat[first].item(), a22s.flat[first].item())  # raises its error
         forms = _two_node_forms(a11, a12s, a22s)
         worse = forms.classification == WORSENS
-        points += [TwoNodeParams(a11, a12, a22) for a12, a22 in zip(a12s[worse].tolist(), a22s[worse].tolist())]
-        verdicts += _TwoNodeForms(*(x[worse] for x in forms)).closed_forms()
+        weights.append(np.stack(np.broadcast_arrays(a11, a12s[worse], a22s[worse]), axis=-1))
+        slabs.append([x[worse] for x in forms])
+    w = np.concatenate(weights)               # (a11, a12, a22) of each WORSENS point
+    a = w[:, [[0, 1], [1, 2]]]                # [[a11, a12], [a12, a22]] of each point
+    forms = _TwoNodeForms(*map(np.concatenate, zip(*slabs)))
     records: list[ScanRecord] = []
-    for start in range(0, len(points), STACK_SIZE):
-        chunk = points[start:start + STACK_SIZE]
-        a = np.array([[[p.a11, p.a12], [p.a12, p.a22]] for p in chunk])
-        d = a.sum(axis=-1)
-        spec = _solve(a, d, 0.0, SLEM)
+    for start in range(0, len(w), STACK_SIZE):
+        cut = slice(start, start + STACK_SIZE)
+        d = a[cut].sum(axis=-1)
+        spec = _solve(a[cut], d, 0.0, SLEM)
         spec.require_admissible()
-        rows = _stack_rows(a, d, spec, verdicts[start:start + STACK_SIZE], np.ones(len(chunk), dtype=bool))
-        records += rows.records(range(len(chunk)), [p.name for p in chunk], [p.edges for p in chunk])
+        points = [TwoNodeParams(*p) for p in w[cut].tolist()]
+        rows = _stack_rows(a[cut], d, spec, _TwoNodeForms(*(x[cut] for x in forms)))
+        records += rows.records(range(len(points)), [p.name for p in points], [p.edges for p in points])
     return records

@@ -98,6 +98,8 @@ def test_analyze_exit_codes(tmp_path, capsys):
     (["sweep", "--alpha-max", "0", "--spacing", "log"], "--alpha-max must be > 0 for log spacing"),
     (["analyze", "--conditions-only", "--h", "0"], "h must be finite and > 0, got 0.0"),
     (["analyze", "--conditions-only", "--h", "nan"], "h must be finite and > 0, got nan"),
+    (["analyze", "--conditions-only", "--alpha", "nan"], "alpha must be finite and >= 0, got nan"),
+    (["analyze", "--conditions-only", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0"),
 ])
 def test_non_finite_parameters_rejected(k4_file, capsys, argv, message):
     # invalid input, not a numerical failure: nothing reaches the eigensolver

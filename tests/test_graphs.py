@@ -1,6 +1,7 @@
 """Graph type, formats, generators, degree statistics."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,21 @@ def test_parse_edgelist_rejects(text):
 def test_parse_edgelist_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
         parse_edgelist("4\n0 1 1\n2 3 1\n")
+
+
+def test_too_few_edges_are_disconnected_before_any_per_vertex_work():
+    # a spanning tree needs n - 1 edges, self-loops not counted: one edge on
+    # two million vertices is rejected without a list per vertex
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError):
+            parse_edgelist("2000000\n0 1 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not is_connected(WeightedGraph(3, ((0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0))))
+    assert is_connected(WeightedGraph(3, ((0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0))))
 
 
 def test_edgelist_round_trip_exact():

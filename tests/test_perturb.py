@@ -367,11 +367,16 @@ def test_sweep_stack_equals_sweep_confirms_row_by_row(catalog_lines):
         keep = spec.admissible()
         a, d, spec = a[keep], d[keep], spec.take(keep)
         kept = [g for g, k in zip(graphs, keep.tolist()) if k]
+        stacked = classify_stack(a, d, spec, conv)
         verdicts = [
             dataclasses.replace(v, classification=WORSENS) if i % 3 == 0 else v
-            for i, v in enumerate(classify_stack(a, d, spec, conv))
+            for i, v in enumerate(stacked)
         ]
-        swept = sweep_stack(a, d, spec, verdicts)
+        # the stack's branch vectors are the vectors of each row's branches
+        vectors = [np.array([b.vector for b in v.branches]) for v in verdicts]
+        assert all(np.array_equal(x, y) for x, y in zip(stacked.branch_vectors(range(len(kept))), vectors))
+        worsens = np.array([v.classification == WORSENS for v in verdicts])
+        swept = sweep_stack(a, d, spec, vectors, worsens)
         expected = [sweep_confirms(g, v) for g, v in zip(kept, verdicts)]
         assert swept.tolist() == expected
         assert set(expected) == {True, False}
@@ -384,7 +389,7 @@ def test_sweep_stack_equals_sweep_confirms_row_by_row(catalog_lines):
         lost = dataclasses.replace(verdicts[i], branches=(
             Branch(worst.level_value, worst.derivative, worst.rate, s.eigenvectors.sum(axis=1)),))
         with pytest.raises(BranchCrossingError):
-            sweep_stack(a, d, spec, verdicts[:i] + [lost] + verdicts[i + 1:])
+            sweep_stack(a, d, spec, vectors[:i] + [s.eigenvectors.sum(axis=1)[None]] + vectors[i + 1:], worsens)
         with pytest.raises(BranchCrossingError):
             sweep_confirms(kept[i], lost)
 

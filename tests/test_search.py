@@ -30,7 +30,7 @@ from rwj import (
     two_node_grid_search,
     write_graph6,
 )
-from rwj.cli import records_to_csv
+from rwj.cli import records_to_csv, summary_text
 
 from conftest import graph6_lines
 
@@ -222,6 +222,29 @@ def test_grid_search_makes_no_per_point_call(monkeypatch):
     assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
         "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
     )
+
+
+def _count_constructions(monkeypatch, *classes):
+    """{class: constructions so far} for each of ``classes``, counted by a wrapped ``__init__``."""
+    built = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def counting(self, *args, _cls=cls, _real=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_grid_search_builds_no_verdict_object_per_point(monkeypatch):
+    # the WORSENS points reach the row core as columns, not as closed-form
+    # verdicts with their branches; one point alone still builds both
+    built = _count_constructions(monkeypatch, rwj.search.TwoNodeClosedForm, rwj.perturb.Branch)
+    records = two_node_grid_search(np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
+    assert len(records) == 172
+    assert list(built.values()) == [0, 0]
+    two_node_closed_form(TwoNodeParams(1.0, 1.5, 3.5))
+    assert list(built.values()) == [1, 1]
 
 
 def test_worsens_at_an_exactly_zero_first_order_term():
@@ -472,6 +495,24 @@ def test_scan_catalog_sweeps_worsens_rows_in_their_stack(data_dir, monkeypatch):
         assert {r.sweep_confirmed for r in records} == {False}  # swept, and every gap really grows
 
 
+def test_scan_catalog_reads_verdict_columns_only(data_dir, monkeypatch):
+    # every verdict forced to WORSENS, so every row is swept and reported:
+    # no row is read back as a PerturbationReport
+    real = rwj.perturb.verdict
+
+    def worsens(lambda_star, worst_rate):
+        return (np.full(np.shape(lambda_star), WORSENS),) + real(lambda_star, worst_rate)[1:]
+
+    monkeypatch.setattr(rwj.perturb, "verdict", worsens)
+    built = _count_constructions(monkeypatch, rwj.perturb.PerturbationReport)
+    for convention in ("slem", "paper"):
+        summary, records = scan_catalog(data_dir / "graph5c.g6", convention)
+        assert summary.counterexamples + summary.worsens_unconfirmed == len(records) == 21
+    assert list(built.values()) == [0]
+    rwj.perturb.classify_small_alpha(parse_graph6(b"Dhc"))
+    assert list(built.values()) == [1]
+
+
 @pytest.mark.parametrize("convention", ["slem", "paper"])
 def test_scan_catalog_builds_only_the_records_it_reports(data_dir, monkeypatch, convention):
     # no n = 7 graph worsens, so a default scan reports its 10 closest calls
@@ -598,6 +639,47 @@ def test_scan_random_sbm_balanced_clusters():
         v = s.v_star
         mus.append(min((v < 0).sum(), (v > 0).sum()) / g.n)
     assert np.median(mus) >= 0.375
+
+
+ER_40 = ("er", {"n": 40, "p": 0.15}, 200, 0)
+SBM_8_8 = ("sbm", {"sizes": (8, 8), "b": [[0.7, 0.05], [0.05, 0.7]]}, 60, 5)
+
+
+@pytest.mark.parametrize("model, convention, top_k, csv_sha256, summary_sha256", [
+    (ER_40, "slem", 10, "5e8248429d309baa6b36fad4cff570f56e4c161d6789668bc9b972b806e64ac4",
+     "4ac6b36fd4a979d0fcc4baac39a350ec381adf17074a90a41f93f21970d457e4"),
+    (ER_40, "slem", 10**9, "fdc4ebdc6dc595200cc2318722a374594427eb4d55e6a63830817d538042acde",
+     "0b1a2e38140bbd368c5765a32d10e5a1d52dc79b1448c4fbcd63bbb12589218f"),
+    (ER_40, "paper", 10, "8b2f48191af7b1ac8ea6a85f62c861ba7b8cbe9e40e8368c1a4aa6c8f730ad39",
+     "dfb8b45e21d9c7407f73f424b3dd39d260059384730ca1db13e83c4f834836ae"),
+    (ER_40, "paper", 10**9, "8f6a854374eac1b2b5811ebf84aa30cd86f195920b7fc34d67e87126f73e7162",
+     "617b56e7bfad2c93ed0964e7d4520050999e767a8f11714a0ec952c0b8ccbc83"),
+    (SBM_8_8, "slem", 10, "0e5e3633693b3f7582774f9e539d9c7d1d1aaf58fd410510aede3ab7040efdac",
+     "d126cfd99180ac69d4015824b702e7e2965bce06ec6eefb71323e45675bfdad1"),
+    (SBM_8_8, "slem", 10**9, "0a29116ede98e9072cf225d8b4f11ebf876090bc52d27f3e769f8d56060d294f",
+     "6a1c2042edbb990220ec1f9b4c91a96c30506f3b5d87067d7370d9d81b413862"),
+    (SBM_8_8, "paper", 10, "70d1a8a86ab05ce8a12942be2ec43259ac87554078e2e3f652978f310be9231a",
+     "394d9ef7c914d4891c2a405edc0a6f08f8f83209a826490bb476df692fa5ab40"),
+    (SBM_8_8, "paper", 10**9, "dcfd13e8736e9ddcb80d30bb7892c6124e1a7cb486d5ca0eb2da68a6be8845ba",
+     "b0cee728de78788119320c1ab06636504d17265e86b7667e9314ee4baf4fd99c"),
+])
+def test_scan_random_bytes_pinned(model, convention, top_k, csv_sha256, summary_sha256):
+    # sha256 of the CSV and of the summary text without its elapsed line
+    name, params, count, seed = model
+    summary, records = scan_random(name, params, count, seed, convention, top_k)
+    text = "".join(line for line in summary_text(summary).splitlines(True) if not line.startswith("elapsed:"))
+    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == csv_sha256
+    assert hashlib.sha256(text.encode()).hexdigest() == summary_sha256
+
+
+def test_scan_random_parallel_equals_serial():
+    for name, params, count, seed in (ER_40, SBM_8_8):
+        for convention in ("slem", "paper"):
+            s1, r1 = scan_random(name, params, count, seed, convention, top_k=10**9)
+            s2, r2 = scan_random(name, params, count, seed, convention, top_k=10**9, parallelism=2)
+            assert records_to_csv(r1) == records_to_csv(r2)
+            assert _counters(s1) == _counters(s2)
+            assert s1.total == s1.classified == count
 
 
 def test_scan_random_rejects_bad_count():
