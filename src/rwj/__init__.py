@@ -42,7 +42,6 @@ from .perturb import (
     IMPROVES,
     WORSENS,
     NandS,
-    PerturbationReport,
     classify_small_alpha,
     degenerate_first_order,
     finite_difference_derivative,

@@ -73,13 +73,19 @@ def load_graph(path: str, fmt_name: str) -> graphs.WeightedGraph:
     return graphs.parse_edgelist(p.read_text(), name=p.stem)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted with inner quotes doubled where it holds a comma, quote or line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def records_to_csv(records) -> str:
+    """The scan CSV of ``records``; only an id can hold a comma (RFC 4180 quoting), the rest are numbers and tokens."""
     lines = [SCAN_CSV_HEADER]
     for r in records:
         lines.append(
             ",".join(
                 [
-                    r.id,
+                    _csv_field(r.id),
                     str(r.n),
                     r.convention,
                     fmt(r.lambda_star),
@@ -137,7 +143,7 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     conv = spectral.normalize_convention(convention)
     rows = search._decide_one(g, conv, h)
     base = rows.spec.summary(0, 0.0, conv)
-    report = rows.verdicts[0]
+    v = rows.verdicts
     out.append(f"graph: {g.name or '<unnamed>'}  n={g.n}  volume={fmt(stats.volume)}")
     out.append("degrees: " + " ".join(fmt(x) for x in stats.d))
     out.append(
@@ -179,14 +185,14 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
         )
         out.append(
             "small-alpha (at alpha=0): "
-            f"lambda_star={fmt(report.lambda_star)} lambda_first={fmt(report.lambda_first)} "
-            f"fd={fmt(report.fd_estimate)} fd_agreement={fmt(report.fd_agreement)}"
+            f"lambda_star={fmt(v.lambda_star[0])} lambda_first={fmt(v.lambda_first[0])} "
+            f"fd={fmt(v.fd_estimate[0])} fd_agreement={fmt(v.fd_agreement[0])}"
         )
         out.append(
-            f"classification={report.classification} gap_derivative={fmt(report.gap_derivative)}"
-            + (" [stationary]" if report.stationary else "")
-            + (" [degenerate]" if report.degenerate else "")
-            + (" [tied]" if report.tied_sign else "")
+            f"classification={v.classification[0]} gap_derivative={fmt(v.gap_derivative[0])}"
+            + (" [stationary]" if v.stationary[0] else "")
+            + (" [degenerate]" if v.degenerate[0] else "")
+            + (" [tied]" if v.tied_sign[0] else "")
         )
 
     cond = cond_mod.condition_report(stats, rows.spec, rows.ladder, conv)
@@ -407,11 +413,11 @@ def cmd_two_node(args) -> int:
     numeric = perturb.classify_small_alpha(p.graph(), "slem")
     out = [
         f"two-node weights: a11={fmt(p.a11)} a12={fmt(p.a12)} a22={fmt(p.a22)}",
-        f"closed form: lambda_star={fmt(cf.lambda_star)} v_star=({fmt(cf.v_star[0])}, {fmt(cf.v_star[1])})",
-        f"numerator={fmt(cf.numerator)} lambda_first={fmt(cf.lambda_first)}",
-        f"classification={cf.classification} margin={fmt(cf.gap_derivative)}"
-        + (" [stationary]" if cf.stationary else ""),
-        f"numeric cross-check: lambda_star={fmt(numeric.lambda_star)} lambda_first={fmt(numeric.lambda_first)}",
+        f"closed form: lambda_star={fmt(cf.lambda_star[0])} v_star=(1, {fmt(-cf.r[0])})",
+        f"numerator={fmt(cf.numerator[0])} lambda_first={fmt(cf.lambda_first[0])}",
+        f"classification={cf.classification[0]} margin={fmt(cf.gap_derivative[0])}"
+        + (" [stationary]" if cf.stationary[0] else ""),
+        f"numeric cross-check: lambda_star={fmt(numeric.lambda_star[0])} lambda_first={fmt(numeric.lambda_first[0])}",
     ]
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK

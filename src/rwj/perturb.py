@@ -15,10 +15,10 @@ lambda < 0 the numerator is positive too, so those branches always rise
 Degenerate levels are handled by the reduced pencil V^T((1/n)11^T - lambda I)V
 over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
-:func:`classify_stack` decides a stack of graphs at once, and
-:func:`sweep_stack` checks a stack's verdicts against branch-tracked gaps
-from the vectors of their branches and a WORSENS mask.
-:func:`classify_small_alpha`, :func:`sweep_confirms` and
+:func:`classify_stack` decides a stack of graphs at once into columns, the only
+form a verdict takes, and :func:`sweep_stack` checks a stack's verdicts
+against branch-tracked gaps from the vectors of their branches and a WORSENS
+mask. :func:`classify_small_alpha`, :func:`sweep_confirms` and
 :func:`finite_difference_derivative` are their one-graph cases: each takes a
 graph and solves its alpha = 0 spectrum as a stack of one.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -177,46 +176,6 @@ def nand_s_check(lambda_star: float, v_star: np.ndarray, n: int) -> NandS:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Branch:
-    """One eigenvalue branch at the governing modulus level."""
-
-    level_value: float       # exact eigenvalue the branch starts from
-    derivative: float        # lambda'(0) along the branch
-    rate: float              # d|lambda|/dalpha contribution of the branch
-    vector: np.ndarray       # adapted eigenvector (limit of the true branch)
-
-
-@dataclass(frozen=True, eq=False)
-class SmallAlphaVerdict:
-    """The small-alpha verdict of one graph, as a scan row records it.
-
-    ``lambda_first`` is the derivative of the governing branch.
-    ``gap_derivative`` is d(gap)/dalpha at 0+ (positive means the relaxation
-    time improves) and is the scan margin. ``branches`` holds every branch at
-    the governing modulus level, both signs when tied; :func:`sweep_confirms`
-    tracks their vectors.
-    """
-
-    convention: str
-    lambda_star: float
-    lambda_first: float
-    classification: str
-    gap_derivative: float
-    degenerate: bool
-    tied_sign: bool
-    stationary: bool
-    branches: tuple[Branch, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class PerturbationReport(SmallAlphaVerdict):
-    """Small-alpha verdict for one graph with its finite-difference cross-check."""
-
-    fd_estimate: float
-    fd_agreement: float
-
-
 def modulus_rate(lambda_star, level_value, derivative) -> np.ndarray:
     """d|lambda|/dalpha at 0+ of branches starting at ``level_value`` on the modulus level of lambda_star.
 
@@ -247,7 +206,16 @@ def verdict(lambda_star, worst_rate) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.where(worsens, WORSENS, IMPROVES), -rate, stationary
 
 
-def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int) -> list[Branch]:
+class LevelBranches(NamedTuple):
+    """Every branch at the modulus level of one row, both signs when tied, one entry per branch."""
+
+    values: np.ndarray       # (b,) the eigenvalue each branch starts from
+    derivatives: np.ndarray  # (b,) lambda'(0) along each branch
+    rates: np.ndarray        # (b,) d|lambda|/dalpha of each branch
+    vectors: np.ndarray      # (b, n) adapted alpha = 0 vector of each branch (limit of the true branch)
+
+
+def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int) -> LevelBranches:
     """All branches at the modulus level of row ``i`` of ``spec``, with their modulus rates.
 
     One reduced-pencil ``eigh`` per sign of the level (one for a level at 0),
@@ -265,7 +233,7 @@ def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int)
             level_idx[w[level_idx] > 0.0],
             level_idx[w[level_idx] <= 0.0],
         ]
-    found = []  # (level value, derivative, adapted vector) of each branch
+    values, derivs, vectors = [], [], []
     for idx in groups:
         if len(idx) == 0:
             continue
@@ -273,27 +241,27 @@ def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int)
         basis = (1.0 / spec.root[i])[:, None] * spec.eigenvectors[i][:, spec.order[i, idx]]  # D-orthonormal
         # eigenvalues of the reduced pencil are the branch derivatives, its
         # eigenvectors give the adapted branch vectors
-        derivs, y = np.linalg.eigh(_reduced_pencil(a[i], d[i], level_value, basis))
-        found += [(level_value, deriv, basis @ y[:, k]) for k, deriv in enumerate(derivs.tolist())]
-    values, derivs, _ = zip(*found)
-    rates = modulus_rate(lam, np.array(values), np.array(derivs)).tolist()
-    return [Branch(value, deriv, rate, vector) for (value, deriv, vector), rate in zip(found, rates)]
+        level_derivs, y = np.linalg.eigh(_reduced_pencil(a[i], d[i], level_value, basis))
+        values.append(np.full(len(level_derivs), level_value))
+        derivs.append(level_derivs)
+        vectors += [basis @ column for column in y.T]  # one product per branch: basis @ y may round otherwise
+    values, derivs = np.concatenate(values), np.concatenate(derivs)
+    return LevelBranches(values, derivs, modulus_rate(lam, values, derivs), np.array(vectors))
 
 
 @dataclass(frozen=True, eq=False)
-class StackedVerdicts(Sequence[PerturbationReport]):
+class StackedVerdicts:
     """The small-alpha verdicts of a stack of graphs as (k,) columns, one entry per row.
 
-    Item ``i`` is the :class:`PerturbationReport` of row ``i``, built when it
-    is read; a scan reads the columns and :meth:`branch_vectors` only. The
-    worst branch of a row is the branch its verdict comes from.
+    The worst branch of a row is the branch its verdict comes from;
+    ``levels`` holds every branch of each row whose level holds more than one.
     """
 
     convention: str
     lambda_star: np.ndarray
     lambda_first: np.ndarray     # derivative of the worst branch
     classification: np.ndarray
-    gap_derivative: np.ndarray
+    gap_derivative: np.ndarray   # d(gap)/dalpha at 0+, the scan margin: positive means the relaxation time improves
     stationary: np.ndarray
     degenerate: np.ndarray       # the level holds more than one eigenvalue
     tied_sign: np.ndarray
@@ -302,27 +270,11 @@ class StackedVerdicts(Sequence[PerturbationReport]):
     vector: np.ndarray           # (k, n) adapted vector of the worst branch
     fd_estimate: np.ndarray
     fd_agreement: np.ndarray
-    levels: dict[int, tuple[Branch, ...]]  # every branch of each degenerate row
-
-    def __len__(self) -> int:
-        return len(self.lambda_star)
-
-    def __getitem__(self, i: int) -> PerturbationReport:
-        i = range(len(self))[i]
-        lam1 = self.lambda_first[i].item()
-        worst = Branch(self.level_value[i].item(), lam1, self.rate[i].item(), self.vector[i])
-        return PerturbationReport(
-            convention=self.convention, lambda_star=self.lambda_star[i].item(), lambda_first=lam1,
-            classification=self.classification[i].item(), gap_derivative=self.gap_derivative[i].item(),
-            degenerate=self.degenerate[i].item(), tied_sign=self.tied_sign[i].item(),
-            stationary=self.stationary[i].item(), branches=self.levels.get(i, (worst,)),
-            fd_estimate=self.fd_estimate[i].item(), fd_agreement=self.fd_agreement[i].item(),
-        )
+    levels: dict[int, LevelBranches]  # every branch of each degenerate row
 
     def branch_vectors(self, rows: Sequence[int]) -> list[np.ndarray]:
         """The alpha = 0 vectors of every branch of each row in ``rows``, one (b, n) array per row."""
-        return [np.array([b.vector for b in self.levels[i]]) if i in self.levels else self.vector[i:i + 1]
-                for i in rows]
+        return [self.levels[i].vectors if i in self.levels else self.vector[i:i + 1] for i in rows]
 
 
 def classify_stack(
@@ -351,10 +303,11 @@ def classify_stack(
     lowest = derivative.copy()  # the smallest branch derivative of each row
     levels = {}
     for i in np.flatnonzero(~single).tolist():
-        branches = levels[i] = tuple(_level_branches(a, d, spec, i))
-        worst = max(branches, key=attrgetter("rate"))
-        level_value[i], derivative[i], vector[i] = worst.level_value, worst.derivative, worst.vector
-        lowest[i] = min(b.derivative for b in branches)
+        branches = levels[i] = _level_branches(a, d, spec, i)
+        worst = branches.rates.argmax()  # the first of equal rates
+        level_value[i], derivative[i] = branches.values[worst], branches.derivatives[worst]
+        vector[i] = branches.vectors[worst]
+        lowest[i] = branches.derivatives.min()
     if np.any((lam < -TOL_SIGN) & (lowest <= 0.0)):
         raise NumericalError(
             "negative-lambda branch with nonpositive derivative; "
@@ -368,7 +321,7 @@ def classify_stack(
     )
 
 
-def classify_small_alpha(g: WeightedGraph, convention: str = SLEM, h: float = FD_STEP) -> PerturbationReport:
+def classify_small_alpha(g: WeightedGraph, convention: str = SLEM, h: float = FD_STEP) -> StackedVerdicts:
     """Classify whether small jump rates improve or worsen the relaxation time.
 
     Rules at the governing modulus level (:func:`modulus_rate` and :func:`verdict`):
@@ -382,14 +335,14 @@ def classify_small_alpha(g: WeightedGraph, convention: str = SLEM, h: float = FD
       (reported IMPROVES with the stationary flag).
 
     Degenerate levels classify from the worst branch; sign-tied levels
-    evaluate both signs and take the worst case. Every report carries a
-    finite-difference cross-check along the governing branch. This is the
-    report of row 0 of :func:`classify_stack` on the alpha = 0 spectrum of
-    ``g`` as a stack of one.
+    evaluate both signs and take the worst case. Every verdict carries a
+    finite-difference cross-check along the governing branch. This is
+    :func:`classify_stack` on the alpha = 0 spectrum of ``g`` as a stack of
+    one: every column holds the one entry of ``g``.
     """
     conv = normalize_convention(convention)
     spec = spectrum(build_transition(g, 0.0), conv).stack
-    return classify_stack(g.adjacency()[None], g.degrees()[None], spec, conv, h)[0]
+    return classify_stack(g.adjacency()[None], g.degrees()[None], spec, conv, h)
 
 
 def sweep_stack(
@@ -411,8 +364,11 @@ def sweep_stack(
     branch raises :class:`~rwj.errors.BranchCrossingError`. A row's gap at a
     test alpha is 1 - max|lambda(alpha)| over its branches, compared with its
     alpha = 0 gap: a WORSENS row needs a strictly smaller gap at every test
-    alpha, any other row a strictly larger one.
+    alpha, any other row a strictly larger one. The test alphas must be
+    non-empty, finite and > 0, or ValueError.
     """
+    if len(alphas) == 0 or not all(math.isfinite(x) and x > 0.0 for x in alphas):
+        raise ValueError(f"test alphas must be non-empty, finite and > 0, got {tuple(alphas)}")
     grid = sorted({0.0, *alphas, *(x / 2.0 for x in alphas)})
     counts = [len(v) for v in branches]
     # the stack row of each branch; a stack of one lets track_stack follow all
@@ -426,14 +382,14 @@ def sweep_stack(
     return np.where(worsens[:, None], gaps < gap0, gaps > gap0).all(axis=-1)
 
 
-def sweep_confirms(g: WeightedGraph, verdict: SmallAlphaVerdict, alphas: tuple[float, ...] = (1e-3, 1e-2)) -> bool:
+def sweep_confirms(g: WeightedGraph, verdicts: StackedVerdicts, alphas: tuple[float, ...] = (1e-3, 1e-2)) -> bool:
     """Direct check of one graph's verdict against branch-tracked gaps: :func:`sweep_stack` on a stack of one.
 
-    Solves the alpha = 0 spectrum of ``g`` under the verdict's convention,
-    tracks the verdict's branches together from their alpha=0 vectors, and
-    compares 1 - max|lambda(alpha)| at each test alpha with the alpha=0 gap.
+    ``verdicts`` is the verdict of ``g`` (:func:`classify_small_alpha`).
+    Solves the alpha = 0 spectrum of ``g`` under its convention, tracks every
+    branch of row 0 together from its alpha=0 vector, and compares
+    1 - max|lambda(alpha)| at each test alpha with the alpha=0 gap.
     """
-    spec = spectrum(build_transition(g, 0.0), verdict.convention).stack
-    vectors = np.array([b.vector for b in verdict.branches])
-    worsens = np.array([verdict.classification == WORSENS])
-    return bool(sweep_stack(g.adjacency()[None], g.degrees()[None], spec, [vectors], worsens, alphas)[0])
+    spec = spectrum(build_transition(g, 0.0), verdicts.convention).stack
+    return bool(sweep_stack(g.adjacency()[None], g.degrees()[None], spec, verdicts.branch_vectors([0]),
+                            verdicts.classification[:1] == WORSENS, alphas)[0])

@@ -15,12 +15,12 @@ two-node grid points, comes from the same cores: the stacked eigensolve of
 stack and keeps the rows as array columns, the alpha = 0 spectrum among them;
 one graph (:func:`analyze_graph` and ``rwj analyze``) is a stack of one, and
 the two-node grid hands the columns of its closed forms to the row core,
-:func:`_stack_rows`, directly. The row core reads verdict columns only, and a
-:class:`ScanRecord` is built straight from the columns, only for a row that
-is reported: :func:`analyze_graph` and the two-node grid report every row,
-while a scan's work units count their rows from the columns and send back
-only their WORSENS rows and their own ``top_k`` closest calls, which
-:func:`_finalize` merges.
+:func:`_stack_rows`, directly. A verdict exists only as columns, for one
+graph or one two-node point too, and a :class:`ScanRecord` is built straight
+from the columns, only for a row that is reported: :func:`analyze_graph` and
+the two-node grid report every row, while a scan's work units count their
+rows from the columns and send back only their WORSENS rows and their own
+``top_k`` closest calls, which :func:`_finalize` merges.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ from .graphs import (
 from .perturb import (
     FD_STEP,
     WORSENS,
-    Branch,
-    SmallAlphaVerdict,
     StackedVerdicts,
     classify_stack,
     modulus_rate,
@@ -106,23 +104,8 @@ class TwoNodeParams:
         return WeightedGraph(2, self.edges, name=self.name)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoNodeClosedForm(SmallAlphaVerdict):
-    """Closed-form eigenpair, first-order term and ``slem`` verdict of a two-vertex graph.
-
-    ``lambda_first`` is numerator / (v^T D v). The single branch starts at
-    lambda_star along ``v_star``.
-    """
-
-    numerator: float      # (1/2)(1^T v)^2 - lambda v^T v, via the explicit expansion
-
-    @property
-    def v_star(self) -> np.ndarray:
-        return self.branches[0].vector
-
-
 class _TwoNodeForms(NamedTuple):
-    """Closed forms and verdicts of two-vertex graphs, one array entry per graph.
+    """Closed-form eigenpairs, first-order terms and ``slem`` verdicts of two-vertex graphs, one entry per graph.
 
     One-dimensional, they are verdict columns as in :class:`~rwj.perturb.StackedVerdicts`:
     each level is one simple eigenvalue, whose one branch starts along v_star.
@@ -130,8 +113,8 @@ class _TwoNodeForms(NamedTuple):
 
     lambda_star: np.ndarray
     r: np.ndarray              # v_star = (1, -r)
-    numerator: np.ndarray
-    lambda_first: np.ndarray
+    numerator: np.ndarray      # (1/2)(1^T v)^2 - lambda v^T v, via the explicit expansion
+    lambda_first: np.ndarray   # numerator / (v^T D v)
     rate: np.ndarray
     classification: np.ndarray
     gap_derivative: np.ndarray
@@ -171,8 +154,8 @@ def _two_node_forms(a11, a12, a22) -> _TwoNodeForms:
     return _TwoNodeForms(lam, r, numerator, lam1, rate, *verdict(lam, rate))
 
 
-def two_node_closed_form(p: TwoNodeParams) -> TwoNodeClosedForm:
-    """Closed-form non-unit eigenpair, first-order term and verdict for the two-vertex graph.
+def two_node_closed_form(p: TwoNodeParams) -> _TwoNodeForms:
+    """Closed-form non-unit eigenpair, first-order term and verdict for the two-vertex graph, as columns of one entry.
 
     lambda_star = det(A) / ((a11+a12)(a22+a12)), eigenvector (1, -(a11+a12)/(a22+a12)),
     and the numerator of the first-order term expands to
@@ -184,13 +167,7 @@ def two_node_closed_form(p: TwoNodeParams) -> TwoNodeClosedForm:
     :mod:`rwj.perturb` applied to this one branch. This is the array formula
     that :func:`two_node_grid_search` evaluates on whole slabs, on one point.
     """
-    forms = _two_node_forms(*np.array([[p.a11], [p.a12], [p.a22]], dtype=float))
-    lam, r, numerator, lam1, rate, classification, gap_derivative, stationary = (x.item() for x in forms)
-    return TwoNodeClosedForm(
-        convention=SLEM, lambda_star=lam, lambda_first=lam1, classification=classification,
-        gap_derivative=gap_derivative, degenerate=False, tied_sign=False, stationary=stationary,
-        branches=(Branch(lam, lam1, rate, np.array([1.0, -r])),), numerator=numerator,
-    )
+    return _two_node_forms(*np.array([[p.a11], [p.a12], [p.a22]], dtype=float))
 
 
 # ---------------------------------------------------------------------------

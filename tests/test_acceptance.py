@@ -118,9 +118,9 @@ def test_criterion_1_weighted_counterexample(det_zero_pair_graph):
     assert abs(s.lambda_star) <= 1e-12
 
     r = classify_small_alpha(det_zero_pair_graph, "paper")
-    assert r.classification == WORSENS
-    assert r.lambda_first == pytest.approx(1.0 / 36.0, rel=1e-12)
-    assert abs(r.lambda_first - r.fd_estimate) <= 1e-6
+    assert r.classification[0] == WORSENS
+    assert r.lambda_first[0] == pytest.approx(1.0 / 36.0, rel=1e-12)
+    assert abs(r.lambda_first[0] - r.fd_estimate[0]) <= 1e-6
 
     gap0 = spectrum(build_transition(det_zero_pair_graph, 0.0), "paper").gap
     gap1 = spectrum(build_transition(det_zero_pair_graph, 0.01), "paper").gap

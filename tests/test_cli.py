@@ -1,13 +1,15 @@
 """End-to-end command-line behaviour: outputs, exit codes, determinism."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import math
 from pathlib import Path
 
 import pytest
 
-from rwj import two_node_grid_search
+from rwj import analyze_graph, generate, scan_catalog, scan_random, two_node_grid_search
 from rwj.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_DISCONNECTED,
@@ -143,11 +145,16 @@ def test_conditions_command(det_zero_pair_file, capsys):
      "a5f2f5cff5cb3267505d69cc5cb149de1d67aaef64c0102aa24215517c5173b2"),
     ("C~", "paper", "0f9a07747ff4d79464ed0184f38f532c9baee7c157d162c94224c2f9f87833af",
      "a5f2f5cff5cb3267505d69cc5cb149de1d67aaef64c0102aa24215517c5173b2"),
+    ("D`{", "slem", "cc2400279ee7005ba4ea69a0d0b3f87968019ed140fe59291731802a2880553d",
+     "b33ffe37e47a357f14431b853247ac7fa1e917188ec0f1eac4c2f8633da7ed66"),
+    ("D`{", "paper", "4d5fff8769949d707498db453195ec6ad8dcf4b0b28478cb5906ab64d4686656",
+     "b33ffe37e47a357f14431b853247ac7fa1e917188ec0f1eac4c2f8633da7ed66"),
 ])
 def test_analyze_and_conditions_bytes_pinned(data_dir, tmp_path, capsys, graph, convention, analyze_sha256,
                                             conditions_sha256):
-    # the WORSENS pair, the degenerate C5 and K4: the analyze text with its CSV
-    # row, and the condition report, byte for byte
+    # the WORSENS pair, the degenerate C5, K4 and the sign-tied D`{ (tied under
+    # both conventions): the analyze text with its CSV row, and the condition
+    # report, byte for byte
     if graph == "two_node":
         path = data_dir / "two_node.el"
     else:
@@ -278,6 +285,61 @@ def test_scan_deterministic_bytes(tmp_path, capsys):
     assert out1 == out2
 
 
+# scan CSVs whose ids hold commas, and the sha256 of the bytes written before
+# such ids were quoted
+COMMA_ID_CSVS = [
+    (["scan", "--model", "er", "--n", "40", "--p", "0.15", "--count", "20"],
+     "ed54c33ab862c9574268446bb5d1a4b6eab3bd9587fc7f8813b1a114bd181e04"),
+    (["scan", "--model", "sbm", "--sizes", "8,8", "--block-probs", "0.7,0.05,0.05,0.7", "--count", "20",
+      "--seed", "5"], "18cda7edc59cf6f6434e3221bc7599e3441504a6aaf53f25ea9bfb42db5c481e"),
+    (["two-node", "--grid-a11", "0:5:21", "--grid-a12", "0.25:4:8", "--grid-a22", "0:5:21"],
+     "c0856a849f3240d7c2e3f102b08b6330b007a59ea17ea591810bf3d73e7f6322"),
+]
+
+
+def test_csv_quoting_adds_only_quotes(data_dir, tmp_path, capsys):
+    # an id holding a comma is quoted and nothing else changes: without the
+    # quotes every CSV is the one written before
+    for argv, unquoted_sha256 in COMMA_ID_CSVS:
+        main(argv)
+        out = capsys.readouterr().out
+        assert out.count('"') >= 2
+        assert hashlib.sha256(out.replace('"', "").encode()).hexdigest() == unquoted_sha256
+    path = tmp_path / "two,node.el"
+    path.write_bytes((data_dir / "two_node.el").read_bytes())
+    assert main(["analyze", "--input", str(path), "--csv", str(tmp_path / "row.csv")]) == EXIT_OK
+    capsys.readouterr()
+    row = (tmp_path / "row.csv").read_text()
+    assert row.splitlines()[1].startswith('"two,node",2,')
+    assert hashlib.sha256(row.replace('"', "").encode()).hexdigest() == (
+        "60052375a6d108df86a34db83712e2fac4422946ade80bd4a1988b980b4c8af6"
+    )
+
+
+def test_csv_reads_back_field_for_field(data_dir, tmp_path, capsys):
+    # every CSV kind: 13 fields per row, and the id of each record
+    kinds = [
+        scan_catalog(data_dir / "graph5c.g6", "paper", top_k=10**9)[1],
+        scan_random("er", {"n": 12, "p": 0.4}, 3)[1],
+        scan_random("sbm", {"sizes": (8, 8), "b": [[0.7, 0.05], [0.05, 0.7]]}, 20, 5)[1],
+        two_node_grid_search([4.0, 1.0], [2.0, 1.5], [1.0, 3.5]),
+        [analyze_graph(dataclasses.replace(generate("cycle", n=5), name='line\nbreak, "quoted"\r'))],
+    ]
+    for records in kinds:
+        rows = list(csv.reader(io.StringIO(records_to_csv(records), newline=""), strict=True))
+        assert [len(row) for row in rows] == [13] * (len(records) + 1)
+        assert [row[0] for row in rows[1:]] == [r.id for r in records]
+    for name in ("two,node", 'say "hi"'):
+        path = tmp_path / f"{name}.el"
+        path.write_bytes((data_dir / "two_node.el").read_bytes())
+        assert main(["analyze", "--input", str(path), "--csv", str(tmp_path / "row.csv")]) == EXIT_OK
+        capsys.readouterr()
+        with open(tmp_path / "row.csv", newline="") as f:
+            rows = list(csv.reader(f, strict=True))
+        assert [len(row) for row in rows] == [13, 13]
+        assert rows[1][0] == name
+
+
 def test_analyze_networkx_graph6_file(tmp_path, capsys):
     # networkx writes the optional >>graph6<< prefix by default
     import networkx as nx
@@ -375,6 +437,17 @@ def test_two_node_point_report(capsys):
         assert rc == EXIT_OK
         (row,) = two_node_grid_search([a11], [a12], [a22])
         assert f"\nclassification={row.classification} margin={fmt(row.margin)}\n" in out
+    # the whole report, byte for byte: WORSENS at lambda_star = 0, WORSENS at an
+    # exactly zero first-order term, K2 at lambda_star = -1 and a stationary point
+    for weights, sha256 in [
+        (("4", "2", "1"), "b24bbcaf4a19e1895ee2858de5a67f545be9e2cf249d5c0e5beddf54c7f852e1"),
+        (("1", "1.5", "3.5"), "ab56b9f973e4b14aa501a8178f59fe2b64c3a4756e3966de38293f204151f492"),
+        (("0", "1", "0"), "14dceb65ac1e6b6d012353f282fd2ff284878e335987fe8db3e04b587d5cf945"),
+        (("1", "1", "1"), "3983e7f0930b87cc439a6d8e275b3b7b00896a9f2db31f720c80ba6214bcc8bf"),
+    ]:
+        argv = [arg for name, w in zip(("a11", "a12", "a22"), weights) for arg in (f"--{name}", w)]
+        assert main(["two-node"] + argv) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from rwj import (
     spectrum,
     sweep_confirms,
 )
-from rwj.perturb import Branch, classify_stack, modulus_rate, sweep_stack, verdict
+from rwj.perturb import classify_stack, modulus_rate, sweep_stack, verdict
 from rwj.spectral import PAPER, SLEM, _solve
 
 from conftest import connected_weighted, random_connected_weighted, two_node
@@ -240,22 +240,22 @@ def test_classify_det_zero_pair_worsens(det_zero_pair):
     for conv in ("slem", "paper"):
         s = spectrum(build_transition(det_zero_pair, 0.0), conv)
         r = classify_small_alpha(det_zero_pair, conv)
-        assert r.classification == WORSENS
-        assert abs(r.lambda_star) <= 1e-9
-        assert r.lambda_first == pytest.approx(1.0 / 36.0, rel=1e-9)
-        assert r.lambda_first == pytest.approx(
-            lambda_first_order(det_zero_pair, r.lambda_star, s.v_star), rel=1e-9
+        assert r.classification[0] == WORSENS
+        assert abs(r.lambda_star[0]) <= 1e-9
+        assert r.lambda_first[0] == pytest.approx(1.0 / 36.0, rel=1e-9)
+        assert r.lambda_first[0] == pytest.approx(
+            lambda_first_order(det_zero_pair, r.lambda_star[0], s.v_star), rel=1e-9
         )
-        assert r.fd_agreement <= 1e-3
-        assert not r.stationary
+        assert r.fd_agreement[0] <= 1e-3
+        assert not r.stationary[0]
 
 
 def test_classify_k4_case_one(k4):
     r = classify_small_alpha(k4, "slem")
-    assert r.classification == IMPROVES
-    assert r.lambda_star < 0
-    assert r.lambda_first > 0
-    assert r.degenerate
+    assert r.classification[0] == IMPROVES
+    assert r.lambda_star[0] < 0
+    assert r.lambda_first[0] > 0
+    assert r.degenerate[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,34 +313,34 @@ def test_rule_edges():
 
 def test_classify_regular_two_node_improves():
     r = classify_small_alpha(two_node(3.0, 1.0, 3.0), "slem")
-    assert r.classification == IMPROVES
-    assert r.lambda_star == pytest.approx(0.5, abs=1e-12)
-    assert r.lambda_first == pytest.approx(-0.125, rel=1e-9)
+    assert r.classification[0] == IMPROVES
+    assert r.lambda_star[0] == pytest.approx(0.5, abs=1e-12)
+    assert r.lambda_first[0] == pytest.approx(-0.125, rel=1e-9)
 
 
 def test_classify_star_stationary_under_paper(star4):
     r = classify_small_alpha(star4, "paper")
-    assert r.classification == IMPROVES
-    assert r.stationary
-    assert [b.derivative for b in r.branches] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert r.classification[0] == IMPROVES
+    assert r.stationary[0]
+    assert r.levels[0].derivatives.tolist() == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_classify_star_slem_case_one(star4):
     r = classify_small_alpha(star4, "slem")
-    assert r.classification == IMPROVES
-    assert r.lambda_star == pytest.approx(-1.0)
-    assert r.lambda_first == pytest.approx(5.0 / 6.0, rel=1e-9)
+    assert r.classification[0] == IMPROVES
+    assert r.lambda_star[0] == pytest.approx(-1.0)
+    assert r.lambda_first[0] == pytest.approx(5.0 / 6.0, rel=1e-9)
 
 
 def test_classify_p4_tied_under_paper():
     p4 = generate("path", n=4)
     r = classify_small_alpha(p4, "paper")
-    assert r.tied_sign
-    assert r.classification == IMPROVES
+    assert r.tied_sign[0]
+    assert r.classification[0] == IMPROVES
     # branches: -5/12 from +1/2, +1/2 from -1/2; the +side branch governs
-    assert sorted(b.derivative for b in r.branches) == pytest.approx([-5.0 / 12.0, 0.5], rel=1e-9)
-    assert r.lambda_first == pytest.approx(-5.0 / 12.0, rel=1e-9)
-    assert r.gap_derivative == pytest.approx(5.0 / 12.0, rel=1e-9)
+    assert sorted(r.levels[0].derivatives.tolist()) == pytest.approx([-5.0 / 12.0, 0.5], rel=1e-9)
+    assert r.lambda_first[0] == pytest.approx(-5.0 / 12.0, rel=1e-9)
+    assert r.gap_derivative[0] == pytest.approx(5.0 / 12.0, rel=1e-9)
 
 
 def test_classification_sweep_consistency_named_cases(det_zero_pair, k4, c5, star4):
@@ -350,6 +350,17 @@ def test_classification_sweep_consistency_named_cases(det_zero_pair, k4, c5, sta
                     (generate("path", n=4), "paper")):
         r = classify_small_alpha(g, conv)
         assert sweep_confirms(g, r)
+
+
+def test_sweep_needs_test_alphas_inside_the_model():
+    # no test alpha confirms nothing, and a rate <= 0 or not finite is outside
+    # the model: each is an error, never a confirmation of the WORSENS pair
+    g = two_node(4.0, 2.0, 1.0)
+    r = classify_small_alpha(g, "slem")
+    for alphas in ((), (-1e-3,), (0.0,), (1e-3, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="test alphas must be non-empty, finite and > 0"):
+            sweep_confirms(g, r, alphas)
+    assert sweep_confirms(g, r, (1e-3,))
 
 
 def test_sweep_stack_equals_sweep_confirms_row_by_row(catalog_lines):
@@ -369,27 +380,25 @@ def test_sweep_stack_equals_sweep_confirms_row_by_row(catalog_lines):
         kept = [g for g, k in zip(graphs, keep.tolist()) if k]
         stacked = classify_stack(a, d, spec, conv)
         verdicts = [
-            dataclasses.replace(v, classification=WORSENS) if i % 3 == 0 else v
-            for i, v in enumerate(stacked)
+            dataclasses.replace(v, classification=np.array([WORSENS])) if i % 3 == 0 else v
+            for i, v in enumerate(classify_small_alpha(g, conv) for g in kept)
         ]
-        # the stack's branch vectors are the vectors of each row's branches
-        vectors = [np.array([b.vector for b in v.branches]) for v in verdicts]
-        assert all(np.array_equal(x, y) for x, y in zip(stacked.branch_vectors(range(len(kept))), vectors))
-        worsens = np.array([v.classification == WORSENS for v in verdicts])
+        # the stack's branch vectors are the vectors of each graph's branches, classified alone
+        vectors = stacked.branch_vectors(range(len(kept)))
+        assert all(np.array_equal(x, v.branch_vectors([0])[0]) for x, v in zip(vectors, verdicts))
+        worsens = np.array([v.classification[0] == WORSENS for v in verdicts])
         swept = sweep_stack(a, d, spec, vectors, worsens)
         expected = [sweep_confirms(g, v) for g, v in zip(kept, verdicts)]
         assert swept.tolist() == expected
         assert set(expected) == {True, False}
-        assert max(len(v.branches) for v in verdicts) > 1
+        assert max(len(x) for x in vectors) > 1
 
         # a branch whose vector spreads over every eigenvector is lost at alpha = 0
         i = next(i for i in range(len(kept)) if (np.diff(spec.eigenvalues[i]) < -1e-3).all())
-        s = spec.summary(i, 0.0, conv)
-        worst = verdicts[i].branches[0]
-        lost = dataclasses.replace(verdicts[i], branches=(
-            Branch(worst.level_value, worst.derivative, worst.rate, s.eigenvectors.sum(axis=1)),))
+        spread = spec.summary(i, 0.0, conv).eigenvectors.sum(axis=1)[None]
+        lost = dataclasses.replace(verdicts[i], vector=spread, levels={})  # one branch, along the spread vector
         with pytest.raises(BranchCrossingError):
-            sweep_stack(a, d, spec, vectors[:i] + [s.eigenvectors.sum(axis=1)[None]] + vectors[i + 1:], worsens)
+            sweep_stack(a, d, spec, vectors[:i] + [spread] + vectors[i + 1:], worsens)
         with pytest.raises(BranchCrossingError):
             sweep_confirms(kept[i], lost)
 
@@ -406,7 +415,7 @@ def test_classify_skips_the_empty_simple_level_pencil(monkeypatch):
 
     monkeypatch.setattr(rwj.perturb, "_pencil", counting)
     r = classify_small_alpha(parse_graph6(b"Dhc"), "slem")
-    assert r.degenerate
+    assert r.degenerate[0]
     assert shapes == [(5, 5)]
 
 
@@ -419,7 +428,7 @@ def test_sweep_consistency_all_catalogs(catalog_lines):
             g = parse_graph6(line)
             r = classify_small_alpha(g, "slem")
             assert sweep_confirms(g, r, alphas=(1e-3,)), (
-                f"{line!r}: {r.classification} not confirmed at alpha=1e-3"
+                f"{line!r}: {r.classification[0]} not confirmed at alpha=1e-3"
             )
 
 

@@ -39,6 +39,12 @@ from conftest import graph6_lines
 # closed forms
 # ---------------------------------------------------------------------------
 
+def v_star(forms):
+    """v_star = (1, -r) of the one point of the closed-form columns ``forms``: the vector of its one branch."""
+    (vector,) = forms.branch_vectors([0])[0]
+    return vector
+
+
 @pytest.mark.parametrize(
     "weights,lam,vec",
     [
@@ -49,16 +55,16 @@ from conftest import graph6_lines
 )
 def test_two_node_closed_form_examples(weights, lam, vec):
     cf = two_node_closed_form(TwoNodeParams(*weights))
-    assert cf.lambda_star == pytest.approx(lam, abs=1e-14)
-    assert cf.v_star == pytest.approx(vec, abs=1e-14)
+    assert cf.lambda_star[0] == pytest.approx(lam, abs=1e-14)
+    assert v_star(cf) == pytest.approx(vec, abs=1e-14)
 
 
 def test_two_node_numerator_examples():
     cf = two_node_closed_form(TwoNodeParams(4.0, 2.0, 1.0))
-    assert cf.numerator == pytest.approx(0.5, rel=1e-14)
-    assert cf.lambda_first == pytest.approx(1.0 / 36.0, rel=1e-14)
+    assert cf.numerator[0] == pytest.approx(0.5, rel=1e-14)
+    assert cf.lambda_first[0] == pytest.approx(1.0 / 36.0, rel=1e-14)
     cf = two_node_closed_form(TwoNodeParams(1.0, 2.0, 3.0))
-    assert cf.numerator == pytest.approx(128.0 / 750.0, rel=1e-14)
+    assert cf.numerator[0] == pytest.approx(128.0 / 750.0, rel=1e-14)
 
 
 def test_two_node_rejects_disconnected():
@@ -74,15 +80,16 @@ def test_two_node_closed_form_vs_spectral_engine():
         a12 = rng.uniform(0.05, 5.0)
         p = TwoNodeParams(float(a11), float(a12), float(a22))
         cf = two_node_closed_form(p)
+        lam, v = cf.lambda_star[0], v_star(cf)
         summary = spectrum(build_transition(p.graph(), 0.0), "slem")
-        assert abs(cf.lambda_star - summary.lambda_star) <= 1e-10 * max(1.0, abs(cf.lambda_star))
+        assert abs(lam - summary.lambda_star) <= 1e-10 * max(1.0, abs(lam))
         # eigenvector agreement up to scale
-        v_cf = cf.v_star / np.linalg.norm(cf.v_star)
+        v_cf = v / np.linalg.norm(v)
         cosine = abs(float(v_cf @ summary.v_star))
         assert cosine >= 1.0 - 1e-10
         # the explicit numerator expansion equals the direct quadratic form
-        direct = 0.5 * cf.v_star.sum() ** 2 - cf.lambda_star * float(cf.v_star @ cf.v_star)
-        assert cf.numerator == pytest.approx(direct, rel=1e-11, abs=1e-12)
+        direct = 0.5 * v.sum() ** 2 - lam * float(v @ v)
+        assert cf.numerator[0] == pytest.approx(direct, rel=1e-11, abs=1e-12)
         direct_numerators += 1
     assert direct_numerators == 10_000
 
@@ -123,10 +130,17 @@ def test_grid_search_rows_carry_scan_flags():
     csv = records_to_csv(records)
     stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in csv.splitlines())
     assert hashlib.sha256(stripped.encode()).hexdigest() == (
-        "8f83b740dc06c52af2d8162356be7d4756d79c753474c9c0b8fea9a0f3028d22"
+        "a8e241ac33163f94f3793d0e7d656393a2e3501e114dc7bd96e7f679a7c46a1f"
     )
     # the flags too, sweep flags included
     assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "6ba0d4cb38ff2b88f5d7d3c181e04ea572f62c3d165ebcf46120386d8b81fd80"
+    )
+    # quoting the ids, which hold commas, is the only change from the bytes written before
+    assert hashlib.sha256(stripped.replace('"', "").encode()).hexdigest() == (
+        "8f83b740dc06c52af2d8162356be7d4756d79c753474c9c0b8fea9a0f3028d22"
+    )
+    assert hashlib.sha256(csv.replace('"', "").encode()).hexdigest() == (
         "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
     )
 
@@ -137,7 +151,12 @@ def test_grid_search_benchmark_grid_pinned():
     assert len(records) == 4012
     assert sum(r.sweep_confirmed is True for r in records) == 3992
     assert sum(r.sweep_confirmed is False for r in records) == 20
-    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
+    csv = records_to_csv(records)
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "4d9d3eb2e44e65bed10d875fc84ca591442a6562acfeb77267a6aa7dfd7b46ec"
+    )
+    # without the quotes around its ids, the bytes written before they were quoted
+    assert hashlib.sha256(csv.replace('"', "").encode()).hexdigest() == (
         "0656cfef3b473db32685f1bd7440666d04c6bedb01ddc8473ad318e2c26817ed"
     )
 
@@ -159,7 +178,7 @@ def test_grid_search_eigensolves_per_stack(monkeypatch, stack_size):
     assert len(records) == 172
     assert len(calls) == 2 * math.ceil(len(records) / stack_size)
     assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
-        "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
+        "6ba0d4cb38ff2b88f5d7d3c181e04ea572f62c3d165ebcf46120386d8b81fd80"
     )
 
 
@@ -170,9 +189,9 @@ def test_two_node_closed_form_verdict_matches_analyze_graph():
             for a22 in np.linspace(0, 5, 11):
                 p = TwoNodeParams(float(a11), float(a12), float(a22))
                 cf = two_node_closed_form(p)
-                if abs(cf.lambda_star) > 1e-9 and abs(cf.lambda_first) <= 1e-12:
+                if abs(cf.lambda_star[0]) > 1e-9 and abs(cf.lambda_first[0]) <= 1e-12:
                     continue  # the sign of a noise-level derivative is not determined
-                assert cf.classification == analyze_graph(p.graph(), "slem").classification, p
+                assert cf.classification[0] == analyze_graph(p.graph(), "slem").classification, p
                 checked += 1
     assert checked == 484
 
@@ -200,15 +219,15 @@ def test_grid_slabs_equal_the_closed_form_of_each_point(monkeypatch):
         for j, k in np.ndindex(a12s.shape):
             assert (a12s[j, k], a22s[j, k]) == (grid[1][j], grid[2][k])
             cf = two_node_closed_form(TwoNodeParams(a11, float(a12s[j, k]), float(a22s[j, k])))
-            (branch,) = cf.branches
             for got, want in [
-                (forms.lambda_star, cf.lambda_star), (forms.r, -cf.v_star[1]), (forms.numerator, cf.numerator),
-                (forms.lambda_first, cf.lambda_first), (forms.rate, branch.rate),
+                (forms.lambda_star, cf.lambda_star), (forms.r, cf.r), (forms.numerator, cf.numerator),
+                (forms.lambda_first, cf.lambda_first), (forms.rate, cf.rate),
                 (forms.gap_derivative, cf.gap_derivative),
             ]:
-                assert bits(got[j, k]) == bits(want)
-            assert (forms.classification[j, k], forms.stationary[j, k]) == (cf.classification, cf.stationary)
-            assert (branch.level_value, branch.derivative) == (cf.lambda_star, cf.lambda_first)
+                assert bits(got[j, k]) == bits(want[0])
+            assert (forms.classification[j, k], forms.stationary[j, k]) == (cf.classification[0], cf.stationary[0])
+            # the one branch starts along v_star = (1, -r)
+            assert bits(v_star(cf)).tolist() == bits([1.0, -forms.r[j, k]]).tolist()
             checked += 1
     assert checked == 21 * 6 * 21
 
@@ -220,39 +239,16 @@ def test_grid_search_makes_no_per_point_call(monkeypatch):
     monkeypatch.setattr(rwj.search, "two_node_closed_form", per_point)
     records = two_node_grid_search(np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
     assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
-        "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
+        "6ba0d4cb38ff2b88f5d7d3c181e04ea572f62c3d165ebcf46120386d8b81fd80"
     )
-
-
-def _count_constructions(monkeypatch, *classes):
-    """{class: constructions so far} for each of ``classes``, counted by a wrapped ``__init__``."""
-    built = dict.fromkeys(classes, 0)
-    for cls in classes:
-        def counting(self, *args, _cls=cls, _real=cls.__init__, **kwargs):
-            built[_cls] += 1
-            _real(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting)
-    return built
-
-
-def test_grid_search_builds_no_verdict_object_per_point(monkeypatch):
-    # the WORSENS points reach the row core as columns, not as closed-form
-    # verdicts with their branches; one point alone still builds both
-    built = _count_constructions(monkeypatch, rwj.search.TwoNodeClosedForm, rwj.perturb.Branch)
-    records = two_node_grid_search(np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
-    assert len(records) == 172
-    assert list(built.values()) == [0, 0]
-    two_node_closed_form(TwoNodeParams(1.0, 1.5, 3.5))
-    assert list(built.values()) == [1, 1]
 
 
 def test_worsens_at_an_exactly_zero_first_order_term():
     # lambda_star = 0.1 and lambda_first is exactly 0: a rate that is not
     # negative WORSENS, and the grid keeps the point
     cf = two_node_closed_form(TwoNodeParams(1.0, 1.5, 3.5))
-    assert cf.lambda_star == pytest.approx(0.1, rel=1e-15)
-    assert (cf.numerator, cf.lambda_first, cf.classification) == (0.0, 0.0, WORSENS)
+    assert cf.lambda_star[0] == pytest.approx(0.1, rel=1e-15)
+    assert (cf.numerator[0], cf.lambda_first[0], cf.classification[0]) == (0.0, 0.0, WORSENS)
     (row,) = two_node_grid_search([1.0], [1.5], [3.5])
     assert (row.id, row.classification, row.lambda_first) == ("two-node(1,1.5,3.5)", WORSENS, 0.0)
 
@@ -496,21 +492,20 @@ def test_scan_catalog_sweeps_worsens_rows_in_their_stack(data_dir, monkeypatch):
 
 
 def test_scan_catalog_reads_verdict_columns_only(data_dir, monkeypatch):
-    # every verdict forced to WORSENS, so every row is swept and reported:
-    # no row is read back as a PerturbationReport
+    # every verdict forced to WORSENS, so every row is swept and reported; a
+    # verdict has no row form to read back, for one graph either
     real = rwj.perturb.verdict
 
     def worsens(lambda_star, worst_rate):
         return (np.full(np.shape(lambda_star), WORSENS),) + real(lambda_star, worst_rate)[1:]
 
     monkeypatch.setattr(rwj.perturb, "verdict", worsens)
-    built = _count_constructions(monkeypatch, rwj.perturb.PerturbationReport)
     for convention in ("slem", "paper"):
         summary, records = scan_catalog(data_dir / "graph5c.g6", convention)
         assert summary.counterexamples + summary.worsens_unconfirmed == len(records) == 21
-    assert list(built.values()) == [0]
-    rwj.perturb.classify_small_alpha(parse_graph6(b"Dhc"))
-    assert list(built.values()) == [1]
+    assert not hasattr(rwj.perturb.StackedVerdicts, "__getitem__")
+    one = rwj.perturb.classify_small_alpha(parse_graph6(b"Dhc"))
+    assert one.lambda_star.shape == one.classification.shape == (1,)
 
 
 @pytest.mark.parametrize("convention", ["slem", "paper"])
@@ -645,30 +640,42 @@ ER_40 = ("er", {"n": 40, "p": 0.15}, 200, 0)
 SBM_8_8 = ("sbm", {"sizes": (8, 8), "b": [[0.7, 0.05], [0.05, 0.7]]}, 60, 5)
 
 
-@pytest.mark.parametrize("model, convention, top_k, csv_sha256, summary_sha256", [
+@pytest.mark.parametrize("model, convention, top_k, unquoted_csv_sha256, summary_sha256, csv_sha256", [
     (ER_40, "slem", 10, "5e8248429d309baa6b36fad4cff570f56e4c161d6789668bc9b972b806e64ac4",
-     "4ac6b36fd4a979d0fcc4baac39a350ec381adf17074a90a41f93f21970d457e4"),
+     "4ac6b36fd4a979d0fcc4baac39a350ec381adf17074a90a41f93f21970d457e4",
+     "d86fef5d154b207875ddd778e8ae1bae5a8b28b265e2ea8e3d80f51f6bef8112"),
     (ER_40, "slem", 10**9, "fdc4ebdc6dc595200cc2318722a374594427eb4d55e6a63830817d538042acde",
-     "0b1a2e38140bbd368c5765a32d10e5a1d52dc79b1448c4fbcd63bbb12589218f"),
+     "0b1a2e38140bbd368c5765a32d10e5a1d52dc79b1448c4fbcd63bbb12589218f",
+     "1c22d029c52259dfb3efd4173aaead3eb44a3aaf0c3143a2719e9d27eefcce84"),
     (ER_40, "paper", 10, "8b2f48191af7b1ac8ea6a85f62c861ba7b8cbe9e40e8368c1a4aa6c8f730ad39",
-     "dfb8b45e21d9c7407f73f424b3dd39d260059384730ca1db13e83c4f834836ae"),
+     "dfb8b45e21d9c7407f73f424b3dd39d260059384730ca1db13e83c4f834836ae",
+     "0a071ec81b075c05246ee74bc1262b115c8b6be9120a9eb7dfde5e810678e2ee"),
     (ER_40, "paper", 10**9, "8f6a854374eac1b2b5811ebf84aa30cd86f195920b7fc34d67e87126f73e7162",
-     "617b56e7bfad2c93ed0964e7d4520050999e767a8f11714a0ec952c0b8ccbc83"),
+     "617b56e7bfad2c93ed0964e7d4520050999e767a8f11714a0ec952c0b8ccbc83",
+     "2aef66d3cda76304a00897ddb44db59b16ad64352637dbc6d37fb1abd23a74f0"),
     (SBM_8_8, "slem", 10, "0e5e3633693b3f7582774f9e539d9c7d1d1aaf58fd410510aede3ab7040efdac",
-     "d126cfd99180ac69d4015824b702e7e2965bce06ec6eefb71323e45675bfdad1"),
+     "d126cfd99180ac69d4015824b702e7e2965bce06ec6eefb71323e45675bfdad1",
+     "6217b4d64ada1e1cf49ce58282cd3ff0d3f50ef3337c934f855f5dd30bd74f32"),
     (SBM_8_8, "slem", 10**9, "0a29116ede98e9072cf225d8b4f11ebf876090bc52d27f3e769f8d56060d294f",
-     "6a1c2042edbb990220ec1f9b4c91a96c30506f3b5d87067d7370d9d81b413862"),
+     "6a1c2042edbb990220ec1f9b4c91a96c30506f3b5d87067d7370d9d81b413862",
+     "2c86301dbe057cf46e5c2564e6a2ababb3ccc2138fc7eb09eac9d5c151dd78d4"),
     (SBM_8_8, "paper", 10, "70d1a8a86ab05ce8a12942be2ec43259ac87554078e2e3f652978f310be9231a",
-     "394d9ef7c914d4891c2a405edc0a6f08f8f83209a826490bb476df692fa5ab40"),
+     "394d9ef7c914d4891c2a405edc0a6f08f8f83209a826490bb476df692fa5ab40",
+     "7a18fb4d824d28f86636ad11281dae641f67448fc5454f2f48bcaba6094b1bf8"),
     (SBM_8_8, "paper", 10**9, "dcfd13e8736e9ddcb80d30bb7892c6124e1a7cb486d5ca0eb2da68a6be8845ba",
-     "b0cee728de78788119320c1ab06636504d17265e86b7667e9314ee4baf4fd99c"),
+     "b0cee728de78788119320c1ab06636504d17265e86b7667e9314ee4baf4fd99c",
+     "39c1fca3644706d4d32b3914ce4283600a251e44d30b3d7d71b9ff55812c8ffe"),
 ])
-def test_scan_random_bytes_pinned(model, convention, top_k, csv_sha256, summary_sha256):
-    # sha256 of the CSV and of the summary text without its elapsed line
+def test_scan_random_bytes_pinned(model, convention, top_k, unquoted_csv_sha256, summary_sha256, csv_sha256):
+    # sha256 of the CSV, of the CSV without the quotes around its ids (the
+    # bytes written before ids holding commas were quoted) and of the summary
+    # text without its elapsed line
     name, params, count, seed = model
     summary, records = scan_random(name, params, count, seed, convention, top_k)
     text = "".join(line for line in summary_text(summary).splitlines(True) if not line.startswith("elapsed:"))
-    assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == csv_sha256
+    csv = records_to_csv(records)
+    assert hashlib.sha256(csv.encode()).hexdigest() == csv_sha256
+    assert hashlib.sha256(csv.replace('"', "").encode()).hexdigest() == unquoted_csv_sha256
     assert hashlib.sha256(text.encode()).hexdigest() == summary_sha256
 
 

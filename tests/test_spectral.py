@@ -487,7 +487,7 @@ def test_sweep_confirms_eigensolves(eigh_matrices, det_zero_pair):
 
     for g, conv, branches in ((det_zero_pair, "slem", 1), (generate("path", n=4), "paper", 2)):
         r = classify_small_alpha(g, conv)
-        assert len(r.branches) == branches
+        assert len(r.branch_vectors([0])[0]) == branches
         eigh_matrices.clear()
         assert sweep_confirms(g, r)
         assert eigh_matrices == [1, 4]
