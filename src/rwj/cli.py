@@ -134,8 +134,9 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     hold the alpha = 0 spectrum, the verdict with its finite-difference check,
     the condition ladder and the sweep of a WORSENS verdict. The report and
     the row read them; only a nonzero alpha is solved again, and alpha_bar
-    searches from the alpha = 0 gap. ``alpha`` is checked first, in every
-    form of the report.
+    searches from the alpha = 0 gap. The printed ``fd=`` is the eigh-tracked
+    stencil at ``h``, solved here only where the verdict did not solve it.
+    ``alpha`` is checked first, in every form of the report.
     """
     out = []
     ts = spectral.build_transition(g, alpha)
@@ -152,6 +153,10 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     )
 
     if not conditions_only:
+        fd = v.fd_tracked[0]
+        if np.isnan(fd):  # the verdict core proved the branch kept without solving at h/2 and h
+            a = g.adjacency()[None]
+            fd = perturb.stacked_finite_difference(a, a.sum(-1), rows.spec.solved, v.level_value, v.vector, h)[0][0]
         summary = base if alpha == 0.0 else spectral.spectrum(ts, conv)
         out.append(f"alpha={fmt(alpha)}  convention={conv}")
         out.append("pi(alpha): " + " ".join(fmt(x) for x in ts.pi))
@@ -186,7 +191,7 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
         out.append(
             "small-alpha (at alpha=0): "
             f"lambda_star={fmt(v.lambda_star[0])} lambda_first={fmt(v.lambda_first[0])} "
-            f"fd={fmt(v.fd_estimate[0])} fd_agreement={fmt(v.fd_agreement[0])}"
+            f"fd={fmt(fd)} fd_agreement={fmt(abs(v.lambda_first[0] - fd) / max(1.0, abs(v.lambda_first[0])))}"
         )
         out.append(
             f"classification={v.classification[0]} gap_derivative={fmt(v.gap_derivative[0])}"

@@ -15,12 +15,12 @@ lambda < 0 the numerator is positive too, so those branches always rise
 Degenerate levels are handled by the reduced pencil V^T((1/n)11^T - lambda I)V
 over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
-:func:`classify_stack` decides a stack of graphs at once into columns, the only
-form a verdict takes, and :func:`sweep_stack` checks a stack's verdicts
-against branch-tracked gaps from the vectors of their branches and a WORSENS
-mask. :func:`classify_small_alpha`, :func:`sweep_confirms` and
-:func:`finite_difference_derivative` are their one-graph cases: each takes a
-graph and solves its alpha = 0 spectrum as a stack of one.
+:func:`classify_stack` decides a stack of graphs at once into columns, the only form a verdict takes. It checks
+every derivative by a stencil on a quadratic form, with no eigensolve, and solves at h/2 and h only the rows whose
+kept branch the alpha = 0 spectrum cannot prove. :func:`sweep_stack` checks a stack's verdicts against branch-tracked
+gaps from the vectors of their branches and a WORSENS mask. :func:`classify_small_alpha`, :func:`sweep_confirms` and
+:func:`finite_difference_derivative` are their one-graph cases: each takes a graph and solves its alpha = 0 spectrum
+as a stack of one.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .graphs import WeightedGraph
-from .spectral import SLEM, StackedSpectrum, Track, build_transition, normalize_convention, spectrum, track_stack
+from .spectral import (SLEM, TOL_TIE, StackedSpectrum, Track, _unit, build_transition, normalize_convention,
+                       spectrum, track_stack)
 
 IMPROVES = "IMPROVES"
 WORSENS = "WORSENS"
@@ -43,6 +44,8 @@ TOL_STATIONARY = 1e-12  # branch derivatives below this count as exactly zero
 _TOL_GRAM = 1e-10       # largest |V^T D V - I| entry of a D-orthonormal basis
 _TOL_RESIDUAL = 1e-7    # largest |A V - lambda D V| entry of an eigenspace basis
 _TOL_FD_START = 1e-8    # largest distance of the tracked alpha=0 eigenvalue from lambda_star
+_TOL_HF = 1e-6          # largest |lambda'(0) - stencil| * d_min of the derivative check
+_CERTIFY = 0.3          # e <= _CERTIFY * sep proves a simple branch kept at h/2 and h (_branch_kept)
 FD_STEP = 1e-5          # default step h of the finite-difference check
 
 
@@ -103,24 +106,28 @@ def stacked_finite_difference(
     (:attr:`~rwj.spectral.StackedSpectrum.solved`); only h/2 and h are solved.
     Returns the estimates, the track, and where it starts at ``lambda_star``.
     Independent of the analytic formula; alpha >= 0 forbids central differencing.
+    ``eigh`` tracks the branch; in :func:`classify_stack` only the rows :func:`_branch_kept` leaves out take it.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"h must be finite and > 0, got {h}")
+    _require_step(h)
     track = track_stack(a, d, [0.0, h / 2.0, h], v, {0.0: start})
     lam = track.eigenvalues
     estimate = (-3.0 * lam[:, 0] + 4.0 * lam[:, 1] - lam[:, 2]) / h
     return estimate, track, np.abs(lam[:, 0] - lambda_star) <= _TOL_FD_START
 
 
-def _checked_finite_difference(a, d, start, lambda_star, v, h: float) -> np.ndarray:
-    """:func:`stacked_finite_difference`, raising where :func:`finite_difference_derivative` does."""
-    estimate, track, starts = stacked_finite_difference(a, d, start, lambda_star, v, h)
-    track.require_kept([0.0, h / 2.0, h])
+def _require_step(h: float) -> None:
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h}")
+
+
+def _require_tracked(track: Track, grid: list[float], lambda_star) -> None:
+    """Raise where a track lost its branch, then where it does not start within _TOL_FD_START of ``lambda_star``."""
+    track.require_kept(grid)
+    starts = np.abs(track.eigenvalues[:, 0] - lambda_star) <= _TOL_FD_START
     if not starts.all():
         i = int(np.argmin(starts))
         raise NumericalError(f"tracked branch starts at {track.eigenvalues[i, 0]}, "
                              f"expected lambda_star={lambda_star[i]}")
-    return estimate
 
 
 def finite_difference_derivative(g: WeightedGraph, lambda_star: float, v_star: np.ndarray, h: float = FD_STEP) -> float:
@@ -131,7 +138,40 @@ def finite_difference_derivative(g: WeightedGraph, lambda_star: float, v_star: n
     """
     start = spectrum(build_transition(g, 0.0), SLEM).stack.solved
     v = np.asarray(v_star, dtype=float)[None]
-    return _checked_finite_difference(g.adjacency()[None], g.degrees()[None], start, [lambda_star], v, h)[0].item()
+    estimate, track, _ = stacked_finite_difference(g.adjacency()[None], g.degrees()[None], start, [lambda_star], v, h)
+    _require_tracked(track, [0.0, h / 2.0, h], [lambda_star])
+    return estimate[0].item()
+
+
+def _hellmann_feynman(a: np.ndarray, d: np.ndarray, v: np.ndarray, derivative: np.ndarray):
+    """The stencil (-3 q(0) + 4 q(s/2) - q(s)) / s of each row and its disagreement |lambda'(0) - stencil| * d_min.
+
+    q(alpha) = y^T N(alpha) y = x^T (A + (alpha/n) 11^T) x, x = y / sqrt(d + alpha), for the unit y along sqrt(d) * v,
+    so q'(0) = lambda'(0) of the branch of ``v`` (Hellmann-Feynman) on any level; one batched mat-vec, no eigensolve.
+    alpha enters N only as alpha / d_i, so s = FD_STEP * d_min and A -> cA leaves the disagreement as it is. It is
+    at most FD_STEP**2 (truncation, |q^(3)| <= 12 / d_min**3) + 8 (n + 2) eps / FD_STEP (rounding of each |q| <= 1)
+    + |N(0) y - lambda y| (the residual of y: a few n eps, up to 2 TOL_TIE on a level of several eigenvalues).
+    """
+    s = FD_STEP * d.min(axis=-1)
+    rates = s[:, None] * np.array([0.0, 0.5, 1.0])
+    x = _unit(np.sqrt(d) * v)[..., None] / np.sqrt(d[..., None] + rates[:, None, :])  # (k, n, 3)
+    q = (x * (a @ x)).sum(axis=-2) + rates / d.shape[-1] * x.sum(axis=-2) ** 2
+    estimate = (-3.0 * q[:, 0] + 4.0 * q[:, 1] - q[:, 2]) / s
+    return estimate, np.abs(derivative - estimate) * d.min(axis=-1)
+
+
+def _branch_kept(d: np.ndarray, spec: StackedSpectrum, single: np.ndarray, h: float) -> np.ndarray:
+    """(k,) rows whose eigh-tracked branch provably keeps an overlap above 0.5 at h/2 and h, with no eigensolve.
+
+    A level of one eigenvalue qualifies when e = h/d_min + (h/n) sum 1/(d_i + h) >= |N(alpha) - N(0)|_2, alpha <= h,
+    is at most c = _CERTIFY = 0.3 times sep > 3 TOL_TIE, its distance to the nearest other alpha = 0 eigenvalue.
+    By Weyl the track then matches the branch alone, and by Davis-Kahan (sin <= e/(sep - e), then (e/2)/(sep - 2e)
+    from h/2 to h) with the turn of at most 0.071 rad from sqrt(d + alpha) to sqrt(d + alpha') coordinates, the
+    overlaps are at least 0.87 at h/2 and 0.90 at h (README, "Branch tracking").
+    """
+    e = h / d.min(axis=-1) + h / d.shape[-1] * (1.0 / (d + h)).sum(axis=-1)
+    sep = np.where(spec.level, np.inf, np.abs(spec.eigenvalues - spec.lambda_star[:, None])).min(axis=-1)
+    return single & (e <= _CERTIFY * sep) & (sep > 3.0 * TOL_TIE)
 
 
 class NandS(NamedTuple):
@@ -268,8 +308,9 @@ class StackedVerdicts:
     level_value: np.ndarray      # the eigenvalue the worst branch starts from
     rate: np.ndarray             # modulus rate of the worst branch
     vector: np.ndarray           # (k, n) adapted vector of the worst branch
-    fd_estimate: np.ndarray
-    fd_agreement: np.ndarray
+    fd_estimate: np.ndarray      # the derivative check's stencil (_hellmann_feynman)
+    fd_agreement: np.ndarray     # its disagreement |lambda_first - fd_estimate| * d_min
+    fd_tracked: np.ndarray       # the eigh-tracked stencil at h of a row _branch_kept leaves out, NaN elsewhere
     levels: dict[int, LevelBranches]  # every branch of each degenerate row
 
     def branch_vectors(self, rows: Sequence[int]) -> list[np.ndarray]:
@@ -287,9 +328,10 @@ def classify_stack(
     1 x 1 reduced pencil, whose entry is its eigenvalue; only the rows whose
     level holds more than one eigenvalue solve theirs one row at a time. One
     :func:`modulus_rate` and one :func:`verdict` call then decide every row
-    from its worst branch, one array test makes the negative-lambda check
-    and one stacked finite-difference check runs along the worst branches.
-    A failed check raises as in :func:`classify_small_alpha`.
+    from its worst branch, and one array test makes the negative-lambda check.
+    Only the rows :func:`_branch_kept` leaves out, every degenerate one among them, take the eigh-tracked
+    :func:`stacked_finite_difference` at ``h``. Every worst branch must start at its level, and every lambda'(0)
+    must agree with :func:`_hellmann_feynman`. A failed check raises as in :func:`classify_small_alpha`.
     """
     lam = spec.lambda_star
     single = spec.level.sum(axis=-1) == 1
@@ -314,10 +356,21 @@ def classify_stack(
             "this contradicts the positivity of the first-order term"
         )
     rate = modulus_rate(lam, level_value, derivative)
-    fd = _checked_finite_difference(a, d, spec.solved, level_value, vector, h)
+    _require_step(h)
+    tracked, check = np.full(len(lam), np.nan), np.flatnonzero(~_branch_kept(d, spec, single, h))
+    if len(check):
+        tracked[check], track, _ = stacked_finite_difference(a[check], d[check], spec.take(check).solved,
+                                                             level_value[check], vector[check], h)
+        track.require_kept([0.0, h / 2.0, h])
+    _require_tracked(track_stack(a, d, [0.0], vector, {0.0: spec.solved}), [0.0], level_value)
+    fd, agreement = _hellmann_feynman(a, d, vector, derivative)
+    beyond = agreement > _TOL_HF + 8.0 * (a.shape[-1] + 2) * np.finfo(float).eps / FD_STEP
+    if beyond.any():
+        i = int(np.argmax(beyond))
+        raise NumericalError(f"derivative check failed: lambda'(0)={derivative[i]}, finite difference {fd[i]}")
     return StackedVerdicts(
         convention, lam, derivative, *verdict(lam, rate), ~single, spec.tied_sign, level_value, rate, vector, fd,
-        np.abs(derivative - fd) / np.fmax(1.0, np.abs(derivative)), levels,
+        agreement, tracked, levels,
     )
 
 

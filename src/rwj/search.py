@@ -18,9 +18,9 @@ the two-node grid hands the columns of its closed forms to the row core,
 :func:`_stack_rows`, directly. A verdict exists only as columns, for one
 graph or one two-node point too, and a :class:`ScanRecord` is built straight
 from the columns, only for a row that is reported: :func:`analyze_graph` and
-the two-node grid report every row, while a scan's work units count their
-rows from the columns and send back only their WORSENS rows and their own
-``top_k`` closest calls, which :func:`_finalize` merges.
+the two-node grid report every row, while a scan's work units count their rows from the columns and send back
+only their WORSENS rows and their own ``top_k`` closest calls, which :func:`_finalize` merges. With
+``parallelism`` > 1 the units run on a pool of at most one worker process per unit (:func:`_run`).
 """
 
 from __future__ import annotations
@@ -451,15 +451,16 @@ def _finalize(
 
 
 def _run(worker, payloads, parallelism: int):
-    """``worker`` applied to every payload, results in input order."""
+    """``worker`` applied to every payload, results in input order, by at most one worker process per payload."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if parallelism == 1:
+    workers = min(parallelism, len(payloads))  # a pool starts every worker it is given at once
+    if workers <= 1:
         return [worker(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor  # only worker pools load multiprocessing
 
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        chunk = max(1, len(payloads) // (4 * parallelism))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(payloads) // (4 * workers))
         return list(pool.map(worker, payloads, chunksize=chunk))
 
 

@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rwj.perturb
 from rwj import (
@@ -13,6 +14,7 @@ from rwj import (
     WORSENS,
     BranchCrossingError,
     NumericalError,
+    WeightedGraph,
     build_transition,
     classify_small_alpha,
     degenerate_first_order,
@@ -23,10 +25,11 @@ from rwj import (
     spectrum,
     sweep_confirms,
 )
-from rwj.perturb import classify_stack, modulus_rate, sweep_stack, verdict
+from rwj.perturb import FD_STEP, classify_stack, modulus_rate, stacked_finite_difference, sweep_stack, verdict
+from rwj.search import scan_catalog
 from rwj.spectral import PAPER, SLEM, _solve
 
-from conftest import connected_weighted, random_connected_weighted, two_node
+from conftest import connected_pairs, connected_weighted, random_connected_weighted, two_node
 from oracles import lambda_first_order, scalar_modulus_rate, scalar_verdict
 
 
@@ -455,3 +458,116 @@ def test_formula_vs_oracle_random_sample():
         lf = lambda_first_order(g, s.lambda_star, s.v_star)
         fd = finite_difference_derivative(g, s.lambda_star, s.v_star)
         assert abs(lf - fd) <= 1e-3 * max(1.0, abs(lf))
+
+
+# ---------------------------------------------------------------------------
+# the derivative check and the kept-branch certificate of the verdict core
+# ---------------------------------------------------------------------------
+
+@st.composite
+def wide_weighted(draw):
+    """A connected graph with n = 3..10, loops, and log-uniform weights in [1e-8, 1e8]."""
+    n, pairs = draw(connected_pairs(max_n=10, min_n=3))
+    pairs += [(u, u) for u in draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True, max_size=n))]
+    powers = draw(st.lists(st.floats(min_value=-8.0, max_value=8.0), min_size=len(pairs), max_size=len(pairs)))
+    return WeightedGraph(n, tuple((u, v, 10.0 ** x) for (u, v), x in zip(pairs, powers)))
+
+
+def _classify_or_error(a, d, spec, convention, branch_kept=rwj.perturb._branch_kept):
+    """classify_stack's columns, or the error it raises, with ``branch_kept`` as its certificate."""
+    with patch.object(rwj.perturb, "_branch_kept", branch_kept):
+        try:
+            return classify_stack(a, d, spec, convention)
+        except (ValueError, NumericalError) as exc:
+            return exc
+
+
+def _proves_nothing(d, spec, single, h):
+    return np.zeros(len(single), dtype=bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_weighted(), st.sampled_from([1e-8, 1.0, 1e8]), st.sampled_from([SLEM, PAPER]))
+def test_derivative_check_and_certificate_on_wide_weights(g, scale, convention):
+    # A and cA with weight ratios up to 1e16: the derivative check never raises
+    # and stays within its stated bound; a row the certificate covers keeps its
+    # eigh-tracked branch; and every row raises or passes as it does when every
+    # row takes the eigh-tracked check
+    a = g.adjacency()[None] * scale
+    d = a.sum(axis=-1)
+    spec = _solve(a, d, 0.0, convention)
+    try:
+        assume(spec.admissible().all())
+    except NumericalError:  # a second eigenvalue within TOL_UNIT of 1
+        assume(False)
+    got, tracked = _classify_or_error(a, d, spec, convention), _classify_or_error(a, d, spec, convention, _proves_nothing)
+    if isinstance(tracked, Exception):
+        assert type(got) is type(tracked) and str(got) == str(tracked)
+        assert not str(got).startswith("derivative check")
+        return
+    assert not isinstance(got, Exception), got
+    for name in ("lambda_first", "classification", "level_value", "vector", "fd_estimate", "fd_agreement"):
+        assert np.array_equal(getattr(got, name), getattr(tracked, name))
+    certified = rwj.perturb._branch_kept(d, spec, spec.level.sum(axis=-1) == 1, FD_STEP)
+    assert np.isnan(got.fd_tracked).tolist() == certified.tolist()
+    assert np.array_equal(got.fd_tracked[~certified], tracked.fd_tracked[~certified])
+    _, track, starts = stacked_finite_difference(a, d, spec.solved, got.level_value, got.vector)
+    assert (track.kept & starts)[certified].all()
+    # the stated bound: truncation, rounding and the residual of the branch vector
+    y = np.sqrt(d) * got.vector
+    y /= np.linalg.norm(y, axis=-1, keepdims=True)
+    n0 = a / np.sqrt(d[..., :, None] * d[..., None, :])
+    residual = np.linalg.norm((n0 @ y[..., None])[..., 0] - got.level_value[:, None] * y, axis=-1)
+    bound = FD_STEP ** 2 + 8 * (g.n + 2) * np.finfo(float).eps / FD_STEP + residual
+    assert (got.fd_agreement <= bound).all(), (got.fd_agreement, bound)
+
+
+def _c5(eps: float) -> WeightedGraph:
+    """C5 with the edge 0-1 weighted 1 + eps: the twin eigenvalues -0.809 split by O(eps)."""
+    return WeightedGraph(5, ((0, 1, 1.0 + eps), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0)))
+
+
+@pytest.mark.parametrize("convention", [SLEM, PAPER])
+@pytest.mark.parametrize("eps, tracked", [(1e-7, True), (1e-5, True), (1e-3, False)])
+def test_near_degenerate_c5_takes_the_tracked_check_where_unproven(monkeypatch, convention, eps, tracked):
+    # e / sep at h = 1e-5 is 724, 7.2 and 0.072: only the last is within the
+    # certificate's 0.3, so only it solves no matrix at h/2 and h
+    solved = []
+    real = np.linalg.eigh
+
+    def counting(m, *args, **kwargs):
+        solved.append(math.prod(np.shape(m)[:-2]))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    r = classify_small_alpha(_c5(eps), convention)
+    assert not r.degenerate[0] and r.classification[0] == IMPROVES
+    assert sum(solved) == (3 if tracked else 1)
+    assert np.isnan(r.fd_tracked[0]) != tracked
+    assert r.fd_agreement[0] <= 1e-9
+
+
+def test_derivative_check_does_not_depend_on_h(c5):
+    # the stencil steps by FD_STEP * d_min whatever h is; h only sizes the
+    # certificate and the eigh-tracked check
+    for g in (c5, _c5(1e-3), generate("er", n=30, p=0.2, seed=3)):
+        base = classify_small_alpha(g, SLEM)
+        for h in (1e-300, 1e-12, 0.5):
+            r = classify_small_alpha(g, SLEM, h=h)
+            assert np.array_equal(r.fd_estimate, base.fd_estimate)
+            assert np.array_equal(r.fd_agreement, base.fd_agreement)
+
+
+def test_derivative_check_acts_on_its_answer(data_dir, monkeypatch):
+    # a derivative without the 1/n of the jump term disagrees with the stencil,
+    # and the scan raises instead of reporting it
+    pencil = rwj.perturb._pencil
+
+    def without_one_over_n(a, d, lambda_star, v):
+        reduced, *errors = pencil(a, d, lambda_star, v)
+        ones = np.swapaxes(v, -1, -2) @ np.ones(a.shape[-1])
+        return reduced + (a.shape[-1] - 1) * ones[..., :, None] * ones[..., None, :] / a.shape[-1], *errors
+
+    monkeypatch.setattr(rwj.perturb, "_pencil", without_one_over_n)
+    with pytest.raises(NumericalError, match="derivative check failed"):
+        scan_catalog(data_dir / "graph7c.g6", SLEM)

@@ -396,24 +396,29 @@ def test_scan_catalog_rows_byte_identical_on_n8_catalog(data_dir):
 @pytest.mark.parametrize("convention", ["slem", "paper"])
 def test_scan_catalog_solves_no_row_on_its_own(data_dir, monkeypatch, convention):
     # 853 graphs in 4 stacks: each stack makes one eigensolve at alpha = 0 and
-    # one at alpha in {h/2, h}; reduced pencils of degenerate levels are smaller
+    # one at alpha in {h/2, h} for the rows whose kept branch is not proven, here
+    # the rows whose level holds more than one eigenvalue; reduced pencils of
+    # degenerate levels are smaller
     sizes = []
     real = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-2:])
+        sizes.append(np.shape(a))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     summary, _ = scan_catalog(data_dir / "graph7c.g6", convention)
     assert summary.classified == 853
-    assert sizes.count((7, 7)) == 2 * 4
+    solved = [math.prod(shape[:-2]) for shape in sizes if shape[-2:] == (7, 7)]
+    assert len(solved) == 2 * 4
+    assert sum(solved) == 853 + 2 * summary.degenerate == {"slem": 903, "paper": 991}[convention]
 
 
 def test_scan_catalog_stacks_four_byte_header_lines(monkeypatch):
     # 10 connected 64-vertex lines (4-byte headers) in units of 4 lines, so no
-    # more adjacency entries than 256 graphs on 8 vertices: 2 eigensolves per
-    # unit, not 2 per line
+    # more adjacency entries than 256 graphs on 8 vertices: 1 eigensolve per
+    # unit, not 1 per line, and none at h/2 and h, as every level is one
+    # eigenvalue whose kept branch is proven
     lines = [write_graph6(generate("er", seed=seed, n=64, p=0.1)) for seed in range(10)]
     sizes = []
     real = np.linalg.eigh
@@ -425,7 +430,7 @@ def test_scan_catalog_stacks_four_byte_header_lines(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting)
     summary, _ = scan_catalog(lines, "slem")
     assert summary.classified == 10
-    assert sizes.count((64, 64)) == 2 * math.ceil(10 / 4)
+    assert sizes.count((64, 64)) == math.ceil(10 / 4)
 
 
 def test_scan_catalog_decides_every_line_in_stacks(monkeypatch):
@@ -583,6 +588,43 @@ def test_scan_catalog_parallel_equals_serial(data_dir):
         s4, r4 = scan_catalog(lines, convention, parallelism=2)
         assert len(r3) == 10 and records_to_csv(r3) == records_to_csv(r4)
         assert _counters(s3) == _counters(s4) == _counters(s1)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and chunk size, maps in this process, starts nothing."""
+
+    made: list[tuple[int, int]] = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.made.append((self.max_workers, chunksize))
+        return map(fn, items)
+
+
+def test_parallel_starts_no_more_workers_than_work_units(data_dir, monkeypatch):
+    # a pool starts every worker it is given at once, so --parallel 64 on the
+    # one unit of graph4c runs here, and 5 random draws get 5 workers
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    serial = scan_catalog(data_dir / "graph4c.g6", "slem")
+    pooled = scan_catalog(data_dir / "graph4c.g6", "slem", parallelism=64)
+    assert _RecordingPool.made == []
+    assert records_to_csv(pooled[1]) == records_to_csv(serial[1]) and _counters(pooled[0]) == _counters(serial[0])
+    serial = scan_random("path", {"n": 5}, 5, convention="slem")
+    pooled = scan_random("path", {"n": 5}, 5, convention="slem", parallelism=64)
+    assert records_to_csv(pooled[1]) == records_to_csv(serial[1]) and _counters(pooled[0]) == _counters(serial[0])
+    assert rwj.search._run(abs, range(-100, 0), 3) == list(range(100, 0, -1))
+    assert _RecordingPool.made == [(5, 1), (3, 8)]
 
 
 def test_scan_accepts_streams_and_lines(data_dir):

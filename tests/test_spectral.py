@@ -16,6 +16,7 @@ from rwj import (
     WeightedGraph,
     alpha_bar,
     build_transition,
+    classify_small_alpha,
     dobrushin,
     dobrushin_bound,
     finite_difference_derivative,
@@ -24,6 +25,7 @@ from rwj import (
     parse_edgelist,
     spectrum,
     track_branch,
+    write_edgelist,
 )
 from rwj.cli import main
 from rwj.perturb import stacked_finite_difference
@@ -471,13 +473,14 @@ def eigh_matrices(monkeypatch):
 
 
 def test_analyze_graph_eigensolves_on_a_simple_level(eigh_matrices):
-    # alpha = 0, then alpha = h/2 and h for the FD check; the derivative of a
-    # simple level is the entry of its 1 x 1 reduced pencil, with no eigensolve
+    # alpha = 0 only: the derivative of a simple level is the entry of its 1 x 1
+    # reduced pencil, its check a stencil on a quadratic form, and its kept
+    # branch is proven from the alpha = 0 spectrum, all with no eigensolve
     from rwj import analyze_graph, parse_graph6
 
     record = analyze_graph(parse_graph6(b"D^{"), "slem")
     assert not record.degenerate and record.classification == "IMPROVES"
-    assert eigh_matrices == [1, 2]
+    assert eigh_matrices == [1]
 
 
 def test_sweep_confirms_eigensolves(eigh_matrices, det_zero_pair):
@@ -500,3 +503,23 @@ def test_cli_sweep_eigensolves(eigh_matrices, data_dir, capsys, steps):
                  "--steps", str(steps)]) == 0
     capsys.readouterr()
     assert sum(eigh_matrices) == steps
+
+
+@pytest.mark.parametrize("eps, tracked", [(None, False), (1e-7, True), (1e-3, False)])
+def test_cli_analyze_eigensolves(eigh_matrices, tmp_path, capsys, eps, tracked):
+    # alpha = 0, the printed eigh-tracked check at h/2 and h, and one alpha_bar
+    # point: the ER n = 400 graph and C5 with one edge weighted 1 + eps solve h/2
+    # and h once, whether the verdict core took that check (1e-7) or proved the
+    # branch kept (1e-3), and print what it prints when it takes it
+    if eps is None:
+        g = generate("er", seed=0, n=400, p=0.05)
+    else:
+        g = WeightedGraph(5, ((0, 1, 1.0 + eps), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0)))
+    path = tmp_path / "g.el"
+    path.write_text(write_edgelist(g))
+    assert main(["analyze", "--input", str(path), "--epsilon", "0.01", "--csv", str(tmp_path / "row.csv")]) == 0
+    text = capsys.readouterr().out
+    assert eigh_matrices == [1, 2, 1]
+    assert np.isnan(classify_small_alpha(g, "paper").fd_tracked[0]) != tracked
+    s = spectrum(build_transition(g, 0.0), "paper")
+    assert f" fd={format(finite_difference_derivative(g, s.lambda_star, s.stack.basis[0, :, 0]), '.12g')} " in text
