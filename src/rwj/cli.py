@@ -134,15 +134,15 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     hold the alpha = 0 spectrum, the verdict with its finite-difference check,
     the condition ladder and the sweep of a WORSENS verdict. The report and
     the row read them; only a nonzero alpha is solved again, and alpha_bar
-    searches from the alpha = 0 gap. The printed ``fd=`` is the eigh-tracked
-    stencil at ``h``, solved here only where the verdict did not solve it.
-    ``alpha`` is checked first, in every form of the report.
+    searches from the alpha = 0 gap. ``h`` sizes only the printed ``fd=``, the eigh-tracked stencil at h/2 and
+    h, solved here for every graph; a lost branch raises. ``alpha``, then ``h``, is checked first, in every form.
     """
     out = []
     ts = spectral.build_transition(g, alpha)
+    perturb._require_step(h)
     stats = graphs.degree_stats(g)
     conv = spectral.normalize_convention(convention)
-    rows = search._decide_one(g, conv, h)
+    rows = search._decide_one(g, conv)
     base = rows.spec.summary(0, 0.0, conv)
     v = rows.verdicts
     out.append(f"graph: {g.name or '<unnamed>'}  n={g.n}  volume={fmt(stats.volume)}")
@@ -153,10 +153,9 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     )
 
     if not conditions_only:
-        fd = v.fd_tracked[0]
-        if np.isnan(fd):  # the verdict core proved the branch kept without solving at h/2 and h
-            a = g.adjacency()[None]
-            fd = perturb.stacked_finite_difference(a, a.sum(-1), rows.spec.solved, v.level_value, v.vector, h)[0][0]
+        a = g.adjacency()[None]
+        (fd,), track, _ = perturb.stacked_finite_difference(a, a.sum(-1), rows.spec.solved, v.level_value, v.vector, h)
+        perturb._require_tracked(track, [0.0, h / 2.0, h], v.level_value)
         summary = base if alpha == 0.0 else spectral.spectrum(ts, conv)
         out.append(f"alpha={fmt(alpha)}  convention={conv}")
         out.append("pi(alpha): " + " ".join(fmt(x) for x in ts.pi))
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--alpha", type=float, default=0.0)
     pa.add_argument("--convention", choices=["slem", "paper"], default="paper")
     pa.add_argument("--epsilon", type=float, default=None, help="print mixing-time bounds")
-    pa.add_argument("--h", type=float, default=perturb.FD_STEP, help="finite-difference step")
+    pa.add_argument("--h", type=float, default=perturb.FD_STEP, help="step of the printed finite-difference check")
     pa.add_argument("--csv", default=None, help="also write the scan-schema CSV row here")
     pa.add_argument("--conditions-only", action="store_true", help="print only the condition report")
     pa.set_defaults(func=cmd_analyze)

@@ -15,12 +15,13 @@ lambda < 0 the numerator is positive too, so those branches always rise
 Degenerate levels are handled by the reduced pencil V^T((1/n)11^T - lambda I)V
 over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
-:func:`classify_stack` decides a stack of graphs at once into columns, the only form a verdict takes. It checks
-every derivative by a stencil on a quadratic form, with no eigensolve, and solves at h/2 and h only the rows whose
-kept branch the alpha = 0 spectrum cannot prove. :func:`sweep_stack` checks a stack's verdicts against branch-tracked
-gaps from the vectors of their branches and a WORSENS mask. :func:`classify_small_alpha`, :func:`sweep_confirms` and
-:func:`finite_difference_derivative` are their one-graph cases: each takes a graph and solves its alpha = 0 spectrum
-as a stack of one.
+:func:`classify_stack` decides a stack of graphs at once into columns, the only form a verdict takes. Every check
+steps by s = FD_STEP * d_min of its row's graph, so a verdict depends on the graph alone, the same for A and cA. It
+checks every derivative by a stencil on a quadratic form, with no eigensolve, and solves at s/2 and s only the rows
+whose kept branch the alpha = 0 spectrum cannot prove. :func:`sweep_stack` checks a stack's verdicts against
+branch-tracked gaps from the vectors of their branches and a WORSENS mask. :func:`classify_small_alpha`,
+:func:`sweep_confirms` and :func:`finite_difference_derivative` are their one-graph cases: each takes a graph and
+solves its alpha = 0 spectrum as a stack of one.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ IMPROVES = "IMPROVES"
 WORSENS = "WORSENS"
 
 TOL_SIGN = 1e-9        # |lambda_star| below this routes to the zero case
-TOL_STATIONARY = 1e-12  # branch derivatives below this count as exactly zero
+TOL_STATIONARY = 1e-12  # branch derivatives times d_min below this count as exactly zero
 _TOL_GRAM = 1e-10       # largest |V^T D V - I| entry of a D-orthonormal basis
-_TOL_RESIDUAL = 1e-7    # largest |A V - lambda D V| entry of an eigenspace basis
+_TOL_RESIDUAL = 1e-7    # largest |D^-1/2 (A V - lambda D V)| entry of an eigenspace basis
 _TOL_FD_START = 1e-8    # largest distance of the tracked alpha=0 eigenvalue from lambda_star
 _TOL_HF = 1e-6          # largest |lambda'(0) - stencil| * d_min of the derivative check
-_CERTIFY = 0.3          # e <= _CERTIFY * sep proves a simple branch kept at h/2 and h (_branch_kept)
-FD_STEP = 1e-5          # default step h of the finite-difference check
+_CERTIFY = 0.3          # e <= _CERTIFY * sep proves a simple branch kept at s/2 and s (_branch_kept)
+FD_STEP = 1e-5          # the checks' step s = FD_STEP * d_min, and the default step h of the printed check
 
 
 def degenerate_first_order(g: WeightedGraph, lambda_star: float, basis: np.ndarray) -> np.ndarray:
@@ -81,17 +82,18 @@ def _require_eigenbasis(gram_err, resid) -> None:
 
 
 def _pencil(a: np.ndarray, d: np.ndarray, lambda_star, v: np.ndarray):
-    """V^T((1/n)11^T - lambda I)V symmetrised, max|V^T D V - I| and max|A V - lambda D V|.
+    """V^T((1/n)11^T - lambda I)V symmetrised, max|V^T D V - I| and max|D^-1/2 (A V - lambda D V)|.
 
     Leading axes of ``a``, ``d``, ``lambda_star`` and ``v`` are a stack; each
     stacked product has the layout of the unstacked one, so the numbers agree.
+    The residual is max|(N - lambda) Y|, Y = D^1/2 V: scale-free, and at most 2 TOL_TIE on a level of several.
     """
     n = a.shape[-1]
     lam = np.asarray(lambda_star, dtype=float)[..., None, None]
     vt = np.swapaxes(v, -1, -2)
     gram = vt @ (d[..., :, None] * v)
     gram_err = np.abs(gram - np.eye(v.shape[-1])).max(axis=(-2, -1))
-    resid = np.abs(a @ v - lam * d[..., :, None] * v).max(axis=(-2, -1))
+    resid = np.abs((a @ v - lam * d[..., :, None] * v) / np.sqrt(d)[..., :, None]).max(axis=(-2, -1))
     ones_proj = vt @ np.ones(n)
     reduced = ones_proj[..., :, None] * ones_proj[..., None, :] / n - lam * (vt @ v)
     return (reduced + np.swapaxes(reduced, -1, -2)) / 2.0, gram_err, resid
@@ -106,7 +108,7 @@ def stacked_finite_difference(
     (:attr:`~rwj.spectral.StackedSpectrum.solved`); only h/2 and h are solved.
     Returns the estimates, the track, and where it starts at ``lambda_star``.
     Independent of the analytic formula; alpha >= 0 forbids central differencing.
-    ``eigh`` tracks the branch; in :func:`classify_stack` only the rows :func:`_branch_kept` leaves out take it.
+    ``eigh`` tracks the branch; ``rwj analyze`` prints this stencil at its ``--h``.
     """
     _require_step(h)
     track = track_stack(a, d, [0.0, h / 2.0, h], v, {0.0: start})
@@ -143,16 +145,15 @@ def finite_difference_derivative(g: WeightedGraph, lambda_star: float, v_star: n
     return estimate[0].item()
 
 
-def _hellmann_feynman(a: np.ndarray, d: np.ndarray, v: np.ndarray, derivative: np.ndarray):
+def _hellmann_feynman(a: np.ndarray, d: np.ndarray, s: np.ndarray, v: np.ndarray, derivative: np.ndarray):
     """The stencil (-3 q(0) + 4 q(s/2) - q(s)) / s of each row and its disagreement |lambda'(0) - stencil| * d_min.
 
     q(alpha) = y^T N(alpha) y = x^T (A + (alpha/n) 11^T) x, x = y / sqrt(d + alpha), for the unit y along sqrt(d) * v,
     so q'(0) = lambda'(0) of the branch of ``v`` (Hellmann-Feynman) on any level; one batched mat-vec, no eigensolve.
-    alpha enters N only as alpha / d_i, so s = FD_STEP * d_min and A -> cA leaves the disagreement as it is. It is
+    alpha enters N only as alpha / d_i, so with the (k,) step s = FD_STEP * d_min A -> cA leaves the disagreement. It is
     at most FD_STEP**2 (truncation, |q^(3)| <= 12 / d_min**3) + 8 (n + 2) eps / FD_STEP (rounding of each |q| <= 1)
     + |N(0) y - lambda y| (the residual of y: a few n eps, up to 2 TOL_TIE on a level of several eigenvalues).
     """
-    s = FD_STEP * d.min(axis=-1)
     rates = s[:, None] * np.array([0.0, 0.5, 1.0])
     x = _unit(np.sqrt(d) * v)[..., None] / np.sqrt(d[..., None] + rates[:, None, :])  # (k, n, 3)
     q = (x * (a @ x)).sum(axis=-2) + rates / d.shape[-1] * x.sum(axis=-2) ** 2
@@ -160,16 +161,17 @@ def _hellmann_feynman(a: np.ndarray, d: np.ndarray, v: np.ndarray, derivative: n
     return estimate, np.abs(derivative - estimate) * d.min(axis=-1)
 
 
-def _branch_kept(d: np.ndarray, spec: StackedSpectrum, single: np.ndarray, h: float) -> np.ndarray:
-    """(k,) rows whose eigh-tracked branch provably keeps an overlap above 0.5 at h/2 and h, with no eigensolve.
+def _branch_kept(d: np.ndarray, spec: StackedSpectrum, single: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(k,) rows whose eigh-tracked branch provably keeps an overlap above 0.5 at s/2 and s, with no eigensolve.
 
-    A level of one eigenvalue qualifies when e = h/d_min + (h/n) sum 1/(d_i + h) >= |N(alpha) - N(0)|_2, alpha <= h,
-    is at most c = _CERTIFY = 0.3 times sep > 3 TOL_TIE, its distance to the nearest other alpha = 0 eigenvalue.
+    A level of one eigenvalue qualifies when e = s/d_min + (s/n) sum 1/(d_i + s) >= |N(alpha) - N(0)|_2, alpha <= s,
+    for the (k,) step ``s`` (e <= 2 FD_STEP at s = FD_STEP * d_min), is at most c = _CERTIFY = 0.3 times
+    sep > 3 TOL_TIE, its distance to the nearest other alpha = 0 eigenvalue.
     By Weyl the track then matches the branch alone, and by Davis-Kahan (sin <= e/(sep - e), then (e/2)/(sep - 2e)
-    from h/2 to h) with the turn of at most 0.071 rad from sqrt(d + alpha) to sqrt(d + alpha') coordinates, the
-    overlaps are at least 0.87 at h/2 and 0.90 at h (README, "Branch tracking").
+    from s/2 to s) with the turn of at most 0.071 rad from sqrt(d + alpha) to sqrt(d + alpha') coordinates, the
+    overlaps are at least 0.87 at s/2 and 0.90 at s (README, "Branch tracking").
     """
-    e = h / d.min(axis=-1) + h / d.shape[-1] * (1.0 / (d + h)).sum(axis=-1)
+    e = s / d.min(axis=-1) + s / d.shape[-1] * (1.0 / (d + s[:, None])).sum(axis=-1)
     sep = np.where(spec.level, np.inf, np.abs(spec.eigenvalues - spec.lambda_star[:, None])).min(axis=-1)
     return single & (e <= _CERTIFY * sep) & (sep > 3.0 * TOL_TIE)
 
@@ -229,19 +231,19 @@ def modulus_rate(lambda_star, level_value, derivative) -> np.ndarray:
                     np.where(np.asarray(level_value) > 0.0, derivative, -derivative))
 
 
-def verdict(lambda_star, worst_rate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def verdict(lambda_star, worst_rate, d_min) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(classification, gap derivative, stationary) arrays from the worst modulus rate at each governing level.
 
-    ``lambda_star`` and ``worst_rate`` share one shape, whose leading axes are
-    a stack; ``.tolist()`` reads the rows as Python ``str``, ``float`` and
-    ``bool``. A negative worst rate IMPROVES and any other, NaN included,
-    WORSENS. At |lambda_star| <= TOL_SIGN the rate is nonnegative: any rate
-    above TOL_STATIONARY WORSENS, and a smaller one is stationary (reported
-    IMPROVES).
+    ``lambda_star``, ``worst_rate`` and each graph's smallest degree ``d_min``
+    broadcast, and leading axes are a stack; ``.tolist()`` reads the rows as
+    Python ``str``, ``float`` and ``bool``. A negative worst rate IMPROVES and
+    any other, NaN included, WORSENS. At |lambda_star| <= TOL_SIGN the rate is
+    nonnegative: a rate whose rate * d_min (scale-free) is above TOL_STATIONARY
+    WORSENS, and a smaller one is stationary (reported IMPROVES).
     """
     rate = np.asarray(worst_rate, dtype=float)
     zero = np.abs(lambda_star) <= TOL_SIGN
-    stationary = zero & (rate <= TOL_STATIONARY)
+    stationary = zero & (rate * d_min <= TOL_STATIONARY)
     worsens = np.where(zero, ~stationary, ~(rate < 0.0))
     return np.where(worsens, WORSENS, IMPROVES), -rate, stationary
 
@@ -310,7 +312,6 @@ class StackedVerdicts:
     vector: np.ndarray           # (k, n) adapted vector of the worst branch
     fd_estimate: np.ndarray      # the derivative check's stencil (_hellmann_feynman)
     fd_agreement: np.ndarray     # its disagreement |lambda_first - fd_estimate| * d_min
-    fd_tracked: np.ndarray       # the eigh-tracked stencil at h of a row _branch_kept leaves out, NaN elsewhere
     levels: dict[int, LevelBranches]  # every branch of each degenerate row
 
     def branch_vectors(self, rows: Sequence[int]) -> list[np.ndarray]:
@@ -318,9 +319,7 @@ class StackedVerdicts:
         return [self.levels[i].vectors if i in self.levels else self.vector[i:i + 1] for i in rows]
 
 
-def classify_stack(
-    a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, convention: str, h: float = FD_STEP
-) -> StackedVerdicts:
+def classify_stack(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, convention: str) -> StackedVerdicts:
     """The small-alpha verdict of every row of a (k, n, n) adjacency stack ``a`` with degrees ``d``.
 
     ``spec`` is the stack's alpha = 0 spectrum under ``convention``, every row
@@ -329,9 +328,11 @@ def classify_stack(
     level holds more than one eigenvalue solve theirs one row at a time. One
     :func:`modulus_rate` and one :func:`verdict` call then decide every row
     from its worst branch, and one array test makes the negative-lambda check.
-    Only the rows :func:`_branch_kept` leaves out, every degenerate one among them, take the eigh-tracked
-    :func:`stacked_finite_difference` at ``h``. Every worst branch must start at its level, and every lambda'(0)
-    must agree with :func:`_hellmann_feynman`. A failed check raises as in :func:`classify_small_alpha`.
+    Every check steps by s = FD_STEP * d_min of its row. Only the rows :func:`_branch_kept` leaves out, every
+    degenerate one among them, are tracked by ``eigh`` and must keep their branch at s/2 and s: as P(alpha; A) =
+    P(alpha / c; A / c), at FD_STEP * {1/2, 1} on A / d_min, from the held alpha = 0 solve, which ``_unit`` makes
+    blind to the factor. Every worst branch must start at its level, and every lambda'(0) must agree with
+    :func:`_hellmann_feynman`. A failed check raises as in :func:`classify_small_alpha`.
     """
     lam = spec.lambda_star
     single = spec.level.sum(axis=-1) == 1
@@ -356,25 +357,26 @@ def classify_stack(
             "this contradicts the positivity of the first-order term"
         )
     rate = modulus_rate(lam, level_value, derivative)
-    _require_step(h)
-    tracked, check = np.full(len(lam), np.nan), np.flatnonzero(~_branch_kept(d, spec, single, h))
+    d_min = d.min(axis=-1)
+    s, grid = FD_STEP * d_min, [0.0, FD_STEP / 2.0, FD_STEP]
+    check = np.flatnonzero(~_branch_kept(d, spec, single, s))
     if len(check):
-        tracked[check], track, _ = stacked_finite_difference(a[check], d[check], spec.take(check).solved,
-                                                             level_value[check], vector[check], h)
-        track.require_kept([0.0, h / 2.0, h])
+        c = d_min[check, None]
+        track_stack(a[check] / c[..., None], d[check] / c, grid, vector[check], {0.0: spec.take(check).solved}
+                    ).require_kept(grid)
     _require_tracked(track_stack(a, d, [0.0], vector, {0.0: spec.solved}), [0.0], level_value)
-    fd, agreement = _hellmann_feynman(a, d, vector, derivative)
+    fd, agreement = _hellmann_feynman(a, d, s, vector, derivative)
     beyond = agreement > _TOL_HF + 8.0 * (a.shape[-1] + 2) * np.finfo(float).eps / FD_STEP
     if beyond.any():
         i = int(np.argmax(beyond))
         raise NumericalError(f"derivative check failed: lambda'(0)={derivative[i]}, finite difference {fd[i]}")
     return StackedVerdicts(
-        convention, lam, derivative, *verdict(lam, rate), ~single, spec.tied_sign, level_value, rate, vector, fd,
-        agreement, tracked, levels,
+        convention, lam, derivative, *verdict(lam, rate, d_min), ~single, spec.tied_sign, level_value, rate, vector,
+        fd, agreement, levels,
     )
 
 
-def classify_small_alpha(g: WeightedGraph, convention: str = SLEM, h: float = FD_STEP) -> StackedVerdicts:
+def classify_small_alpha(g: WeightedGraph, convention: str = SLEM) -> StackedVerdicts:
     """Classify whether small jump rates improve or worsen the relaxation time.
 
     Rules at the governing modulus level (:func:`modulus_rate` and :func:`verdict`):
@@ -384,8 +386,8 @@ def classify_small_alpha(g: WeightedGraph, convention: str = SLEM, h: float = FD
     * lambda_star > 0: IMPROVES iff the worst branch derivative is negative,
       else WORSENS;
     * |lambda_star| <= 1e-9: |lambda(alpha)| = |alpha lambda'(0)| + O(alpha^2),
-      so any nonzero branch derivative WORSENS, all-zero is stationary
-      (reported IMPROVES with the stationary flag).
+      so any nonzero branch derivative WORSENS, all-zero (times d_min, within
+      TOL_STATIONARY) is stationary (reported IMPROVES with the stationary flag).
 
     Degenerate levels classify from the worst branch; sign-tied levels
     evaluate both signs and take the worst case. Every verdict carries a
@@ -395,7 +397,7 @@ def classify_small_alpha(g: WeightedGraph, convention: str = SLEM, h: float = FD
     """
     conv = normalize_convention(convention)
     spec = spectrum(build_transition(g, 0.0), conv).stack
-    return classify_stack(g.adjacency()[None], g.degrees()[None], spec, conv, h)
+    return classify_stack(g.adjacency()[None], g.degrees()[None], spec, conv)
 
 
 def sweep_stack(

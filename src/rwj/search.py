@@ -6,18 +6,15 @@ classification and only reported after a direct branch-tracked sweep confirms
 the gap really shrinks at alpha in {1e-3, 1e-2}; the two confirmations
 (derivative sign and sweep) are independent.
 
-Every row, of one graph, of a stack of same-n catalog lines or of a stack of
-two-node grid points, comes from the same cores: the stacked eigensolve of
-:mod:`rwj.spectral`, the verdict core :func:`~rwj.perturb.classify_stack`
-(the closed forms for two-node points), the ladder core
-:func:`~rwj.conditions.ladder_stack` and the stacked sweep
-:func:`~rwj.perturb.sweep_stack`. :func:`_decide` runs them on an adjacency
-stack and keeps the rows as array columns, the alpha = 0 spectrum among them;
-one graph (:func:`analyze_graph` and ``rwj analyze``) is a stack of one, and
-the two-node grid hands the columns of its closed forms to the row core,
-:func:`_stack_rows`, directly. A verdict exists only as columns, for one
-graph or one two-node point too, and a :class:`ScanRecord` is built straight
-from the columns, only for a row that is reported: :func:`analyze_graph` and
+Every row, of one graph, of a stack of same-n catalog lines or of a stack of two-node grid points, comes from the same
+cores: the stacked eigensolve of :mod:`rwj.spectral`, the verdict core :func:`~rwj.perturb.classify_stack` (the
+closed forms for two-node points), the ladder core :func:`~rwj.conditions.ladder_stack` and the stacked sweep
+:func:`~rwj.perturb.sweep_stack`. :func:`_decide` runs them on an adjacency stack and keeps the rows as array columns,
+the alpha = 0 spectrum among them. It takes no step: the verdict core's checks step by FD_STEP * d_min of each row,
+so a row's verdict depends on its matrix alone and A and cA get the same one. One graph (:func:`analyze_graph` and
+``rwj analyze``) is a stack of one, and the two-node grid hands the columns of its closed forms to the row core,
+:func:`_stack_rows`, directly. A verdict exists only as columns, for one graph or one two-node point too, and a
+:class:`ScanRecord` is built straight from the columns, only for a row that is reported: :func:`analyze_graph` and
 the two-node grid report every row, while a scan's work units count their rows from the columns and send back
 only their WORSENS rows and their own ``top_k`` closest calls, which :func:`_finalize` merges. With
 ``parallelism`` > 1 the units run on a pool of at most one worker process per unit (:func:`_run`).
@@ -49,7 +46,6 @@ from .graphs import (
     write_edgelist,
 )
 from .perturb import (
-    FD_STEP,
     WORSENS,
     StackedVerdicts,
     classify_stack,
@@ -151,7 +147,7 @@ def _two_node_forms(a11, a12, a22) -> _TwoNodeForms:
         p = TwoNodeParams(*(np.broadcast_to(x, finite.shape).flat[first].item() for x in (a11, a12, a22)))
         raise GraphFormatError(f"the closed forms of {p.name} leave the floating-point range")
     rate = modulus_rate(lam, lam, lam1)
-    return _TwoNodeForms(lam, r, numerator, lam1, rate, *verdict(lam, rate))
+    return _TwoNodeForms(lam, r, numerator, lam1, rate, *verdict(lam, rate, np.minimum(d1, d2)))
 
 
 def two_node_closed_form(p: TwoNodeParams) -> _TwoNodeForms:
@@ -306,32 +302,32 @@ def _stack_rows(
     return _Rows(a.shape[-1], verdicts, worse, spec, ladder_stack(degree_stats_of(d), spec), confirmed)
 
 
-def _decide(a: np.ndarray, convention: str, h: float = FD_STEP) -> tuple[np.ndarray, _Rows]:
+def _decide(a: np.ndarray, convention: str) -> tuple[np.ndarray, _Rows]:
     """(stack positions, rows) of the rows of a (k, n, n) stack ``a`` of connected adjacency matrices.
 
     One stacked ``eigh`` at alpha = 0 solves every row; a row without an
     admissible eigenvalue (K2 under ``paper``) is left out, and only then are
-    the kept rows copied. The verdict core, with its finite-difference step
-    ``h``, and the row core decide the others, and a failed check raises, as
-    :meth:`~rwj.spectral.StackedSpectrum.admissible` does on a disconnected
-    matrix. ``convention`` must be normalised.
+    the kept rows copied. The verdict core and the row core decide the others
+    from the matrices alone (their checks step by FD_STEP * d_min of the row),
+    and a failed check raises, as :meth:`~rwj.spectral.StackedSpectrum.admissible`
+    does on a disconnected matrix. ``convention`` must be normalised.
     """
     d = a.sum(axis=-1)
     spec = _solve(a, d, 0.0, convention)
     kept = np.flatnonzero(spec.admissible())
     if len(kept) < len(a):
         a, d, spec = a[kept], d[kept], spec.take(kept)
-    return kept, _stack_rows(a, d, spec, classify_stack(a, d, spec, convention, h))
+    return kept, _stack_rows(a, d, spec, classify_stack(a, d, spec, convention))
 
 
-def _decide_one(g: WeightedGraph, convention: str, h: float = FD_STEP) -> _Rows:
+def _decide_one(g: WeightedGraph, convention: str) -> _Rows:
     """The row of one graph: :func:`_decide` on its stack of one.
 
     A disconnected graph raises DisconnectedGraphError; one with no admissible
     eigenvalue raises ConventionError. ``convention`` must be normalised.
     """
     require_connected(g)
-    kept, rows = _decide(g.adjacency()[None], convention, h)
+    kept, rows = _decide(g.adjacency()[None], convention)
     if not len(kept):
         raise ConventionError(NO_ADMISSIBLE)
     return rows

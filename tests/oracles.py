@@ -67,10 +67,10 @@ def scalar_modulus_rate(lambda_star: float, level_value: float, derivative: floa
     return derivative if level_value > 0.0 else -derivative
 
 
-def scalar_verdict(lambda_star: float, worst_rate: float) -> tuple[str, float, bool]:
-    """(classification, gap derivative, stationary) of one graph, by Python float branches."""
+def scalar_verdict(lambda_star: float, worst_rate: float, d_min: float) -> tuple[str, float, bool]:
+    """(classification, gap derivative, stationary) of one graph of smallest degree d_min, by Python float branches."""
     if abs(lambda_star) <= 1e-9:
-        stationary = worst_rate <= 1e-12
+        stationary = worst_rate * d_min <= 1e-12
         return ("IMPROVES" if stationary else "WORSENS"), -worst_rate, stationary
     return ("IMPROVES" if worst_rate < 0.0 else "WORSENS"), -worst_rate, False
 

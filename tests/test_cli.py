@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rwj import analyze_graph, generate, scan_catalog, scan_random, two_node_grid_search
+from rwj import WeightedGraph, analyze_graph, generate, scan_catalog, scan_random, two_node_grid_search, write_edgelist
 from rwj.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_DISCONNECTED,
@@ -85,6 +85,52 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--input", str(k2), "--convention", "paper"]) == EXIT_NUMERICAL
     assert main(["analyze", "--input", str(k2), "--convention", "slem"]) == EXIT_OK
     capsys.readouterr()
+
+
+def _verdict_and_row(path, tmp_path, capsys, *argv):
+    """The classification line of ``rwj analyze`` on ``path`` and its ``--csv`` row, which must exit 0."""
+    row = tmp_path / "row.csv"
+    assert main(["analyze", "--input", str(path), "--csv", str(row), *argv]) == EXIT_OK
+    line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("classification="))
+    return line, row.read_text()
+
+
+def test_analyze_verdict_does_not_depend_on_h(tmp_path, capsys):
+    # the verdict core steps by FD_STEP * d_min whatever --h is; --h only sizes
+    # the printed fd= and fd_agreement=
+    c5_near = WeightedGraph(5, ((0, 1, 1.001), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0)))
+    for i, g in enumerate((generate("cycle", n=5), c5_near, generate("er", n=30, p=0.2, seed=3))):
+        path = tmp_path / f"g{i}.el"
+        path.write_text(write_edgelist(g))
+        for convention in ("slem", "paper"):
+            base = _verdict_and_row(path, tmp_path, capsys, "--convention", convention)
+            for h in ("1e-300", "1e-12", "0.5"):
+                assert _verdict_and_row(path, tmp_path, capsys, "--convention", convention, "--h", h) == base
+
+
+# a weighted graph whose level at 0 holds the eigenvalues +4.27e-10 and -4.23e-10
+WIDE_WEIGHTS = ((0, 1, 2.18e-06), (0, 2, 2.02e7), (0, 3, 8.40e7), (1, 3, 1.31e-08), (2, 2, 1.22e-4))
+
+
+def test_analyze_wide_weights_do_not_fail_the_eigenbasis_check(tmp_path, capsys):
+    # the eigenbasis residual is taken in similarity coordinates, so it does not
+    # grow with the weights: the graph and its 1e8 copy exit 0 with one verdict
+    lines = []
+    for scale in (1.0, 1e8):
+        path = tmp_path / f"wide{scale:g}.el"
+        path.write_text(write_edgelist(WeightedGraph(4, tuple((u, v, w * scale) for u, v, w in WIDE_WEIGHTS))))
+        line, _ = _verdict_and_row(path, tmp_path, capsys, "--convention", "paper")
+        lines.append(line.split()[0] + " " + " ".join(line.split()[2:]))  # the verdict and flags, not the rate
+    assert lines == ["classification=WORSENS [degenerate]"] * 2
+
+
+def test_analyze_stationary_does_not_depend_on_the_weight_unit(tmp_path, capsys):
+    # the star K1,6 is stationary at every weight: lambda'(0) * d_min is compared, not lambda'(0)
+    for weight in (1e-4, 1.0, 1e4):
+        path = tmp_path / "star.el"
+        path.write_text(write_edgelist(WeightedGraph(7, tuple((i, 6, weight) for i in range(6)))))
+        line, _ = _verdict_and_row(path, tmp_path, capsys, "--convention", "paper")
+        assert line.startswith("classification=IMPROVES ") and "[stationary]" in line, (weight, line)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -370,8 +416,8 @@ def test_scan_counterexample_exit_code(monkeypatch, tmp_path, capsys):
 
     real = perturb_mod.verdict
 
-    def worsens(lambda_star, worst_rate):
-        return (np.full(np.shape(lambda_star), "WORSENS"),) + real(lambda_star, worst_rate)[1:]
+    def worsens(lambda_star, worst_rate, d_min):
+        return (np.full(np.shape(lambda_star), "WORSENS"),) + real(lambda_star, worst_rate, d_min)[1:]
 
     monkeypatch.setattr(perturb_mod, "verdict", worsens)
     monkeypatch.setattr(search_mod, "sweep_stack", lambda a, *args: np.ones(len(a), dtype=bool))

@@ -26,7 +26,7 @@ from rwj import (
     sweep_confirms,
 )
 from rwj.perturb import FD_STEP, classify_stack, modulus_rate, stacked_finite_difference, sweep_stack, verdict
-from rwj.search import scan_catalog
+from rwj.search import _decide, scan_catalog
 from rwj.spectral import PAPER, SLEM, _solve
 
 from conftest import connected_pairs, connected_weighted, random_connected_weighted, two_node
@@ -120,6 +120,20 @@ def test_degenerate_rejects_bad_basis(k4):
         degenerate_first_order(k4, s.lambda_star, 2.0 * basis)  # not D-orthonormal
     with pytest.raises(ValueError):
         degenerate_first_order(k4, 0.9, basis)  # wrong eigenvalue
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_eigenbasis_check_rejects_another_eigenvector_at_any_scale(scale):
+    # the residual is scale-free, so a basis of another eigenvalue is still no
+    # eigenbasis of lambda_star, however small or large the weights are
+    g = WeightedGraph(5, ((0, 1, 3.0 * scale), (1, 2, scale), (2, 3, 2.0 * scale), (3, 4, scale), (0, 4, scale),
+                          (1, 3, 0.5 * scale)))
+    s = spectrum(build_transition(g, 0.0), "slem")
+    other = int(np.argmax(np.abs(s.eigenvalues - s.lambda_star)))
+    assert abs(s.eigenvalues[other] - s.lambda_star) > 0.1
+    degenerate_first_order(g, s.lambda_star, _eigenspace_basis(s, s.lambda_star))
+    with pytest.raises(ValueError, match="basis does not span the eigenspace"):
+        degenerate_first_order(g, s.lambda_star, s.eigenvectors[:, [other]])
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +280,14 @@ def test_classify_k4_case_one(k4):
 # ---------------------------------------------------------------------------
 
 def _rule_cases():
-    """(lambda_star, level value, rate) at every edge of the rule, as a flat list."""
+    """(lambda_star, level value, rate, d_min) at every edge of the rule, as a flat list."""
     tol, still = rwj.perturb.TOL_SIGN, rwj.perturb.TOL_STATIONARY
     lams = [0.0, -0.0, tol, -tol, np.nextafter(tol, 0.0), -np.nextafter(tol, 0.0),
             np.nextafter(tol, 1.0), -np.nextafter(tol, 1.0), 0.3, -0.3]
     rates = [0.0, -0.0, still, -still, np.nextafter(still, 0.0), np.nextafter(still, 1.0),
              1e-3, -1e-3, 5e-324, -5e-324, math.nan, math.inf, -math.inf]
-    return [(lam, level, rate) for lam in lams for level in (lam, -lam, 0.0) for rate in rates]
+    return [(lam, level, rate, d_min) for lam in lams for level in (lam, -lam, 0.0) for d_min in (1e-4, 1.0, 1e4)
+            for rate in rates]
 
 
 def _bits(x) -> np.ndarray:
@@ -281,13 +296,13 @@ def _bits(x) -> np.ndarray:
 
 def test_rule_on_arrays_matches_the_scalar_rule():
     cases = _rule_cases()
-    lam, level, rate = (np.array(column).reshape(-1, 13) for column in zip(*cases))  # a (k, m) stack
+    lam, level, rate, d_min = (np.array(column).reshape(-1, 13) for column in zip(*cases))  # a (k, m) stack
     rates = modulus_rate(lam, level, rate)
     assert rates.shape == lam.shape
-    assert np.array_equal(_bits(rates).ravel(), _bits([scalar_modulus_rate(*case) for case in cases]))
-    classification, gap, stationary = verdict(lam, rate)
+    assert np.array_equal(_bits(rates).ravel(), _bits([scalar_modulus_rate(*case[:3]) for case in cases]))
+    classification, gap, stationary = verdict(lam, rate, d_min)
     assert classification.shape == gap.shape == stationary.shape == lam.shape
-    expected = [scalar_verdict(lam_i, rate_i) for lam_i, _, rate_i in cases]
+    expected = [scalar_verdict(lam_i, rate_i, d_min_i) for lam_i, _, rate_i, d_min_i in cases]
     assert classification.ravel().tolist() == [e[0] for e in expected]
     assert np.array_equal(_bits(gap).ravel(), _bits([e[1] for e in expected]))
     assert stationary.ravel().tolist() == [e[2] for e in expected]
@@ -300,16 +315,20 @@ def test_rule_on_arrays_matches_the_scalar_rule():
 def test_rule_edges():
     tol, still = rwj.perturb.TOL_SIGN, rwj.perturb.TOL_STATIONARY
     # a zero or negative-zero rate off the zero level WORSENS, as does NaN anywhere
-    assert verdict(np.array([0.3, 0.3, -0.3]), np.array([0.0, -0.0, math.nan]))[0].tolist() == [WORSENS] * 3
-    assert verdict(np.array([0.0]), np.array([math.nan]))[0].tolist() == [WORSENS]
-    # on the zero level, a rate of exactly TOL_STATIONARY is stationary and the next one up is not
-    classification, gap, stationary = verdict(np.array([tol, tol]), np.array([still, np.nextafter(still, 1.0)]))
+    assert verdict(np.array([0.3, 0.3, -0.3]), np.array([0.0, -0.0, math.nan]), 1.0)[0].tolist() == [WORSENS] * 3
+    assert verdict(np.array([0.0]), np.array([math.nan]), np.array([1.0]))[0].tolist() == [WORSENS]
+    # on the zero level, a rate of exactly TOL_STATIONARY / d_min is stationary and the next one up is not
+    classification, gap, stationary = verdict(np.array([tol, tol]), np.array([still, np.nextafter(still, 1.0)]),
+                                              np.array([1.0, 1.0]))
     assert classification.tolist() == [IMPROVES, WORSENS]
     assert stationary.tolist() == [True, False]
     assert gap.tolist() == [-still, -np.nextafter(still, 1.0)]
+    # the rate of cA is the rate of A over c, and its verdict is the same
+    assert verdict(np.array([tol, tol]), np.array([still, still]) / 1e4, np.array([1e4, 1e5]))[2].tolist() == [
+        True, False]
     # just outside TOL_SIGN the same rate is no longer stationary, and the rate keeps its sign
     outside = np.nextafter(tol, 1.0)
-    assert verdict(np.array([outside]), np.array([still]))[0].tolist() == [WORSENS]
+    assert verdict(np.array([outside]), np.array([still]), np.array([1.0]))[0].tolist() == [WORSENS]
     assert modulus_rate(np.array([outside, -outside]), np.array([outside, -outside]), -1.0).tolist() == [-1.0, 1.0]
     assert modulus_rate(np.array([tol, -tol]), np.array([tol, -tol]), -1.0).tolist() == [1.0, 1.0]
 
@@ -482,8 +501,21 @@ def _classify_or_error(a, d, spec, convention, branch_kept=rwj.perturb._branch_k
             return exc
 
 
-def _proves_nothing(d, spec, single, h):
+def _proves_nothing(d, spec, single, s):
     return np.zeros(len(single), dtype=bool)
+
+
+def _certified(a, d, spec):
+    """The rows of an admissible stack whose kept branch the certificate proves, at the step FD_STEP * d_min."""
+    return rwj.perturb._branch_kept(d, spec, spec.level.sum(axis=-1) == 1, FD_STEP * d.min(axis=-1))
+
+
+def _recording(masks, real=rwj.perturb._branch_kept):
+    """The certificate, keeping each mask it gives in ``masks``."""
+    def branch_kept(*args):
+        masks.append(real(*args))
+        return masks[-1]
+    return branch_kept
 
 
 @settings(max_examples=150, deadline=None)
@@ -500,7 +532,9 @@ def test_derivative_check_and_certificate_on_wide_weights(g, scale, convention):
         assume(spec.admissible().all())
     except NumericalError:  # a second eigenvalue within TOL_UNIT of 1
         assume(False)
-    got, tracked = _classify_or_error(a, d, spec, convention), _classify_or_error(a, d, spec, convention, _proves_nothing)
+    masks = []
+    got = _classify_or_error(a, d, spec, convention, _recording(masks))
+    tracked = _classify_or_error(a, d, spec, convention, _proves_nothing)
     if isinstance(tracked, Exception):
         assert type(got) is type(tracked) and str(got) == str(tracked)
         assert not str(got).startswith("derivative check")
@@ -508,10 +542,10 @@ def test_derivative_check_and_certificate_on_wide_weights(g, scale, convention):
     assert not isinstance(got, Exception), got
     for name in ("lambda_first", "classification", "level_value", "vector", "fd_estimate", "fd_agreement"):
         assert np.array_equal(getattr(got, name), getattr(tracked, name))
-    certified = rwj.perturb._branch_kept(d, spec, spec.level.sum(axis=-1) == 1, FD_STEP)
-    assert np.isnan(got.fd_tracked).tolist() == certified.tolist()
-    assert np.array_equal(got.fd_tracked[~certified], tracked.fd_tracked[~certified])
-    _, track, starts = stacked_finite_difference(a, d, spec.solved, got.level_value, got.vector)
+    certified = _certified(a, d, spec)
+    assert [m.tolist() for m in masks] == [certified.tolist()]
+    # the eigh-tracked branch at s/2 and s, s = FD_STEP * d_min of the stack of one
+    _, track, starts = stacked_finite_difference(a, d, spec.solved, got.level_value, got.vector, FD_STEP * d.min())
     assert (track.kept & starts)[certified].all()
     # the stated bound: truncation, rounding and the residual of the branch vector
     y = np.sqrt(d) * got.vector
@@ -522,6 +556,27 @@ def test_derivative_check_and_certificate_on_wide_weights(g, scale, convention):
     assert (got.fd_agreement <= bound).all(), (got.fd_agreement, bound)
 
 
+@settings(max_examples=200, deadline=None)
+@given(wide_weighted(), st.sampled_from([1e-8, 1e8]), st.sampled_from([SLEM, PAPER]))
+def test_verdict_does_not_depend_on_the_weight_unit(g, scale, convention):
+    # P(alpha) of A is P(c alpha) of cA: through _decide, A and cA get the same
+    # verdict columns, the certificate leaves out the same rows, and both raise
+    # the same error or neither does
+    def decided(a):
+        masks = []
+        with patch.object(rwj.perturb, "_branch_kept", _recording(masks)):
+            try:
+                kept, rows = _decide(a, convention)
+            except (ValueError, NumericalError) as exc:
+                return type(exc), [m.tolist() for m in masks]
+        v = rows.verdicts
+        columns = (v.classification, v.stationary, v.degenerate, v.tied_sign)
+        return kept.tolist(), [c.tolist() for c in columns], [m.tolist() for m in masks]
+
+    a = g.adjacency()[None]
+    assert decided(scale * a) == decided(a)
+
+
 def _c5(eps: float) -> WeightedGraph:
     """C5 with the edge 0-1 weighted 1 + eps: the twin eigenvalues -0.809 split by O(eps)."""
     return WeightedGraph(5, ((0, 1, 1.0 + eps), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (0, 4, 1.0)))
@@ -530,8 +585,8 @@ def _c5(eps: float) -> WeightedGraph:
 @pytest.mark.parametrize("convention", [SLEM, PAPER])
 @pytest.mark.parametrize("eps, tracked", [(1e-7, True), (1e-5, True), (1e-3, False)])
 def test_near_degenerate_c5_takes_the_tracked_check_where_unproven(monkeypatch, convention, eps, tracked):
-    # e / sep at h = 1e-5 is 724, 7.2 and 0.072: only the last is within the
-    # certificate's 0.3, so only it solves no matrix at h/2 and h
+    # e / sep at s = FD_STEP * d_min = 2e-5 is 1448, 14.4 and 0.144: only the last
+    # is within the certificate's 0.3, so only it solves no matrix at s/2 and s
     solved = []
     real = np.linalg.eigh
 
@@ -543,19 +598,9 @@ def test_near_degenerate_c5_takes_the_tracked_check_where_unproven(monkeypatch, 
     r = classify_small_alpha(_c5(eps), convention)
     assert not r.degenerate[0] and r.classification[0] == IMPROVES
     assert sum(solved) == (3 if tracked else 1)
-    assert np.isnan(r.fd_tracked[0]) != tracked
+    a = _c5(eps).adjacency()[None]
+    assert _certified(a, a.sum(axis=-1), _solve(a, a.sum(axis=-1), 0.0, convention))[0] != tracked
     assert r.fd_agreement[0] <= 1e-9
-
-
-def test_derivative_check_does_not_depend_on_h(c5):
-    # the stencil steps by FD_STEP * d_min whatever h is; h only sizes the
-    # certificate and the eigh-tracked check
-    for g in (c5, _c5(1e-3), generate("er", n=30, p=0.2, seed=3)):
-        base = classify_small_alpha(g, SLEM)
-        for h in (1e-300, 1e-12, 0.5):
-            r = classify_small_alpha(g, SLEM, h=h)
-            assert np.array_equal(r.fd_estimate, base.fd_estimate)
-            assert np.array_equal(r.fd_agreement, base.fd_agreement)
 
 
 def test_derivative_check_acts_on_its_answer(data_dir, monkeypatch):

@@ -483,8 +483,8 @@ def test_scan_catalog_sweeps_worsens_rows_in_their_stack(data_dir, monkeypatch):
     # each stacked row must carry the sweep result analyze_graph gives it
     real = rwj.perturb.verdict
 
-    def worsens(lambda_star, worst_rate):
-        return (np.full(np.shape(lambda_star), WORSENS),) + real(lambda_star, worst_rate)[1:]
+    def worsens(lambda_star, worst_rate, d_min):
+        return (np.full(np.shape(lambda_star), WORSENS),) + real(lambda_star, worst_rate, d_min)[1:]
 
     monkeypatch.setattr(rwj.perturb, "verdict", worsens)
     lines = (data_dir / "graph5c.g6").read_bytes().splitlines()
@@ -501,8 +501,8 @@ def test_scan_catalog_reads_verdict_columns_only(data_dir, monkeypatch):
     # verdict has no row form to read back, for one graph either
     real = rwj.perturb.verdict
 
-    def worsens(lambda_star, worst_rate):
-        return (np.full(np.shape(lambda_star), WORSENS),) + real(lambda_star, worst_rate)[1:]
+    def worsens(lambda_star, worst_rate, d_min):
+        return (np.full(np.shape(lambda_star), WORSENS),) + real(lambda_star, worst_rate, d_min)[1:]
 
     monkeypatch.setattr(rwj.perturb, "verdict", worsens)
     for convention in ("slem", "paper"):

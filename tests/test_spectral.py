@@ -28,7 +28,7 @@ from rwj import (
     write_edgelist,
 )
 from rwj.cli import main
-from rwj.perturb import stacked_finite_difference
+from rwj.perturb import FD_STEP, _branch_kept, stacked_finite_difference
 from rwj.search import analyze_graph
 from rwj.spectral import PAPER, _solve, alpha_bar_closed_form, normalize_convention, track_stack
 
@@ -508,9 +508,9 @@ def test_cli_sweep_eigensolves(eigh_matrices, data_dir, capsys, steps):
 @pytest.mark.parametrize("eps, tracked", [(None, False), (1e-7, True), (1e-3, False)])
 def test_cli_analyze_eigensolves(eigh_matrices, tmp_path, capsys, eps, tracked):
     # alpha = 0, the printed eigh-tracked check at h/2 and h, and one alpha_bar
-    # point: the ER n = 400 graph and C5 with one edge weighted 1 + eps solve h/2
-    # and h once, whether the verdict core took that check (1e-7) or proved the
-    # branch kept (1e-3), and print what it prints when it takes it
+    # point: the ER n = 400 graph and C5 with one edge weighted 1 + eps = 1 + 1e-3
+    # solve h/2 and h once, as the verdict core proves their branch kept; at
+    # eps = 1e-7 the core also tracks it at s/2 and s, s = FD_STEP * d_min
     if eps is None:
         g = generate("er", seed=0, n=400, p=0.05)
     else:
@@ -519,7 +519,10 @@ def test_cli_analyze_eigensolves(eigh_matrices, tmp_path, capsys, eps, tracked):
     path.write_text(write_edgelist(g))
     assert main(["analyze", "--input", str(path), "--epsilon", "0.01", "--csv", str(tmp_path / "row.csv")]) == 0
     text = capsys.readouterr().out
-    assert eigh_matrices == [1, 2, 1]
-    assert np.isnan(classify_small_alpha(g, "paper").fd_tracked[0]) != tracked
+    assert eigh_matrices == ([1, 2, 2, 1] if tracked else [1, 2, 1])
+    a = g.adjacency()[None]
+    d = a.sum(axis=-1)
+    spec = _solve(a, d, 0.0, PAPER)
+    assert _branch_kept(d, spec, spec.level.sum(axis=-1) == 1, FD_STEP * d.min(axis=-1))[0] != tracked
     s = spectrum(build_transition(g, 0.0), "paper")
     assert f" fd={format(finite_difference_derivative(g, s.lambda_star, s.stack.basis[0, :, 0]), '.12g')} " in text
