@@ -17,6 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -281,9 +282,8 @@ def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.
     :func:`parse_graph6` is its stack of one. Every line must be one that
     :func:`graph6_n` maps to n. Returns the (k, n, n) adjacency stack, a mask
     of the valid bodies (bytes in [63, 126], zero padding bits; bits map to
-    pairs in :func:`_graph6_pairs` order) and a mask of the connected graphs.
-    It costs O(k·n²) whatever the diameters: the frontier grown from vertex 0
-    of every graph at once reads each reached vertex's adjacency row once.
+    pairs in :func:`_graph6_pairs` order) and a mask of the connected graphs
+    (:func:`connected_stack`).
     """
     k = len(lines)
     nbits = n * (n - 1) // 2
@@ -296,6 +296,16 @@ def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.
     adj = np.zeros((k, n, n), dtype=bool)
     adj[:, u, v] = bits[:, :nbits]
     adj[:, v, u] = bits[:, :nbits]
+    return adj.astype(float), valid, connected_stack(adj)
+
+
+def connected_stack(adj: np.ndarray) -> np.ndarray:
+    """Mask of the connected graphs of a (k, n, n) adjacency stack; self-loops are ignored.
+
+    It costs O(k·n²) whatever the diameters: the frontier grown from vertex 0
+    of every graph at once reads each reached vertex's adjacency row once.
+    """
+    k, n = adj.shape[:2]
     rows = adj.reshape(k * n, n)  # row g * n + x: vertex x of graph g
     reached = np.zeros(k * n, dtype=bool)
     frontier = np.arange(0, k * n, n)
@@ -306,16 +316,15 @@ def decode_graph6_stack(lines: Sequence[bytes], n: int) -> tuple[np.ndarray, np.
         hit[frontier[i] // n * n + w] = True
         frontier = np.flatnonzero(hit > reached)
         reached[frontier] = True
-    return adj.astype(float), valid, reached.reshape(k, n).all(axis=1)
+    return reached.reshape(k, n).all(axis=1)
 
 
 def stack_edges(a: np.ndarray) -> list[tuple[tuple[int, int, float], ...]]:
     """``WeightedGraph.edges`` of each unweighted graph without self-loops of a (k, n, n) adjacency stack."""
     u, v = np.triu_indices(a.shape[-1], 1)
-    pairs = [(i, j, 1.0) for i, j in zip(u.tolist(), v.tolist())]
     # a tuple built from a list, not from an iterator: tuple() grows and shrinks
     # an iterator's result in place, which leaves the heap fragmented
-    return [tuple([p for p, present in zip(pairs, row) if present]) for row in (a[:, u, v] > 0.0).tolist()]
+    return [tuple(list(zip(u[row].tolist(), v[row].tolist(), repeat(1.0)))) for row in a[:, u, v] > 0.0]
 
 
 def write_graph6(g: WeightedGraph) -> bytes:
@@ -407,38 +416,73 @@ def _require_n(params: dict, minimum: int = 2) -> int:
     return int(n)
 
 
-def _sample_connected(label: str, sizes: Sequence[int], b: np.ndarray, seed: int, retry_budget: int) -> WeightedGraph:
-    """The first connected stochastic-block-model draw from ``seed``'s stream, named ``<label>,seed=S)``.
+def sample_stack(
+    model: str, seeds: Sequence[int], retry_budget: int = 1000, **params
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """(k, n, n) adjacency stack, names and drawn mask of the graphs of ``model`` from each of the k ``seeds``.
 
-    Vertices get block labels from ``sizes`` in order. Each attempt draws one
-    ``rng.random`` per pair u < v in ``np.triu_indices`` order and keeps the
-    pairs whose draw is below their block probability ``b``. Attempt K > 0 is
-    named ``<label>,seed=S,resampled=K)``.
+    The one sampler of the random models; ER is the one-block SBM. Every seed
+    draws from its own ``default_rng(seed)`` stream, vertices get block labels
+    from the block sizes in order, and each attempt draws one ``rng.random``
+    per pair u < v in ``np.triu_indices`` order and keeps the pairs whose draw
+    is below their block probability. The disconnected draws (one
+    :func:`connected_stack` test for all) draw again; attempt K > 0 of seed S
+    is named ``<label>,seed=S,resampled=K)``. A seed with no connected draw
+    in ``retry_budget`` attempts is masked out. A deterministic family
+    ignores the seeds: every row is its graph.
     """
+    if model == "er":
+        n = _require_n(params)
+        p = params.get("p")
+        if not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
+            raise GraphFormatError(f"er needs p in (0, 1], got {p!r}")
+        label, sizes, b = f"er(n={n},p={p:g}", [n], np.array([[float(p)]])
+    elif model == "sbm":
+        sizes = params.get("sizes")
+        if sizes is None or not len(sizes) or not all(_is_int_at_least(s, 1) for s in sizes):
+            raise GraphFormatError(f"sbm needs positive integer block sizes, got {sizes!r}")
+        sizes = [int(s) for s in sizes]
+        b = np.asarray(params.get("b"), dtype=float)
+        if b.shape != (len(sizes), len(sizes)) or not np.allclose(b, b.T):
+            raise GraphFormatError(f"sbm needs a symmetric {len(sizes)}x{len(sizes)} probability matrix")
+        if b.min() < 0.0 or b.max() > 1.0:
+            raise GraphFormatError("sbm probabilities must lie in [0, 1]")
+        if sum(sizes) < 2:
+            raise GraphFormatError("sbm needs at least 2 vertices in total")
+        label = f"sbm(sizes={tuple(sizes)}"
+    else:
+        g = generate(model, **params)
+        return np.repeat(g.adjacency()[None], len(seeds), axis=0), [g.name] * len(seeds), np.ones(len(seeds), bool)
     block = np.repeat(np.arange(len(sizes)), sizes)
     n = len(block)
     u, v = np.triu_indices(n, 1)
     prob = b[block[u], block[v]]
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    a = np.zeros((len(seeds), n, n))
+    attempts = np.zeros(len(seeds), dtype=int)
+    todo = np.arange(len(seeds))
     for attempt in range(retry_budget):
-        keep = rng.random(len(prob)) < prob
-        name = f"{label},seed={seed})" if attempt == 0 else f"{label},seed={seed},resampled={attempt})"
-        g = WeightedGraph.from_pairs(n, zip(u[keep].tolist(), v[keep].tolist()), name=name)
-        if is_connected(g):
-            return g
-    raise GenerationError(f"no connected {label}) sample in {retry_budget} attempts (seed={seed})")
+        if not todo.size:
+            break
+        attempts[todo] = attempt
+        keep = np.array([rngs[i].random(len(prob)) for i in todo.tolist()]) < prob
+        a[todo[:, None], u, v] = a[todo[:, None], v, u] = keep
+        todo = todo[~connected_stack(a[todo])]
+    names = [f"{label},seed={seed})" if k == 0 else f"{label},seed={seed},resampled={k})"
+             for seed, k in zip(seeds, attempts.tolist())]
+    drawn = np.ones(len(seeds), bool)
+    drawn[todo] = False
+    return a, names, drawn
 
 
 def generate(model: str, seed: int = 0, retry_budget: int = 1000, **params) -> WeightedGraph:
     """Build a named deterministic family or a seeded random graph.
 
     Deterministic families (path, cycle, star, complete) ignore the seed.
-    Random models (er, sbm) resample from the same seeded stream until
-    connected, up to ``retry_budget`` attempts; the resample count, when
-    nonzero, is recorded in the graph name. ER is the one-block SBM: each
-    attempt draws one uniform per vertex pair u < v, in ``np.triu_indices``
-    order (0,1), (0,2), ..., (1,2), ..., and keeps the pair when its draw is
-    below the pair's block probability.
+    A random model (er, sbm) is :func:`sample_stack` on the one seed: it
+    resamples from the seeded stream until connected, up to ``retry_budget``
+    attempts, records a nonzero resample count in the graph name and raises
+    :class:`GenerationError` when no attempt is connected.
     """
     if model == "path":
         n = _require_n(params)
@@ -454,25 +498,10 @@ def generate(model: str, seed: int = 0, retry_budget: int = 1000, **params) -> W
         n = _require_n(params)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         return WeightedGraph.from_pairs(n, pairs, name=f"complete(n={n})")
-    if model == "er":
-        n = _require_n(params)
-        p = params.get("p")
-        if not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
-            raise GraphFormatError(f"er needs p in (0, 1], got {p!r}")
-        return _sample_connected(f"er(n={n},p={p:g}", [n], np.array([[float(p)]]), seed, retry_budget)
-    if model == "sbm":
-        sizes = params.get("sizes")
-        b = params.get("b")
-        if sizes is None or not len(sizes) or not all(_is_int_at_least(s, 1) for s in sizes):
-            raise GraphFormatError(f"sbm needs positive integer block sizes, got {sizes!r}")
-        sizes = [int(s) for s in sizes]
-        bmat = np.asarray(b, dtype=float)
-        k = len(sizes)
-        if bmat.shape != (k, k) or not np.allclose(bmat, bmat.T):
-            raise GraphFormatError(f"sbm needs a symmetric {k}x{k} probability matrix")
-        if bmat.min() < 0.0 or bmat.max() > 1.0:
-            raise GraphFormatError("sbm probabilities must lie in [0, 1]")
-        if sum(sizes) < 2:
-            raise GraphFormatError("sbm needs at least 2 vertices in total")
-        return _sample_connected(f"sbm(sizes={tuple(sizes)}", sizes, bmat, seed, retry_budget)
+    if model in ("er", "sbm"):
+        a, names, drawn = sample_stack(model, [seed], retry_budget, **params)
+        if not drawn[0]:
+            raise GenerationError(f"no connected {names[0].partition(',seed=')[0]}) sample in {retry_budget} attempts "
+                                  f"(seed={seed})")
+        return WeightedGraph(len(a[0]), stack_edges(a)[0], name=names[0])
     raise GraphFormatError(f"unknown model {model!r}; choose one of {GENERATOR_MODELS}")

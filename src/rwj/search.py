@@ -26,22 +26,21 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .conditions import Ladder, ladder_stack
-from .errors import ConventionError, GenerationError, GraphFormatError
+from .errors import ConventionError, GraphFormatError
 from .graphs import (
     WeightedGraph,
     decode_graph6_stack,
     degree_stats_of,
-    generate,
     graph6_groups,
     read_graph6_lines,
+    sample_stack,
     stack_edges,
     write_edgelist,
 )
@@ -63,8 +62,9 @@ from .spectral import (
 )
 
 # Graphs per stacked eigensolve. Larger stacks barely speed up n <= 8; a
-# catalog unit of larger graphs holds fewer (see _work_units).
+# unit of larger graphs holds at most ENTRY_BUDGET adjacency entries (see _unit_size).
 STACK_SIZE = 256
+ENTRY_BUDGET = 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +346,6 @@ class _Unit(NamedTuple):
     closest: list[tuple[float, int, dict]]      # (margin, input position, ScanRecord fields) of its closest calls
 
 
-_NO_ROWS = _Unit((0,) * len(_COUNTERS), [], [])
-
-
 def _unit(positions: np.ndarray, a: np.ndarray, convention: str, top_k: int, describe) -> _Unit:
     """The result of one work unit: the stack ``a`` of connected adjacency matrices at input ``positions``.
 
@@ -375,53 +372,45 @@ def _unit(positions: np.ndarray, a: np.ndarray, convention: str, top_k: int, des
                   in zip(verdicts.gap_derivative[closest].tolist(), tagged(closest))])
 
 
-def _batched_rows(convention: str, top_k: int, unit: tuple[int, list[int], list[bytes]]) -> _Unit:
-    """The result of a catalog scan's work unit (n, input positions, lines).
-
-    One vectorised decode, then :func:`_unit` on the lines it accepts: a line
-    with a malformed body or a disconnected graph is skipped. Only reported
-    rows decode their line as an id and build their edge tuple.
-    """
-    n, positions, lines = unit
-    a, valid, connected = decode_graph6_stack(lines, n)
-    ok = np.flatnonzero(valid & connected)
+def _masked_unit(
+    positions: Sequence[int], a: np.ndarray, mask: np.ndarray, id_of, convention: str, top_k: int
+) -> _Unit:
+    """:func:`_unit` on the rows of ``a`` that ``mask`` keeps (the others are skips); ``id_of`` gives a row's id."""
+    ok = np.flatnonzero(mask)
     a = a[ok]
     return _unit(np.asarray(positions)[ok], a, convention, top_k,
-                 lambda rows: ([lines[i].decode("ascii") for i in ok[rows].tolist()], stack_edges(a[rows])))
+                 lambda rows: ([id_of(i) for i in ok[rows].tolist()], stack_edges(a[rows])))
 
 
-def _generated_rows(convention: str, model: str, params: dict, seed: int, top_k: int, i: int) -> _Unit:
-    """The result of the random graph at input position ``i``, drawn with seed ``seed + i``; a failed draw is a skip."""
-    try:
-        g = generate(model, seed=seed + i, **params)
-    except GenerationError:
-        return _NO_ROWS
-    require_connected(g)
-    graph_id = g.name or "<anonymous>"
-    return _unit(np.array([i]), g.adjacency()[None], convention, top_k,
-                 lambda rows: ([graph_id] * len(rows), [g.edges] * len(rows)))
+def _batched_rows(convention: str, top_k: int, unit: tuple[int, list[int], list[bytes]]) -> _Unit:
+    """The result of a catalog work unit (n, input positions, lines): one decode, then its valid, connected lines."""
+    n, positions, lines = unit
+    a, valid, connected = decode_graph6_stack(lines, n)
+    return _masked_unit(positions, a, valid & connected, lambda i: lines[i].decode("ascii"), convention, top_k)
+
+
+def _generated_rows(convention: str, model: str, params: dict, seed: int, top_k: int, positions: range) -> _Unit:
+    """The result of the draws at ``positions`` (draw i from seed ``seed + i``) as one stack; a failed one is a skip."""
+    a, names, drawn = sample_stack(model, [seed + i for i in positions], **params)
+    return _masked_unit(positions, a, drawn, names.__getitem__, convention, top_k)
+
+
+def _unit_size(n: int) -> int:
+    """Graphs per work unit of n-vertex graphs: at most STACK_SIZE graphs and ENTRY_BUDGET adjacency entries."""
+    return max(1, min(STACK_SIZE, ENTRY_BUDGET // n ** 2))
 
 
 def _work_units(lines: Sequence[bytes]) -> list[tuple[int, list[int]]]:
-    """(n, input positions) units of a catalog scan.
-
-    Each n-vertex group of :func:`~rwj.graphs.graph6_groups` is cut into
-    units, in input order. A unit holds no more adjacency entries than
-    STACK_SIZE graphs on 8 vertices, so an n <= 8 unit holds STACK_SIZE lines
-    and an n >= 128 unit one.
-    """
-    units = []
-    for n, positions in graph6_groups(lines).items():
-        size = max(1, min(STACK_SIZE, STACK_SIZE * 8 * 8 // n ** 2))
-        units += [(n, positions[start:start + size]) for start in range(0, len(positions), size)]
-    return units
+    """(n, input positions) units of a catalog scan: each n-vertex group cut into units of :func:`_unit_size` lines."""
+    return [(n, positions[start:start + _unit_size(n)]) for n, positions in graph6_groups(lines).items()
+            for start in range(0, len(positions), _unit_size(n))]
 
 
 def _finalize(
     provenance: str,
     convention: str,
     total: int,
-    units: Sequence[_Unit],
+    units: Iterable[_Unit],
     top_k: int,
     started: float,
     dump_dir: str | Path | None,
@@ -431,14 +420,20 @@ def _finalize(
     The counters add up. Every WORSENS row is reported, in input order, and
     the closest calls are the first ``top_k`` IMPROVES rows by (margin,
     input position), so each unit only sends its own first ``top_k``; their
-    records are built here, for the rows reported only.
+    records are built here, for the rows reported only. The units are merged
+    as they arrive, so a scan holds ``top_k`` closest calls, not ``top_k``
+    per unit.
     """
     summary = ScanSummary(provenance=provenance, convention=convention, total=total)
-    for name, value in zip(_COUNTERS, map(sum, zip(*(unit.counts for unit in units)))):
+    counts, worsens, closest = [0] * len(_COUNTERS), [], []
+    for unit in units:
+        counts = [x + y for x, y in zip(counts, unit.counts)]
+        worsens += unit.worsens
+        closest = sorted(closest + unit.closest, key=itemgetter(0, 1))[:top_k]
+    for name, value in zip(_COUNTERS, counts):
         setattr(summary, name, value)
     summary.skipped = total - summary.classified
-    worsens = [r for _, r in sorted(chain.from_iterable(u.worsens for u in units), key=itemgetter(0))]
-    closest = sorted(chain.from_iterable(u.closest for u in units), key=itemgetter(0, 1))[:top_k]
+    worsens = [r for _, r in sorted(worsens, key=itemgetter(0))]
     summary.min_margin_records = tuple(ScanRecord(**fields) for _, _, fields in closest)
     summary.elapsed = time.perf_counter() - started
     if dump_dir is not None and worsens:
@@ -447,17 +442,17 @@ def _finalize(
 
 
 def _run(worker, payloads, parallelism: int):
-    """``worker`` applied to every payload, results in input order, by at most one worker process per payload."""
+    """``worker`` applied to every payload, yielded in input order, by at most one worker process per payload."""
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     workers = min(parallelism, len(payloads))  # a pool starts every worker it is given at once
     if workers <= 1:
-        return [worker(p) for p in payloads]
+        yield from map(worker, payloads)
+        return
     from concurrent.futures import ProcessPoolExecutor  # only worker pools load multiprocessing
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(payloads) // (4 * workers))
-        return list(pool.map(worker, payloads, chunksize=chunk))
+        yield from pool.map(worker, payloads, chunksize=max(1, len(payloads) // (4 * workers)))
 
 
 def dump_counterexamples(records: Sequence[ScanRecord], dump_dir: str | Path) -> list[Path]:
@@ -526,14 +521,17 @@ def scan_random(
     """Scan ``count`` seeded random graphs; graph i uses seed ``seed + i``.
 
     Fully reproducible from (model, params, seed); generator connectivity
-    failures count as skips.
+    failures count as skips. Units of :func:`_unit_size` consecutive draws are
+    drawn as one stack and decided by one :func:`_decide` call each.
     """
     if count < 1 or top_k < 0:
         raise ValueError(f"count must be >= 1 and top_k >= 0, got {count} and {top_k}")
     conv = normalize_convention(convention)
     started = time.perf_counter()
     provenance = f"{model}({params},seed={seed},count={count})"
-    done = _run(partial(_generated_rows, conv, model, dict(params), seed, top_k), range(count), parallelism)
+    size = _unit_size(sample_stack(model, [], **params)[0].shape[-1])  # no draw: checks params and gives n
+    units = [range(start, min(start + size, count)) for start in range(0, count, size)]
+    done = _run(partial(_generated_rows, conv, model, dict(params), seed, top_k), units, parallelism)
     return _finalize(provenance, conv, count, done, top_k, started, dump_dir)
 
 

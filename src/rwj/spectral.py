@@ -281,15 +281,18 @@ def mixing_time_bounds(t_rel: float, pi_min: float, epsilon: float) -> tuple[flo
 def dobrushin(ts: TransitionSystem) -> float:
     """Dobrushin ergodic coefficient: half the max total-variation row distance.
 
-    Row i is compared with the rows after it, one block at a time, so memory
-    stays O(n^2); each distance sums over columns exactly as the full
-    n x n x n difference would, and the distance matrix is symmetric with a
-    zero diagonal, so the maximum is unchanged.
+    Row i is compared with the rows after it, one block at a time in one
+    reused n x n buffer, so memory stays O(n^2); each distance sums over
+    columns exactly as the full n x n x n difference would, and the distance
+    matrix is symmetric with a zero diagonal, so the maximum is unchanged.
     """
     p = ts.P
+    buffer = np.empty_like(p)
     worst = 0.0
     for i in range(p.shape[0] - 1):
-        worst = max(worst, float(np.abs(p[i + 1:] - p[i]).sum(axis=1).max()))
+        block = buffer[i + 1:]
+        np.abs(np.subtract(p[i + 1:], p[i], out=block), out=block)
+        worst = max(worst, float(block.sum(axis=1).max()))
     return worst / 2.0
 
 

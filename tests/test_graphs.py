@@ -23,7 +23,7 @@ from rwj import (
     write_graph6,
 )
 
-from rwj.graphs import decode_graph6_stack, graph6_groups, graph6_n, stack_edges
+from rwj.graphs import connected_stack, decode_graph6_stack, graph6_groups, graph6_n, sample_stack, stack_edges
 
 from conftest import (
     DET_ZERO_PAIR_TEXT,
@@ -350,6 +350,44 @@ def test_random_draws_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "e26e6e79563498666d4726b52bc3ae186e802b79bf0cb3bfac03a4ce44c92cd6"
     )
+
+
+@pytest.mark.parametrize("model, params", [
+    ("er", {"n": 30, "p": 0.1}),
+    ("sbm", {"sizes": (5, 6, 7), "b": [[0.8, 0.05, 0.1], [0.05, 0.6, 0.02], [0.1, 0.02, 0.9]]}),
+])
+def test_sample_stack_rows_are_the_generated_graphs(model, params):
+    # every row of a stack is the draw generate makes from its seed alone,
+    # resampled draws included, whatever the other seeds of the stack
+    seeds = [17, 3, 9, 0, 34, 1, 27, 5]
+    a, names, drawn = sample_stack(model, seeds, **params)
+    n = 18 if model == "sbm" else 30
+    assert a.shape == (8, n, n) and drawn.all()
+    assert connected_stack(a).all()
+    for seed, row, name, edges in zip(seeds, a, names, stack_edges(a)):
+        g = generate(model, seed=seed, **params)
+        assert np.array_equal(row, g.adjacency()) and name == g.name and edges == g.edges
+    if model == "er":
+        assert sum("resampled=" in name for name in names) == 5
+
+
+def test_sample_stack_masks_only_the_draw_that_exhausts_its_retries():
+    # of ER(30, 0.1) seeds 0..8 only seed 1 needs more than 5 attempts (its 7th is connected)
+    a, names, drawn = sample_stack("er", range(9), retry_budget=5, n=30, p=0.1)
+    assert drawn.tolist() == [True, False] + [True] * 7
+    assert generate("er", seed=1, n=30, p=0.1).name == "er(n=30,p=0.1,seed=1,resampled=6)"
+    for seed in (0, 2, 3, 4, 5, 6, 7, 8):
+        assert stack_edges(a[seed:seed + 1])[0] == generate("er", seed=seed, n=30, p=0.1).edges
+
+
+def test_connected_stack_ignores_self_loops_and_reads_weights():
+    a = np.zeros((3, 4, 4))
+    a[:, [0, 1, 2], [1, 2, 3]] = a[:, [1, 2, 3], [0, 1, 2]] = 0.5  # the path 0-1-2-3
+    a[1, 2, 3] = a[1, 3, 2] = 0.0
+    a[1, 3, 3] = 2.0  # a self-loop does not reach vertex 3
+    a[2, 0, 0] = 1.0
+    assert connected_stack(a).tolist() == [True, False, True]
+    assert connected_stack(a > 0).tolist() == [True, False, True]
 
 
 def test_generator_validation():

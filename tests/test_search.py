@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -415,11 +417,11 @@ def test_scan_catalog_solves_no_row_on_its_own(data_dir, monkeypatch, convention
 
 
 def test_scan_catalog_stacks_four_byte_header_lines(monkeypatch):
-    # 10 connected 64-vertex lines (4-byte headers) in units of 4 lines, so no
-    # more adjacency entries than 256 graphs on 8 vertices: 1 eigensolve per
-    # unit, not 1 per line, and none at h/2 and h, as every level is one
-    # eigenvalue whose kept branch is proven
-    lines = [write_graph6(generate("er", seed=seed, n=64, p=0.1)) for seed in range(10)]
+    # 20 connected 64-vertex lines (4-byte headers) in units of 16 lines, so no
+    # more than ENTRY_BUDGET = 2**16 adjacency entries: 1 eigensolve per unit,
+    # not 1 per line, and none at h/2 and h, as every level is one eigenvalue
+    # whose kept branch is proven
+    lines = [write_graph6(generate("er", seed=seed, n=64, p=0.1)) for seed in range(20)]
     sizes = []
     real = np.linalg.eigh
 
@@ -429,8 +431,8 @@ def test_scan_catalog_stacks_four_byte_header_lines(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     summary, _ = scan_catalog(lines, "slem")
-    assert summary.classified == 10
-    assert sizes.count((64, 64)) == math.ceil(10 / 4)
+    assert summary.classified == 20
+    assert sizes.count((64, 64)) == math.ceil(20 / 16)
 
 
 def test_scan_catalog_decides_every_line_in_stacks(monkeypatch):
@@ -611,7 +613,8 @@ class _RecordingPool:
 
 def test_parallel_starts_no_more_workers_than_work_units(data_dir, monkeypatch):
     # a pool starts every worker it is given at once, so --parallel 64 on the
-    # one unit of graph4c runs here, and 5 random draws get 5 workers
+    # one unit of graph4c runs here, and 600 draws of the 5-vertex path, three
+    # units of at most STACK_SIZE draws, get 3 workers
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
@@ -620,11 +623,12 @@ def test_parallel_starts_no_more_workers_than_work_units(data_dir, monkeypatch):
     pooled = scan_catalog(data_dir / "graph4c.g6", "slem", parallelism=64)
     assert _RecordingPool.made == []
     assert records_to_csv(pooled[1]) == records_to_csv(serial[1]) and _counters(pooled[0]) == _counters(serial[0])
-    serial = scan_random("path", {"n": 5}, 5, convention="slem")
-    pooled = scan_random("path", {"n": 5}, 5, convention="slem", parallelism=64)
+    serial = scan_random("path", {"n": 5}, 600, convention="slem")
+    pooled = scan_random("path", {"n": 5}, 600, convention="slem", parallelism=64)
     assert records_to_csv(pooled[1]) == records_to_csv(serial[1]) and _counters(pooled[0]) == _counters(serial[0])
-    assert rwj.search._run(abs, range(-100, 0), 3) == list(range(100, 0, -1))
-    assert _RecordingPool.made == [(5, 1), (3, 8)]
+    assert serial[0].classified == 600
+    assert list(rwj.search._run(abs, range(-100, 0), 3)) == list(range(100, 0, -1))
+    assert _RecordingPool.made == [(3, 1), (3, 8)]
 
 
 def test_scan_accepts_streams_and_lines(data_dir):
@@ -729,6 +733,33 @@ def test_scan_random_parallel_equals_serial():
             assert records_to_csv(r1) == records_to_csv(r2)
             assert _counters(s1) == _counters(s2)
             assert s1.total == s1.classified == count
+
+
+def test_scan_random_skips_only_the_draw_that_exhausts_its_retries(monkeypatch):
+    # ER(30, 0.1) seeds 0..8 are one work unit, and of them only seed 1 needs
+    # more than 5 attempts: that row is a skip and every other row is its graph's
+    assert rwj.search._unit_size(30) >= 9
+    monkeypatch.setattr(rwj.search, "sample_stack", partial(rwj.graphs.sample_stack, retry_budget=5))
+    summary, records = scan_random("er", {"n": 30, "p": 0.1}, 9, top_k=10**9)
+    assert (summary.total, summary.classified, summary.skipped) == (9, 8, 1)
+    rows = [analyze_graph(generate("er", seed=seed, n=30, p=0.1)) for seed in range(9) if seed != 1]
+    assert records_to_csv(records) == records_to_csv(sorted(rows, key=lambda r: r.margin))
+
+
+def test_scan_random_memory_does_not_grow_with_count():
+    # a scan holds one work unit of draws and its running top_k closest calls,
+    # not every draw: the peak of 120 draws (20 units) is the peak of 12 (2 units)
+    params = {"n": 100, "p": 0.08}
+    scan_random("er", params, 12, top_k=1)  # first-call caches
+    peaks = []
+    for count in (12, 120):
+        tracemalloc.start()
+        try:
+            scan_random("er", params, count, top_k=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_scan_random_rejects_bad_count():
