@@ -8,7 +8,6 @@ relaxation time worsens when jumps are introduced.
 """
 
 from .conditions import (
-    ConditionReport,
     Cor2Verdict,
     Verdict,
     corollary1,

@@ -135,11 +135,14 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
     the condition ladder and the sweep of a WORSENS verdict. The report and
     the row read them; only a nonzero alpha is solved again, and alpha_bar
     searches from the alpha = 0 gap. ``h`` sizes only the printed ``fd=``, the eigh-tracked stencil at h/2 and
-    h, solved here for every graph; a lost branch raises. ``alpha``, then ``h``, is checked first, in every form.
+    h, solved here for every graph; a lost branch raises. ``alpha``, then ``h``, then ``epsilon`` is checked
+    first, in every form.
     """
     out = []
     ts = spectral.build_transition(g, alpha)
     perturb._require_step(h)
+    if epsilon is not None:
+        spectral._require_epsilon(epsilon)
     stats = graphs.degree_stats(g)
     conv = spectral.normalize_convention(convention)
     rows = search._decide_one(g, conv)
@@ -199,36 +202,29 @@ def _analyze(g, alpha, convention, epsilon, h, conditions_only=False, with_recor
             + (" [tied]" if v.tied_sign[0] else "")
         )
 
-    cond = cond_mod.condition_report(stats, rows.spec, rows.ladder, conv)
-    out.append(f"conditions (alpha=0, gamma={fmt(cond.gamma)}):")
-    out.append(f"  cor1: gap < 1/n = {fmt(cond.cor1.threshold)} -> {_fmt_bool(cond.cor1.holds)}")
-    out.append(
-        f"  cor2: mu={fmt(cond.cor2.mu)} threshold={fmt(cond.cor2.threshold)} "
-        f"-> {_fmt_bool(cond.cor2.holds)}"
-    )
-    out.append(
-        f"  thm2 sharp: threshold={fmt(cond.thm2_sharp.threshold)} -> {_fmt_bool(cond.thm2_sharp.holds)}"
-        f"  (paper constant: threshold={fmt(cond.thm2_paper.threshold)} -> {_fmt_bool(cond.thm2_paper.holds)})"
-    )
-    out.append(
-        f"  cor4 sharp: threshold={fmt(cond.cor4_sharp.threshold)} -> {_fmt_bool(cond.cor4_sharp.holds)}"
-        f"  (paper constant: threshold={fmt(cond.cor4_paper.threshold)} -> {_fmt_bool(cond.cor4_paper.holds)})"
-    )
-    if cond.nand_s is None:
-        out.append("  nand_s: n/a (lambda_star <= 0)")
+    lad = rows.ladder  # the condition block reads entry 0 of the ladder columns, as the --csv row does
+    c1, c2, t2s, t2p, c4s = lad.cor1, lad.cor2, lad.thm2_sharp, lad.thm2_paper, lad.cor4_sharp
+    c4p = cond_mod.corollary4(base.gap, stats, "paper")
+    out += [
+        f"conditions (alpha=0, gamma={fmt(base.gap)}):",
+        f"  cor1: gap < 1/n = {fmt(c1.threshold)} -> {_fmt_bool(c1.holds[0])}",
+        f"  cor2: mu={fmt(c2.mu[0])} threshold={fmt(c2.threshold[0])} -> {_fmt_bool(c2.holds[0])}",
+        f"  thm2 sharp: threshold={fmt(t2s.threshold[0])} -> {_fmt_bool(t2s.holds[0])}"
+        f"  (paper constant: threshold={fmt(t2p.threshold[0])} -> {_fmt_bool(t2p.holds[0])})",
+        f"  cor4 sharp: threshold={fmt(c4s.threshold[0])} -> {_fmt_bool(c4s.holds[0])}"
+        f"  (paper constant: threshold={fmt(c4p.threshold)} -> {_fmt_bool(c4p.holds)})",
+    ]
+    if lad.positive[0]:
+        ns = perturb.nand_s_check(base.lambda_star, base.v_star, g.n)
+        out.append(f"  nand_s: lhs={fmt(ns.lhs)} rhs={fmt(ns.rhs)} -> {_fmt_bool(ns.holds)} "
+                   f"(laplacian form: {fmt(ns.laplacian_lhs)} < {fmt(ns.laplacian_rhs)})")
     else:
-        out.append(
-            f"  nand_s: lhs={fmt(cond.nand_s.lhs)} rhs={fmt(cond.nand_s.rhs)} "
-            f"-> {_fmt_bool(cond.nand_s.holds)} "
-            f"(laplacian form: {fmt(cond.nand_s.laplacian_lhs)} < {fmt(cond.nand_s.laplacian_rhs)})"
-        )
-    out.append(f"  rayleigh minimum: {fmt(cond.rayleigh_min)}")
+        out.append("  nand_s: n/a (lambda_star <= 0)")
+    out.append(f"  rayleigh minimum: {fmt(cond_mod.rayleigh_minimum(stats)[0])}")
     bar = spectral.alpha_bar(g, base.gap, conv)
     searched = "none" if bar.searched is None else fmt(bar.searched)
     out.append(f"  alpha_bar: closed_form={fmt(bar.closed_form)} searched={searched}")
-    out.append(
-        "  consistency: " + ("ok" if not cond.consistency else "; ".join(cond.consistency))
-    )
+    out.append("  consistency: " + ("; ".join(lad.consistency[0]) or "ok"))
     record = rows.records([0], [g.name or "<anonymous>"], [g.edges])[0] if with_record else None
     return "\n".join(out) + "\n", record
 

@@ -12,9 +12,7 @@ The degree forms come with two constants: the published one (c = 4) and the
 sharp one (c = 1) that the constrained Rayleigh minimum actually certifies.
 Implication tests run against the sharp constants; the published constant is
 reported and audited, never asserted sound. :func:`ladder_stack` evaluates the
-ladder for a stack of graphs; :func:`condition_report` turns the ladder of a
-stack of one into the printed report, and :func:`full_report` is its one-graph
-case.
+ladder for a stack of graphs, and :func:`full_report` is its stack of one.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import DegreeStats, WeightedGraph, degree_stats
-from .perturb import NandS, TOL_SIGN, nand_s_check, nand_s_sides
+from .graphs import DegreeStats, WeightedGraph, degree_stats_of
+from .perturb import TOL_SIGN, nand_s_sides
 from .spectral import SLEM, StackedSpectrum, build_transition, normalize_convention, spectrum
 
 PAPER_CONSTANT = 4.0
@@ -126,7 +124,7 @@ def rayleigh_minimum(stats: DegreeStats) -> tuple[float, np.ndarray]:
 
 
 class Ladder(NamedTuple):
-    """The condition ladder of every graph of a stack; each verdict holds a (k,) array."""
+    """The condition ladder of every graph of a stack; each verdict holds (k,) arrays, but cor1's threshold is 1/n."""
 
     cor1: Verdict
     cor2: Cor2Verdict
@@ -143,7 +141,7 @@ class Ladder(NamedTuple):
 def ladder_stack(stats: DegreeStats, spec: StackedSpectrum) -> Ladder:
     """The condition ladder of a stack of graphs with degree statistics ``stats`` and alpha = 0 spectrum ``spec``.
 
-    ``stats`` holds (k,) arrays, or one graph's scalars for a stack of one.
+    ``stats`` holds (k,) arrays.
     Every row must be :meth:`~rwj.spectral.StackedSpectrum.admissible`. For a
     simple positive lambda_star every sharp sufficient condition that holds
     must be matched by the necessary-and-sufficient condition; any violation
@@ -170,62 +168,16 @@ def ladder_stack(stats: DegreeStats, spec: StackedSpectrum) -> Ladder:
     return Ladder(c1, c2, t2p, t2s, c4s, simple, positive, lhs < rhs, consistency, nand_failed & t2p.holds)
 
 
-def _first(verdict):
-    """Row 0 of a stacked verdict; its array fields become Python scalars."""
-    return type(verdict)(**{k: x[0].item() if isinstance(x, np.ndarray) else x for k, x in vars(verdict).items()})
+def full_report(g: WeightedGraph, convention: str = SLEM) -> Ladder:
+    """The condition ladder of ``g`` at alpha = 0: :func:`ladder_stack` on its stack of one.
 
-
-@dataclass(frozen=True, eq=False)
-class ConditionReport:
-    """Every condition evaluated on one graph at alpha = 0."""
-
-    convention: str
-    n: int
-    gamma: float
-    lambda_star: float
-    lambda_star_simple: bool  # simple and not sign-tied at its modulus level
-    cor1: Verdict
-    cor2: Cor2Verdict
-    thm2_paper: Verdict
-    thm2_sharp: Verdict
-    cor4_paper: Verdict
-    cor4_sharp: Verdict
-    nand_s: NandS | None      # None when lambda_star <= 0
-    rayleigh_min: float
-    consistency: tuple[str, ...]      # implication violations; empty means consistent
-    paper_constant_witness: bool      # thm2 with the published constant held but NandS failed
-
-
-def full_report(g: WeightedGraph, convention: str = SLEM) -> ConditionReport:
-    """Evaluate the condition ladder, the necessary-and-sufficient condition and the Rayleigh minimum.
-
-    This is :func:`ladder_stack` on the alpha = 0 spectrum of ``g`` as a stack
-    of one, reported by :func:`condition_report`.
+    Every column holds one entry, the ladder that ``rwj analyze`` prints. The
+    NandS sides with their Laplacian form come from
+    :func:`~rwj.perturb.nand_s_check`, the Rayleigh minimum from
+    :func:`rayleigh_minimum`.
     """
     conv = normalize_convention(convention)
-    spec = spectrum(build_transition(g, 0.0), conv).stack
-    stats = degree_stats(g)
-    return condition_report(stats, spec, ladder_stack(stats, spec), conv)
-
-
-def condition_report(stats: DegreeStats, spec: StackedSpectrum, ladder: Ladder, convention: str) -> ConditionReport:
-    """The report of a stack of one from its alpha = 0 spectrum ``spec`` and its ``ladder``.
-
-    ``stats`` holds the graph's own degree statistics. The report adds what
-    only it prints: corollary 4 with the published constant, the Laplacian
-    form of NandS and the Rayleigh minimum. ``nand_s`` reports NandS as
-    printed, a rounding-level tie included.
-    """
-    gamma, lam, v = spec.gap[0].item(), spec.lambda_star[0].item(), spec.v_star[0]
-    n = len(v)
-    return ConditionReport(
-        convention=convention, n=n, gamma=gamma, lambda_star=lam, lambda_star_simple=bool(ladder.simple[0]),
-        cor1=_first(ladder.cor1), cor2=_first(ladder.cor2), thm2_paper=_first(ladder.thm2_paper),
-        thm2_sharp=_first(ladder.thm2_sharp), cor4_paper=corollary4(gamma, stats, "paper"),
-        cor4_sharp=_first(ladder.cor4_sharp), nand_s=nand_s_check(lam, v, n) if lam > TOL_SIGN else None,
-        rayleigh_min=rayleigh_minimum(stats)[0], consistency=ladder.consistency[0],
-        paper_constant_witness=bool(ladder.paper_constant_witness[0]),
-    )
+    return ladder_stack(degree_stats_of(g.degrees()[None]), spectrum(build_transition(g, 0.0), conv).stack)
 
 
 def _nand_failed(lhs, rhs):

@@ -96,6 +96,7 @@ class WeightedGraph:
     @cached_property
     def connected(self) -> bool:
         """True iff the positive-weight adjacency has one component (self-loops ignored)."""
+        # not connected_stack: a shared CSR frontier was slower on every input, and a dense stack takes n^2 memory
         if sum(u != v for u, v, _ in self.edges) < self.n - 1:
             return False  # too few edges for a spanning tree; nothing is allocated per vertex
         adj: list[list[int]] = [[] for _ in range(self.n)]

@@ -267,8 +267,7 @@ def mixing_time_bounds(t_rel: float, pi_min: float, epsilon: float) -> tuple[flo
     lower = (ln(1/eps) + ln(1/2)) (t_rel - 1),
     upper = (ln(1/eps) + ln(1/pi_min)) t_rel, natural logarithms.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    _require_epsilon(epsilon)
     if not 0.0 < pi_min < 1.0:
         raise ValueError(f"pi_min must lie in (0, 1), got {pi_min}")
     if not math.isfinite(t_rel) or t_rel < 1.0:
@@ -276,6 +275,11 @@ def mixing_time_bounds(t_rel: float, pi_min: float, epsilon: float) -> tuple[flo
     lower = (math.log(1.0 / epsilon) + math.log(0.5)) * (t_rel - 1.0)
     upper = (math.log(1.0 / epsilon) + math.log(1.0 / pi_min)) * t_rel
     return lower, upper
+
+
+def _require_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
 
 
 def dobrushin(ts: TransitionSystem) -> float:

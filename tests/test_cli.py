@@ -148,12 +148,24 @@ def test_analyze_stationary_does_not_depend_on_the_weight_unit(tmp_path, capsys)
     (["analyze", "--conditions-only", "--h", "nan"], "h must be finite and > 0, got nan"),
     (["analyze", "--conditions-only", "--alpha", "nan"], "alpha must be finite and >= 0, got nan"),
     (["analyze", "--conditions-only", "--alpha", "-1"], "alpha must be finite and >= 0, got -1.0"),
+    (["analyze", "--epsilon", "0.7"], "epsilon must lie in (0, 1/2), got 0.7"),
+    (["analyze", "--conditions-only", "--epsilon", "0.7"], "epsilon must lie in (0, 1/2), got 0.7"),
 ])
 def test_non_finite_parameters_rejected(k4_file, capsys, argv, message):
     # invalid input, not a numerical failure: nothing reaches the eigensolver
     assert main(argv + ["--input", k4_file]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("epsilon", ["0.7", "0", "nan"])
+def test_invalid_epsilon_rejected_where_t_rel_is_infinite(tmp_path, capsys, epsilon):
+    # C4 under slem has lambda_star = -1, so no mixing bound is ever computed
+    path = tmp_path / "c4.g6"
+    path.write_bytes(b"Cr\n")
+    assert main(["analyze", "--input", str(path), "--convention", "slem", "--epsilon", epsilon]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert f"epsilon must lie in (0, 1/2), got {float(epsilon)}" in captured.err and captured.out == ""
 
 
 def test_analyze_epsilon_prints_mixing_bounds(k4_file, capsys):
@@ -213,6 +225,23 @@ def test_analyze_and_conditions_bytes_pinned(data_dir, tmp_path, capsys, graph, 
     assert hashlib.sha256(text.encode()).hexdigest() == analyze_sha256
     assert main(["conditions"] + argv) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == conditions_sha256
+
+
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_analyze_condition_verdicts_match_the_csv_row(catalog_lines, tmp_path, capsys, convention):
+    # every printed "-> true/false" (or "n/a") of the ladder equals its column of the --csv row
+    path, csv_path = tmp_path / "graph.g6", tmp_path / "row.csv"
+    for line in catalog_lines[5] + catalog_lines[6]:
+        path.write_bytes(line + b"\n")
+        argv = ["analyze", "--input", str(path), "--convention", convention, "--csv", str(csv_path)]
+        assert main(argv) == EXIT_OK
+        printed = {}
+        for text in capsys.readouterr().out.splitlines():
+            label, _, rest = text.strip().partition(": ")
+            if label in ("cor1", "cor2", "thm2 sharp", "cor4 sharp", "nand_s"):
+                printed[label.replace(" ", "_")] = rest.split("-> ")[1].split()[0] if "-> " in rest else "n/a"
+        row = next(csv.DictReader(io.StringIO(csv_path.read_text())))
+        assert printed == {key: row[key] for key in printed} and len(printed) == 5, (line, printed, row)
 
 
 def test_analyze_csv_row(det_zero_pair_file, tmp_path, capsys):

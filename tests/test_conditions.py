@@ -12,10 +12,16 @@ from rwj import (
     degree_stats,
     full_report,
     generate,
+    nand_s_check,
+    parse_graph6,
     rayleigh_minimum,
     spectrum,
     theorem2,
 )
+from rwj.conditions import Ladder
+from rwj.errors import ConventionError
+from rwj.search import _decide_one
+from rwj.spectral import normalize_convention
 
 from conftest import connected_weighted, random_connected_weighted, two_node
 
@@ -126,32 +132,40 @@ def test_rayleigh_minimum_monte_carlo_floor():
 # full report
 # ---------------------------------------------------------------------------
 
+def _nand_s(g, convention="slem"):
+    """NandS with its Laplacian form, from the alpha = 0 spectrum of ``g``."""
+    s = spectrum(build_transition(g, 0.0), convention)
+    return nand_s_check(s.lambda_star, s.v_star, g.n)
+
+
 def test_full_report_k4(k4):
     rep = full_report(k4, "slem")
-    assert rep.nand_s is None  # lambda_star < 0
-    assert rep.lambda_star == pytest.approx(-1.0 / 3.0)
-    assert rep.thm2_sharp.threshold == pytest.approx(1.0)
-    assert rep.cor4_sharp.threshold == pytest.approx(1.0)
-    assert rep.thm2_sharp.holds and rep.cor4_sharp.holds  # gamma = 2/3 < 1
-    assert not rep.consistency
+    assert not rep.positive[0]  # lambda_star < 0
+    assert spectrum(build_transition(k4, 0.0), "slem").lambda_star == pytest.approx(-1.0 / 3.0)
+    assert rep.thm2_sharp.threshold[0] == pytest.approx(1.0)
+    assert rep.cor4_sharp.threshold[0] == pytest.approx(1.0)
+    assert rep.thm2_sharp.holds[0] and rep.cor4_sharp.holds[0]  # gamma = 2/3 < 1
+    assert not rep.consistency[0]
 
 
 def test_full_report_regular_two_node_consistent():
-    rep = full_report(two_node(3.0, 1.0, 3.0), "slem")
-    assert rep.nand_s is not None and rep.nand_s.holds
-    assert rep.thm2_sharp.threshold == pytest.approx(1.0)
-    assert rep.thm2_sharp.holds  # gamma = 0.5 < 1
-    assert not rep.consistency
+    g = two_node(3.0, 1.0, 3.0)
+    rep = full_report(g, "slem")
+    assert rep.positive[0] and _nand_s(g).holds
+    assert rep.thm2_sharp.threshold[0] == pytest.approx(1.0)
+    assert rep.thm2_sharp.holds[0]  # gamma = 0.5 < 1
+    assert not rep.consistency[0]
 
 
 def test_full_report_near_singular_all_sharp_false():
-    rep = full_report(two_node(4.0, 2.0, 1.05), "slem")
-    assert rep.nand_s is not None and not rep.nand_s.holds
-    assert not rep.cor1.holds
-    assert not rep.cor2.holds
-    assert not rep.thm2_sharp.holds
-    assert not rep.cor4_sharp.holds
-    assert not rep.consistency
+    g = two_node(4.0, 2.0, 1.05)
+    rep = full_report(g, "slem")
+    assert rep.positive[0] and not _nand_s(g).holds
+    assert not rep.cor1.holds[0]
+    assert not rep.cor2.holds[0]
+    assert not rep.thm2_sharp.holds[0]
+    assert not rep.cor4_sharp.holds[0]
+    assert not rep.consistency[0]
 
 
 @pytest.mark.parametrize("a11,a22", [(8, 28), (28, 8)])
@@ -159,12 +173,42 @@ def test_full_report_nand_s_rounding_tie_is_no_violation(a11, a22):
     # grid points of the 61-point linspace(0, 5): lhs and rhs of NandS are both
     # 0.1 and differ by 2.8e-17, so NandS fails only by rounding
     grid = np.linspace(0.0, 5.0, 61)
-    rep = full_report(two_node(float(grid[a11]), 1.0, float(grid[a22])), "slem")
-    assert rep.lambda_star_simple and rep.thm2_sharp.holds and rep.thm2_paper.holds
-    assert not rep.nand_s.holds
-    assert 0.0 < rep.nand_s.lhs - rep.nand_s.rhs <= 1e-15 * rep.nand_s.rhs
-    assert rep.consistency == ()
-    assert not rep.paper_constant_witness
+    g = two_node(float(grid[a11]), 1.0, float(grid[a22]))
+    rep = full_report(g, "slem")
+    nand_s = _nand_s(g)
+    assert rep.simple[0] and rep.thm2_sharp.holds[0] and rep.thm2_paper.holds[0]
+    assert not nand_s.holds
+    assert 0.0 < nand_s.lhs - nand_s.rhs <= 1e-15 * nand_s.rhs
+    assert rep.consistency[0] == ()
+    assert not rep.paper_constant_witness[0]
+
+
+def _ladder_bits(ladder):
+    """Every field of a ladder, each array as (dtype, shape, bytes), so that equality is bit for bit."""
+    def bits(x):
+        if isinstance(x, list):
+            return x
+        if isinstance(x, (float, int, np.generic, np.ndarray)):
+            x = np.asarray(x)
+            return x.dtype.str, x.shape, x.tobytes()
+        return {k: bits(v) for k, v in vars(x).items()}
+    return {name: bits(x) for name, x in zip(Ladder._fields, ladder)}
+
+
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_full_report_is_the_ladder_of_decide_one(catalog_lines, convention):
+    rng = np.random.default_rng(41)
+    graphs = [parse_graph6(line) for n in (5, 6) for line in catalog_lines[n]]
+    graphs += [random_connected_weighted(rng, int(rng.integers(2, 12)), self_loops=True) for _ in range(60)]
+    assert sum(g.has_self_loops() for g in graphs) >= 20
+    for g in graphs:
+        try:
+            expected = _ladder_bits(_decide_one(g, normalize_convention(convention)).ladder)
+        except ConventionError:  # K2 under paper: neither has a ladder
+            with pytest.raises(ConventionError):
+                full_report(g, convention)
+            continue
+        assert _ladder_bits(full_report(g, convention)) == expected, g
 
 
 def test_rayleigh_floor_for_v_star():
@@ -183,7 +227,7 @@ def test_implication_soundness_random():
     for i in range(100):
         g = random_connected_weighted(rng, int(rng.integers(3, 14)), extra=0.15, self_loops=True)
         rep = full_report(g, "slem")
-        assert not rep.consistency
-        if rep.nand_s is not None and rep.lambda_star_simple:
+        assert not rep.consistency[0]
+        if rep.positive[0] and rep.simple[0]:
             positives += 1
     assert positives >= 10
