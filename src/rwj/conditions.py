@@ -8,6 +8,10 @@ that only uses coarse graph data:
 * gap < c * d_mean^2 / second_moment(d)        (degree irregularity form)
 * gap < c * d_mean / d_max                     (weakest, easiest to check)
 
+A condition holds only when its threshold beats the gap by more than a
+rounding-level tie (NANDS_TIE relative), so a tie in exact arithmetic does not
+meet it, whatever the last bit of the gap.
+
 The degree forms come with two constants: the published one (c = 4) and the
 sharp one (c = 1) that the constrained Rayleigh minimum actually certifies.
 Implication tests run against the sharp constants; the published constant is
@@ -30,6 +34,8 @@ PAPER_CONSTANT = 4.0
 SHARP_CONSTANT = 1.0
 # A NandS that fails by at most this fraction of max(lhs, rhs) is a rounding-level
 # tie: it neither violates a theorem nor witnesses against the published constant.
+# A sufficient condition holds only when its threshold beats the gap by more than
+# this fraction of max(|threshold|, |gap|): a tie does not meet it.
 NANDS_TIE = 1e-12
 
 
@@ -50,14 +56,18 @@ class Cor2Verdict:
 # and degree statistics stacked along the leading axes gives arrays of
 # thresholds and verdicts, one per graph.
 
-def _holds(below):
-    """A Python bool for one graph, the boolean array for a stack."""
+def _holds(gamma, threshold):
+    """gap < threshold by more than a rounding-level tie (NANDS_TIE relative).
+
+    A Python bool for one graph, the boolean array for a stack.
+    """
+    below = threshold - gamma > NANDS_TIE * np.maximum(np.abs(threshold), np.abs(gamma))
     return below if isinstance(below, np.ndarray) else bool(below)
 
 
 def corollary1(gamma: float, n: int) -> Verdict:
     """gap < 1/n."""
-    return Verdict(threshold=1.0 / n, holds=_holds(gamma < 1.0 / n))
+    return Verdict(threshold=1.0 / n, holds=_holds(gamma, 1.0 / n))
 
 
 def corollary2(gamma: float, v_star: np.ndarray) -> Cor2Verdict:
@@ -75,21 +85,21 @@ def corollary2(gamma: float, v_star: np.ndarray) -> Cor2Verdict:
         raise ValueError("eigenvector has no entries outside the dead band")
     n = v.shape[-1]
     threshold = np.minimum(neg, pos) / n
-    return Cor2Verdict(mu=neg / n, threshold=threshold, holds=_holds(gamma < threshold))
+    return Cor2Verdict(mu=neg / n, threshold=threshold, holds=_holds(gamma, threshold))
 
 
 def theorem2(gamma: float, stats: DegreeStats, constant: str = "sharp") -> Verdict:
     """gap < c * d_mean^2 / second_moment(d), c = 4 (paper) or 1 (sharp)."""
     c = _constant(constant)
     threshold = c * stats.snr
-    return Verdict(threshold=threshold, holds=_holds(gamma < threshold))
+    return Verdict(threshold=threshold, holds=_holds(gamma, threshold))
 
 
 def corollary4(gamma: float, stats: DegreeStats, constant: str = "sharp") -> Verdict:
     """gap < c * d_mean / d_max, c = 4 (paper) or 1 (sharp)."""
     c = _constant(constant)
     threshold = c * stats.d_mean / stats.d_max
-    return Verdict(threshold=threshold, holds=_holds(gamma < threshold))
+    return Verdict(threshold=threshold, holds=_holds(gamma, threshold))
 
 
 def _constant(constant: str) -> float:

@@ -322,10 +322,25 @@ def connected_stack(adj: np.ndarray) -> np.ndarray:
 
 def stack_edges(a: np.ndarray) -> list[tuple[tuple[int, int, float], ...]]:
     """``WeightedGraph.edges`` of each unweighted graph without self-loops of a (k, n, n) adjacency stack."""
+    return [unpack_edges(a.shape[-1], bits) for bits in pack_edges(a)]
+
+
+def pack_edges(a: np.ndarray) -> list[bytes]:
+    """The upper-triangle pairs of each unweighted graph of a (k, n, n) adjacency stack, one bit per pair, packed.
+
+    :func:`unpack_edges` reads them back as the graph's edges.
+    """
     u, v = np.triu_indices(a.shape[-1], 1)
+    return [row.tobytes() for row in np.packbits(a[:, u, v] > 0.0, axis=-1)]
+
+
+def unpack_edges(n: int, bits: bytes) -> tuple[tuple[int, int, float], ...]:
+    """``WeightedGraph.edges`` of the n-vertex unweighted graph whose pairs :func:`pack_edges` packed into ``bits``."""
+    u, v = np.triu_indices(n, 1)
+    row = np.unpackbits(np.frombuffer(bits, dtype=np.uint8), count=len(u)).view(bool)
     # a tuple built from a list, not from an iterator: tuple() grows and shrinks
     # an iterator's result in place, which leaves the heap fragmented
-    return [tuple(list(zip(u[row].tolist(), v[row].tolist(), repeat(1.0)))) for row in a[:, u, v] > 0.0]
+    return tuple(list(zip(u[row].tolist(), v[row].tolist(), repeat(1.0))))
 
 
 def write_graph6(g: WeightedGraph) -> bytes:

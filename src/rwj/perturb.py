@@ -17,8 +17,8 @@ over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
 :func:`classify_stack` decides a stack of graphs at once into columns, the only form a verdict takes. Every check
 steps by s = FD_STEP * d_min of its row's graph, so a verdict depends on the graph alone, the same for A and cA. It
-checks every derivative by a stencil on a quadratic form, with no eigensolve, and solves at s/2 and s only the rows
-whose kept branch the alpha = 0 spectrum cannot prove. :func:`sweep_stack` checks a stack's verdicts against
+checks every derivative by a stencil on a quadratic form, with no eigensolve, and solves at 0, s/2 and s only the
+rows whose kept branch the alpha = 0 spectrum cannot prove. :func:`sweep_stack` checks a stack's verdicts against
 branch-tracked gaps from the vectors of their branches and a WORSENS mask. :func:`classify_small_alpha`,
 :func:`sweep_confirms` and :func:`finite_difference_derivative` are their one-graph cases: each takes a graph and
 solves its alpha = 0 spectrum as a stack of one.
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NumericalError
 from .graphs import WeightedGraph
 from .spectral import (SLEM, TOL_TIE, StackedSpectrum, Track, _unit, build_transition, normalize_convention,
-                       spectrum, track_stack)
+                       require_connected, spectrum, track_stack)
 
 IMPROVES = "IMPROVES"
 WORSENS = "WORSENS"
@@ -100,18 +100,19 @@ def _pencil(a: np.ndarray, d: np.ndarray, lambda_star, v: np.ndarray):
 
 
 def stacked_finite_difference(
-    a: np.ndarray, d: np.ndarray, start: tuple, lambda_star, v: np.ndarray, h: float = FD_STEP
+    a: np.ndarray, d: np.ndarray, start: tuple | None, lambda_star, v: np.ndarray, h: float = FD_STEP
 ) -> tuple[np.ndarray, Track, np.ndarray]:
     """One-sided second-order stencil (-3 f(0) + 4 f(h/2) - f(h)) / h along the branch from ``v``, per stack row.
 
-    ``start`` is the alpha = 0 eigensolve of the (k, n, n) stack ``a``
-    (:attr:`~rwj.spectral.StackedSpectrum.solved`); only h/2 and h are solved.
+    ``start`` is the caller's alpha = 0 eigensolve of the (k, n, n) stack ``a``
+    (:meth:`~rwj.spectral.StackedSpectrum.solution`), and then only h/2 and h
+    are solved; with None, alpha = 0 is solved with them in one batched ``eigh``.
     Returns the estimates, the track, and where it starts at ``lambda_star``.
     Independent of the analytic formula; alpha >= 0 forbids central differencing.
     ``eigh`` tracks the branch; ``rwj analyze`` prints this stencil at its ``--h``.
     """
     _require_step(h)
-    track = track_stack(a, d, [0.0, h / 2.0, h], v, {0.0: start})
+    track = track_stack(a, d, [0.0, h / 2.0, h], v, {} if start is None else {0.0: start})
     lam = track.eigenvalues
     estimate = (-3.0 * lam[:, 0] + 4.0 * lam[:, 1] - lam[:, 2]) / h
     return estimate, track, np.abs(lam[:, 0] - lambda_star) <= _TOL_FD_START
@@ -133,14 +134,14 @@ def _require_tracked(track: Track, grid: list[float], lambda_star) -> None:
 
 
 def finite_difference_derivative(g: WeightedGraph, lambda_star: float, v_star: np.ndarray, h: float = FD_STEP) -> float:
-    """:func:`stacked_finite_difference` for one graph, from the alpha = 0 eigensolve of ``g`` as a stack of one.
+    """:func:`stacked_finite_difference` for one graph as a stack of one, solving 0, h/2 and h in one batched ``eigh``.
 
-    The eigensolve is the same under either convention. A lost branch raises :class:`~rwj.errors.BranchCrossingError`, a branch
-    that does not start at ``lambda_star`` :class:`NumericalError`.
+    A lost branch raises :class:`~rwj.errors.BranchCrossingError`, a branch that does not start at ``lambda_star``
+    :class:`NumericalError`.
     """
-    start = spectrum(build_transition(g, 0.0), SLEM).stack.solved
+    require_connected(g)
     v = np.asarray(v_star, dtype=float)[None]
-    estimate, track, _ = stacked_finite_difference(g.adjacency()[None], g.degrees()[None], start, [lambda_star], v, h)
+    estimate, track, _ = stacked_finite_difference(g.adjacency()[None], g.degrees()[None], None, [lambda_star], v, h)
     _require_tracked(track, [0.0, h / 2.0, h], [lambda_star])
     return estimate[0].item()
 
@@ -172,8 +173,7 @@ def _branch_kept(d: np.ndarray, spec: StackedSpectrum, single: np.ndarray, s: np
     overlaps are at least 0.87 at s/2 and 0.90 at s (README, "Branch tracking").
     """
     e = s / d.min(axis=-1) + s / d.shape[-1] * (1.0 / (d + s[:, None])).sum(axis=-1)
-    sep = np.where(spec.level, np.inf, np.abs(spec.eigenvalues - spec.lambda_star[:, None])).min(axis=-1)
-    return single & (e <= _CERTIFY * sep) & (sep > 3.0 * TOL_TIE)
+    return single & (e <= _CERTIFY * spec.sep) & (spec.sep > 3.0 * TOL_TIE)
 
 
 class NandS(NamedTuple):
@@ -280,7 +280,7 @@ def _level_branches(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, i: int)
         if len(idx) == 0:
             continue
         level_value = float(w[idx[0]])
-        basis = (1.0 / spec.root[i])[:, None] * spec.eigenvectors[i][:, spec.order[i, idx]]  # D-orthonormal
+        basis = (1.0 / spec.root[i])[:, None] * spec.vectors[i][:, spec.order[i, idx]]  # D-orthonormal
         # eigenvalues of the reduced pencil are the branch derivatives, its
         # eigenvectors give the adapted branch vectors
         level_derivs, y = np.linalg.eigh(_reduced_pencil(a[i], d[i], level_value, basis))
@@ -330,8 +330,9 @@ def classify_stack(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, conventi
     from its worst branch, and one array test makes the negative-lambda check.
     Every check steps by s = FD_STEP * d_min of its row. Only the rows :func:`_branch_kept` leaves out, every
     degenerate one among them, are tracked by ``eigh`` and must keep their branch at s/2 and s: as P(alpha; A) =
-    P(alpha / c; A / c), at FD_STEP * {1/2, 1} on A / d_min, from the held alpha = 0 solve, which ``_unit`` makes
-    blind to the factor. Every worst branch must start at its level, and every lambda'(0) must agree with
+    P(alpha / c; A / c), at FD_STEP * {0, 1/2, 1} on A / d_min, in one batched ``eigh``. The worst branch of a row
+    that holds its ``eigh`` basis must start at its level; every other row's start is what the residual
+    certificate of :func:`~rwj.spectral._solve` proved. Every lambda'(0) must agree with
     :func:`_hellmann_feynman`. A failed check raises as in :func:`classify_small_alpha`.
     """
     lam = spec.lambda_star
@@ -362,9 +363,11 @@ def classify_stack(a: np.ndarray, d: np.ndarray, spec: StackedSpectrum, conventi
     check = np.flatnonzero(~_branch_kept(d, spec, single, s))
     if len(check):
         c = d_min[check, None]
-        track_stack(a[check] / c[..., None], d[check] / c, grid, vector[check], {0.0: spec.take(check).solved}
-                    ).require_kept(grid)
-    _require_tracked(track_stack(a, d, [0.0], vector, {0.0: spec.solved}), [0.0], level_value)
+        track_stack(a[check] / c[..., None], d[check] / c, grid, vector[check], {}).require_kept(grid)
+    held = np.flatnonzero(spec.held)  # the start of every other row is certified by _solve
+    if len(held):
+        start = spec.take(held).solution()
+        _require_tracked(track_stack(a[held], d[held], [0.0], vector[held], {0.0: start}), [0.0], level_value[held])
     fd, agreement = _hellmann_feynman(a, d, s, vector, derivative)
     beyond = agreement > _TOL_HF + 8.0 * (a.shape[-1] + 2) * np.finfo(float).eps / FD_STEP
     if beyond.any():
@@ -429,7 +432,7 @@ def sweep_stack(
     # the stack row of each branch; a stack of one lets track_stack follow all
     # of its branches along one graph's solves
     idx = np.repeat(np.arange(len(counts)), counts) if len(counts) > 1 else np.arange(1)
-    track = track_stack(a[idx], d[idx], grid, np.concatenate(branches), {0.0: tuple(x[idx] for x in spec.solved)})
+    track = track_stack(a[idx], d[idx], grid, np.concatenate(branches), {})
     track.require_kept(grid)
     moduli = np.abs(track.eigenvalues[:, [grid.index(x) for x in alphas]])
     gaps = 1.0 - np.maximum.reduceat(moduli, np.cumsum([0] + counts[:-1]), axis=0)

@@ -39,9 +39,10 @@ from .graphs import (
     decode_graph6_stack,
     degree_stats_of,
     graph6_groups,
+    pack_edges,
     read_graph6_lines,
     sample_stack,
-    stack_edges,
+    unpack_edges,
     write_edgelist,
 )
 from .perturb import (
@@ -305,9 +306,11 @@ def _stack_rows(
 def _decide(a: np.ndarray, convention: str) -> tuple[np.ndarray, _Rows]:
     """(stack positions, rows) of the rows of a (k, n, n) stack ``a`` of connected adjacency matrices.
 
-    One stacked ``eigh`` at alpha = 0 solves every row; a row without an
-    admissible eigenvalue (K2 under ``paper``) is left out, and only then are
-    the kept rows copied. The verdict core and the row core decide the others
+    One stacked ``eigvalsh`` at alpha = 0 solves every row, with v* of a simple
+    level from inverse iteration and ``eigh`` only for the rows that read a
+    basis (:func:`~rwj.spectral._solve`); a row without an admissible
+    eigenvalue (K2 under ``paper``) is left out, and only then are the kept
+    rows copied. The verdict core and the row core decide the others
     from the matrices alone (their checks step by FD_STEP * d_min of the row),
     and a failed check raises, as :meth:`~rwj.spectral.StackedSpectrum.admissible`
     does on a disconnected matrix. ``convention`` must be normalised.
@@ -346,14 +349,20 @@ class _Unit(NamedTuple):
     closest: list[tuple[float, int, dict]]      # (margin, input position, ScanRecord fields) of its closest calls
 
 
+def _record(fields: dict) -> ScanRecord:
+    """The :class:`ScanRecord` of a scan row's fields, whose edges a work unit holds packed."""
+    return ScanRecord(**{**fields, "edges": unpack_edges(fields["n"], fields["edges"])})
+
+
 def _unit(positions: np.ndarray, a: np.ndarray, convention: str, top_k: int, describe) -> _Unit:
     """The result of one work unit: the stack ``a`` of connected adjacency matrices at input ``positions``.
 
     Every row is decided and counted in arrays (:func:`_decide`). Only the
     WORSENS rows become records here; the ``top_k`` IMPROVES rows of smallest
     margin, earliest first among equal margins, are kept as their
-    :class:`ScanRecord` fields, and :func:`_finalize` builds the ones the scan
-    reports. ``describe`` maps stack rows to their ids and edge tuples.
+    :class:`ScanRecord` fields with their edges packed, and :func:`_finalize`
+    builds the records, edge tuples and all, of the ones the scan reports.
+    ``describe`` maps stack rows to their ids and packed edges (:func:`~rwj.graphs.pack_edges`).
     """
     kept, rows = _decide(a, convention)
     verdicts, ladder = rows.verdicts, rows.ladder
@@ -367,7 +376,7 @@ def _unit(positions: np.ndarray, a: np.ndarray, convention: str, top_k: int, des
     counts = (len(kept), confirmed, int(rows.worse.sum()) - confirmed, int(verdicts.degenerate.sum()),
               int(verdicts.tied_sign.sum()), int(verdicts.stationary.sum()),
               int(ladder.paper_constant_witness.sum()), len(ladder.consistency) - ladder.consistency.count(()))
-    return _Unit(counts, [(position, ScanRecord(**fields)) for position, fields in tagged(np.flatnonzero(rows.worse))],
+    return _Unit(counts, [(position, _record(fields)) for position, fields in tagged(np.flatnonzero(rows.worse))],
                  [(margin, position, fields) for margin, (position, fields)
                   in zip(verdicts.gap_derivative[closest].tolist(), tagged(closest))])
 
@@ -379,7 +388,7 @@ def _masked_unit(
     ok = np.flatnonzero(mask)
     a = a[ok]
     return _unit(np.asarray(positions)[ok], a, convention, top_k,
-                 lambda rows: ([id_of(i) for i in ok[rows].tolist()], stack_edges(a[rows])))
+                 lambda rows: ([id_of(i) for i in ok[rows].tolist()], pack_edges(a[rows])))
 
 
 def _batched_rows(convention: str, top_k: int, unit: tuple[int, list[int], list[bytes]]) -> _Unit:
@@ -420,7 +429,7 @@ def _finalize(
     The counters add up. Every WORSENS row is reported, in input order, and
     the closest calls are the first ``top_k`` IMPROVES rows by (margin,
     input position), so each unit only sends its own first ``top_k``; their
-    records are built here, for the rows reported only. The units are merged
+    records, edge tuples included, are built here, for the rows reported only. The units are merged
     as they arrive, so a scan holds ``top_k`` closest calls, not ``top_k``
     per unit.
     """
@@ -434,7 +443,7 @@ def _finalize(
         setattr(summary, name, value)
     summary.skipped = total - summary.classified
     worsens = [r for _, r in sorted(worsens, key=itemgetter(0))]
-    summary.min_margin_records = tuple(ScanRecord(**fields) for _, _, fields in closest)
+    summary.min_margin_records = tuple(_record(fields) for _, _, fields in closest)
     summary.elapsed = time.perf_counter() - started
     if dump_dir is not None and worsens:
         dump_counterexamples(worsens, dump_dir)
@@ -553,7 +562,7 @@ def two_node_grid_search(
     raises the :class:`TwoNodeParams` error of its first one in a11, a12, a22
     order. The WORSENS columns of every slab are then cut into stacks of at
     most STACK_SIZE graphs [[a11, a12], [a12, a22]] and each stack enters the
-    row core (:func:`_stack_rows`) as its verdict columns: one stacked ``eigh``
+    row core (:func:`_stack_rows`) as its verdict columns: one stacked ``eigvalsh``
     at alpha = 0, the ladder core and one stacked sweep per stack, so each row
     is the one the closed-form verdict gives a graph alone.
 

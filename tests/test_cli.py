@@ -133,6 +133,18 @@ def test_analyze_stationary_does_not_depend_on_the_weight_unit(tmp_path, capsys)
         assert line.startswith("classification=IMPROVES ") and "[stationary]" in line, (weight, line)
 
 
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_analyze_names_a_near_decomposable_graph(tmp_path, capsys, convention):
+    # the path 0-1-2-3 is connected, but its middle edge of weight 1e-12 puts a
+    # second eigenvalue within TOL_UNIT of 1: a numerical failure that says so
+    path = tmp_path / "near.el"
+    path.write_text("4\n0 1 1\n1 2 1e-12\n2 3 1\n")
+    assert main(["analyze", "--input", str(path), "--convention", convention]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "error: expected exactly one unit eigenvalue, found 2: the graph is near-decomposable at TOL_UNIT = 1e-9\n"
+    )
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "--alpha", "nan"], "alpha must be finite and >= 0, got nan"),
     (["analyze", "--alpha", "inf"], "alpha must be finite and >= 0, got inf"),
@@ -191,9 +203,9 @@ def test_conditions_command(det_zero_pair_file, capsys):
 
 
 @pytest.mark.parametrize("graph, convention, analyze_sha256, conditions_sha256", [
-    ("two_node", "slem", "b8079209156cdff2310ccbff26f270f6b801ca7a5afe18916d274bc43b880195",
+    ("two_node", "slem", "b0ea45074c9596b7b89649d646445cd7bc8c18bed9d40664d23c2dfc8961f607",
      "fbd851ec3ea9b51609ff76d6e1089ed643da037a48651c6b5b3458d36a51700c"),
-    ("two_node", "paper", "6a1c78ff9124c535b42732915ef475dcca1245152f28197f7de7c58dbc3edc3b",
+    ("two_node", "paper", "ebd1753bc28e806a453605e059f4f26377851893ac476d3530a962aa1d54acbc",
      "fbd851ec3ea9b51609ff76d6e1089ed643da037a48651c6b5b3458d36a51700c"),
     ("Dhc", "slem", "034d3ddf7e2b4dcd6fc3887140131667351359c614555827eb235cec4a445a43",
      "e3acd7b37e1e4a4e9937dc8b369bbb8bcc1fd3a24a756c0a4664de3c5a9d8806"),

@@ -18,7 +18,7 @@ from rwj import (
     spectrum,
     theorem2,
 )
-from rwj.conditions import Ladder
+from rwj.conditions import NANDS_TIE, Ladder
 from rwj.errors import ConventionError
 from rwj.search import _decide_one
 from rwj.spectral import normalize_convention
@@ -171,16 +171,40 @@ def test_full_report_near_singular_all_sharp_false():
 @pytest.mark.parametrize("a11,a22", [(8, 28), (28, 8)])
 def test_full_report_nand_s_rounding_tie_is_no_violation(a11, a22):
     # grid points of the 61-point linspace(0, 5): lhs and rhs of NandS are both
-    # 0.1 and differ by 2.8e-17, so NandS fails only by rounding
+    # 0.1 and differ by 2.8e-17, so NandS fails only by rounding; the point is
+    # the equality point of the sharp Theorem 2, gap = threshold = 0.9, a tie
+    # that does not meet the condition
     grid = np.linspace(0.0, 5.0, 61)
     g = two_node(float(grid[a11]), 1.0, float(grid[a22]))
     rep = full_report(g, "slem")
     nand_s = _nand_s(g)
-    assert rep.simple[0] and rep.thm2_sharp.holds[0] and rep.thm2_paper.holds[0]
-    assert not nand_s.holds
-    assert 0.0 < nand_s.lhs - nand_s.rhs <= 1e-15 * nand_s.rhs
+    gap = spectrum(build_transition(g, 0.0), "slem").gap
+    assert rep.simple[0] and rep.thm2_paper.holds[0]
+    assert abs(rep.thm2_sharp.threshold[0] - gap) <= NANDS_TIE * gap and not rep.thm2_sharp.holds[0]
+    # NandS is a rounding-level tie too: the rounding of v* makes it fail at
+    # [28-8] (lhs - rhs = 2.8e-17) and hold at [8-28] (-1.4e-17)
+    assert abs(nand_s.lhs - nand_s.rhs) <= 1e-15 * nand_s.rhs
+    assert nand_s.holds == ((a11, a22) == (8, 28))
     assert rep.consistency[0] == ()
     assert not rep.paper_constant_witness[0]
+
+
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_ladder_condition_at_a_rounding_tie_does_not_hold(convention):
+    # lambda_star = -0.5 exactly, gap 0.5 and a cor2 threshold of 4/8: the tie
+    # is decided by the rule, not by the last bit of lambda_star
+    for line in (b"Gf~d~k", b"GltjNs", b"GfzMd{"):
+        g = parse_graph6(line)
+        rep = full_report(g, convention)
+        s = spectrum(build_transition(g, 0.0), convention)
+        assert abs(s.lambda_star + 0.5) <= 1e-15 and rep.cor2.threshold[0] == 0.5
+        assert not rep.cor2.holds[0], line
+    # the scalar forms: a tie within NANDS_TIE does not hold, a gap below it by more does
+    stats = degree_stats(two_node(2.0 / 3.0, 1.0, 7.0 / 3.0))
+    for gap, holds in ((0.9, False), (0.9 * (1 - 2e-12), True), (0.9 * (1 - 5e-13), False)):
+        assert theorem2(gap, stats, "sharp").holds is holds
+    assert not corollary1(0.25, 4).holds and corollary1(0.25 - 1e-9, 4).holds
+    assert not corollary4(stats.d_mean / stats.d_max, stats, "sharp").holds
 
 
 def _ladder_bits(ladder):

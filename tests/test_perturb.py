@@ -545,7 +545,7 @@ def test_derivative_check_and_certificate_on_wide_weights(g, scale, convention):
     certified = _certified(a, d, spec)
     assert [m.tolist() for m in masks] == [certified.tolist()]
     # the eigh-tracked branch at s/2 and s, s = FD_STEP * d_min of the stack of one
-    _, track, starts = stacked_finite_difference(a, d, spec.solved, got.level_value, got.vector, FD_STEP * d.min())
+    _, track, starts = stacked_finite_difference(a, d, None, got.level_value, got.vector, FD_STEP * d.min())
     assert (track.kept & starts)[certified].all()
     # the stated bound: truncation, rounding and the residual of the branch vector
     y = np.sqrt(d) * got.vector
@@ -586,7 +586,9 @@ def _c5(eps: float) -> WeightedGraph:
 @pytest.mark.parametrize("eps, tracked", [(1e-7, True), (1e-5, True), (1e-3, False)])
 def test_near_degenerate_c5_takes_the_tracked_check_where_unproven(monkeypatch, convention, eps, tracked):
     # e / sep at s = FD_STEP * d_min = 2e-5 is 1448, 14.4 and 0.144: only the last
-    # is within the certificate's 0.3, so only it solves no matrix at s/2 and s
+    # is within the certificate's 0.3, so only it solves no matrix at s/2 and s;
+    # the level is simple, so alpha = 0 takes eigvalsh and inverse iteration, and
+    # the tracked check solves it with s/2 and s in one batched eigh
     solved = []
     real = np.linalg.eigh
 
@@ -597,7 +599,7 @@ def test_near_degenerate_c5_takes_the_tracked_check_where_unproven(monkeypatch, 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     r = classify_small_alpha(_c5(eps), convention)
     assert not r.degenerate[0] and r.classification[0] == IMPROVES
-    assert sum(solved) == (3 if tracked else 1)
+    assert sum(solved) == (3 if tracked else 0)
     a = _c5(eps).adjacency()[None]
     assert _certified(a, a.sum(axis=-1), _solve(a, a.sum(axis=-1), 0.0, convention))[0] != tracked
     assert r.fd_agreement[0] <= 1e-9

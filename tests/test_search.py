@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rwj.perturb
 import rwj.search
+import rwj.spectral
 from rwj import (
     ConventionError,
     DisconnectedGraphError,
@@ -33,6 +35,9 @@ from rwj import (
     write_graph6,
 )
 from rwj.cli import records_to_csv, summary_text
+from rwj.graphs import decode_graph6_stack, read_graph6_lines
+from rwj.search import _decide
+from rwj.spectral import normalize_convention
 
 from conftest import graph6_lines
 
@@ -128,22 +133,23 @@ def test_grid_search_rows_carry_scan_flags():
     assert sum(r.paper_constant_witness for r in records) == 150
     assert sum(r.sweep_confirmed is True for r in records) == 170
     assert sum(r.sweep_confirmed is False for r in records) == 2
-    # every column except flags is the closed-form row the grid has always written
+    # every column except flags is the closed-form row, apart from the nand_s
+    # of two-node(3.5,1.5,1): a rounding-level NandS tie whose lambda'(0) is 0
     csv = records_to_csv(records)
     stripped = "".join(line.rsplit(",", 1)[0] + "\n" for line in csv.splitlines())
     assert hashlib.sha256(stripped.encode()).hexdigest() == (
-        "a8e241ac33163f94f3793d0e7d656393a2e3501e114dc7bd96e7f679a7c46a1f"
+        "bce9b0681c8b4432af9f1325ea3e32f952af87bc8c342a35fa1e01467a4d54c6"
     )
     # the flags too, sweep flags included
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "6ba0d4cb38ff2b88f5d7d3c181e04ea572f62c3d165ebcf46120386d8b81fd80"
+        "49a5569403ac25be1445cf3bb5b4a775d9048be659d148d88adc8e4f1f5c986a"
     )
-    # quoting the ids, which hold commas, is the only change from the bytes written before
+    # the bytes with the quotes that the ids, which hold commas, take away
     assert hashlib.sha256(stripped.replace('"', "").encode()).hexdigest() == (
-        "8f83b740dc06c52af2d8162356be7d4756d79c753474c9c0b8fea9a0f3028d22"
+        "a6a45888f912a7b6b2d80a947933e849c1e0d3dd26c2243cd9e4f9f261cf736c"
     )
     assert hashlib.sha256(csv.replace('"', "").encode()).hexdigest() == (
-        "0bd54945866a527caa4050a901b0919c7a926a7ab6964ead779ae53c8c0c9db6"
+        "5eb1ee11fb983a0ee10447b91ccc018b40cddccf26019dfaba152d89781da9aa"
     )
 
 
@@ -155,32 +161,33 @@ def test_grid_search_benchmark_grid_pinned():
     assert sum(r.sweep_confirmed is False for r in records) == 20
     csv = records_to_csv(records)
     assert hashlib.sha256(csv.encode()).hexdigest() == (
-        "4d9d3eb2e44e65bed10d875fc84ca591442a6562acfeb77267a6aa7dfd7b46ec"
+        "9e1901760d81bd6a16d8937ae250ea9896c4a7fa5c6357f51da7ab4a1a00465f"
     )
-    # without the quotes around its ids, the bytes written before they were quoted
+    # and without the quotes around its ids
     assert hashlib.sha256(csv.replace('"', "").encode()).hexdigest() == (
-        "0656cfef3b473db32685f1bd7440666d04c6bedb01ddc8473ad318e2c26817ed"
+        "871bdde9c3f3bd39b4f4e5736658a22fd24cb76959da1c00259a202e3bf0ef9a"
     )
 
 
 @pytest.mark.parametrize("stack_size", [1, 7, rwj.search.STACK_SIZE])
 def test_grid_search_eigensolves_per_stack(monkeypatch, stack_size):
-    # each stack of WORSENS points makes one eigensolve at alpha = 0 and one for
-    # the sweep, and its rows are the ones any other stacking gives
-    calls = []
-    real = np.linalg.eigh
+    # each stack of WORSENS points makes one eigvalsh at alpha = 0 and one eigh
+    # for the sweep, which solves alpha = 0 with its other rates, and its rows
+    # are the ones any other stacking gives
+    calls = {"eigh": [], "eigvalsh": []}
+    for name, real in ((name, getattr(np.linalg, name)) for name in calls):
+        def counting(a, *args, _calls=calls[name], _real=real, **kwargs):
+            _calls.append(np.shape(a))
+            return _real(a, *args, **kwargs)
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     monkeypatch.setattr(rwj.search, "STACK_SIZE", stack_size)
     records = two_node_grid_search(np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
     assert len(records) == 172
-    assert len(calls) == 2 * math.ceil(len(records) / stack_size)
+    assert len(calls["eigh"]) == len(calls["eigvalsh"]) == math.ceil(len(records) / stack_size)
+    assert all(shape[1:] == (5, 2, 2) for shape in calls["eigh"])
     assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
-        "6ba0d4cb38ff2b88f5d7d3c181e04ea572f62c3d165ebcf46120386d8b81fd80"
+        "49a5569403ac25be1445cf3bb5b4a775d9048be659d148d88adc8e4f1f5c986a"
     )
 
 
@@ -241,7 +248,7 @@ def test_grid_search_makes_no_per_point_call(monkeypatch):
     monkeypatch.setattr(rwj.search, "two_node_closed_form", per_point)
     records = two_node_grid_search(np.linspace(0, 5, 21), np.linspace(0.5, 3, 6), np.linspace(0, 5, 21))
     assert hashlib.sha256(records_to_csv(records).encode()).hexdigest() == (
-        "6ba0d4cb38ff2b88f5d7d3c181e04ea572f62c3d165ebcf46120386d8b81fd80"
+        "49a5569403ac25be1445cf3bb5b4a775d9048be659d148d88adc8e4f1f5c986a"
     )
 
 
@@ -359,7 +366,7 @@ def test_analyze_graph_rows_byte_identical_on_bundled_catalogs(data_dir):
             g = parse_graph6(line)
             for convention in ("slem", "paper"):
                 digest.update(records_to_csv([analyze_graph(g, convention)]).encode())
-    assert digest.hexdigest() == "7223819019f8361f1eba7d0693a38faf55728017626376f4091e43707547e875"
+    assert digest.hexdigest() == "22ad29e5fca27b97f3aff25aabb77df83727f08d9180ef4cca029261bad125df"
 
 
 def test_scan_catalog_rows_byte_identical_on_bundled_catalogs(data_dir):
@@ -370,7 +377,7 @@ def test_scan_catalog_rows_byte_identical_on_bundled_catalogs(data_dir):
         for convention in ("slem", "paper"):
             _, records = scan_catalog(data_dir / f"graph{n}c.g6", convention, top_k=10**9)
             digest.update(records_to_csv(records).encode())
-    assert digest.hexdigest() == "a8edfdc856e82fe327ad1337032f3997b5e34d19ff1336189b53e73de511338e"
+    assert digest.hexdigest() == "c21f0903a3240170dafbfa392c6207f03ffa6f38ec27ba8805aad3326bd229a8"
 
 
 def _counters(s):
@@ -388,7 +395,7 @@ def test_scan_catalog_rows_byte_identical_on_n8_catalog(data_dir):
                                         top_k=10**9)
         digest.update(records_to_csv(records).encode())
         counters[convention] = _counters(summary)
-    assert digest.hexdigest() == "2a8c67250d5fd4c9cc8f61fc88947046dcc851c0f979649145bc84c7034b1010"
+    assert digest.hexdigest() == "6004c373a7f7c4359991a9afa40c946125605d5eefb8355af394890d5e34b73f"
     assert counters == {
         "slem": (11117, 11117, 0, 0, 0, 79, 29, 0, 0, 0),
         "paper": (11117, 11117, 0, 0, 0, 261, 207, 4, 0, 0),
@@ -396,43 +403,88 @@ def test_scan_catalog_rows_byte_identical_on_n8_catalog(data_dir):
 
 
 @pytest.mark.parametrize("convention", ["slem", "paper"])
-def test_scan_catalog_solves_no_row_on_its_own(data_dir, monkeypatch, convention):
-    # 853 graphs in 4 stacks: each stack makes one eigensolve at alpha = 0 and
-    # one at alpha in {h/2, h} for the rows whose kept branch is not proven, here
-    # the rows whose level holds more than one eigenvalue; reduced pencils of
-    # degenerate levels are smaller
-    sizes = []
+def test_n8_catalog_solves_by_eigh_only_the_rows_that_read_a_basis(data_dir, monkeypatch, convention):
+    # 8 x 8 matrices solved by eigh over the 11,117 connected 8-vertex graphs
+    # (11,383 and 12,107 when every row took eigh at alpha = 0): at alpha = 0
+    # only the degenerate rows and the rows whose vector the certificate does
+    # not accept (none here), and each row the kept-branch certificate leaves
+    # out (the degenerate ones) once more at 0, s/2 and s
+    sizes, certified, kept = [], [], []
     real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: sizes.append(np.shape(a)) or real(a, *args))
+    for owner, name, masks in ((rwj.spectral, "_certify", certified), (rwj.perturb, "_branch_kept", kept)):
+        def recording(*args, _real=getattr(owner, name), _masks=masks):
+            _masks.append(_real(*args))
+            return _masks[-1]
 
-    def counting(a, *args, **kwargs):
-        sizes.append(np.shape(a))
-        return real(a, *args, **kwargs)
+        monkeypatch.setattr(owner, name, recording)
+    summary, _ = scan_catalog(data_dir.parent / "perfbench" / "data" / "graph8c.g6", convention)
+    uncertified = sum(int((~m).sum()) for m in certified)
+    left_out = sum(int((~m).sum()) for m in kept)
+    at_zero = sum(math.prod(shape[:-2]) for shape in sizes if len(shape) == 3 and shape[-2:] == (8, 8))
+    tracked = sum(math.prod(shape[:-2]) for shape in sizes if len(shape) == 4 and shape[-2:] == (8, 8))
+    assert (uncertified, left_out) == (0, summary.degenerate)
+    assert at_zero == summary.degenerate + uncertified == {"slem": 79, "paper": 261}[convention]
+    assert tracked == 3 * left_out
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_n8_rows_do_not_depend_on_the_stacking(data_dir, convention):
+    # every column of every graph8c row, decided in stacks of STACK_SIZE = 256
+    # and one at a time, bit for bit (repr keeps every bit of a float)
+    _, lines = read_graph6_lines(data_dir.parent / "perfbench" / "data" / "graph8c.g6")
+    a, valid, connected = decode_graph6_stack(lines, 8)
+    assert valid.all() and connected.all()
+
+    def columns(stack):
+        kept, rows = _decide(stack, normalize_convention(convention))
+        assert len(kept) == len(stack)
+        return [repr(sorted(f.items())) for f in rows.fields(range(len(stack)), [""] * len(stack), [()] * len(stack))]
+
+    size = rwj.search.STACK_SIZE
+    stacked = [row for start in range(0, len(a), size) for row in columns(a[start:start + size])]
+    assert stacked == [row for i in range(len(a)) for row in columns(a[i:i + 1])]
+
+
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_scan_catalog_solves_no_row_on_its_own(data_dir, monkeypatch, convention):
+    # 853 graphs in 4 stacks: each stack makes one eigvalsh at alpha = 0; eigh
+    # solves at alpha = 0 only the rows whose level holds more than one
+    # eigenvalue (every simple row's vector is certified), and each of them once
+    # more at alpha in {0, h/2, h} for the tracked check, as their kept branch
+    # is not proven; reduced pencils of degenerate levels are smaller
+    sizes = {"eigh": [], "eigvalsh": []}
+    for name in sizes:
+        def counting(a, *args, _sizes=sizes[name], _real=getattr(np.linalg, name), **kwargs):
+            _sizes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
     summary, _ = scan_catalog(data_dir / "graph7c.g6", convention)
     assert summary.classified == 853
-    solved = [math.prod(shape[:-2]) for shape in sizes if shape[-2:] == (7, 7)]
-    assert len(solved) == 2 * 4
-    assert sum(solved) == 853 + 2 * summary.degenerate == {"slem": 903, "paper": 991}[convention]
+    values = [math.prod(shape[:-2]) for shape in sizes["eigvalsh"] if shape[-2:] == (7, 7)]
+    assert len(values) == 4 and sum(values) == 853
+    solved = [math.prod(shape[:-2]) for shape in sizes["eigh"] if shape[-2:] == (7, 7)]
+    assert sum(solved) == 4 * summary.degenerate == {"slem": 100, "paper": 276}[convention]
 
 
 def test_scan_catalog_stacks_four_byte_header_lines(monkeypatch):
     # 20 connected 64-vertex lines (4-byte headers) in units of 16 lines, so no
-    # more than ENTRY_BUDGET = 2**16 adjacency entries: 1 eigensolve per unit,
-    # not 1 per line, and none at h/2 and h, as every level is one eigenvalue
-    # whose kept branch is proven
+    # more than ENTRY_BUDGET = 2**16 adjacency entries: 1 eigvalsh per unit,
+    # not 1 per line, and no eigh at all, as every level is one eigenvalue
+    # whose vector is certified and whose kept branch is proven
     lines = [write_graph6(generate("er", seed=seed, n=64, p=0.1)) for seed in range(20)]
-    sizes = []
-    real = np.linalg.eigh
+    sizes = {"eigh": [], "eigvalsh": []}
+    for name in sizes:
+        def counting(a, *args, _sizes=sizes[name], _real=getattr(np.linalg, name), **kwargs):
+            _sizes.append(np.shape(a)[-2:])
+            return _real(a, *args, **kwargs)
 
-    def counting(a, *args, **kwargs):
-        sizes.append(np.shape(a)[-2:])
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     summary, _ = scan_catalog(lines, "slem")
     assert summary.classified == 20
-    assert sizes.count((64, 64)) == math.ceil(20 / 16)
+    assert sizes["eigvalsh"].count((64, 64)) == math.ceil(20 / 16)
+    assert sizes["eigh"].count((64, 64)) == 0
 
 
 def test_scan_catalog_decides_every_line_in_stacks(monkeypatch):
@@ -535,9 +587,10 @@ def test_scan_catalog_builds_only_the_records_it_reports(data_dir, monkeypatch, 
 
 @pytest.mark.parametrize("stack_size", [1, rwj.search.STACK_SIZE])
 def test_scan_catalog_ranks_equal_margins_by_input_position(monkeypatch, stack_size):
-    # three graphs (n = 6 and n = 7) with one margin, in lines that put them
-    # in different units whose order is not the input order
-    lines = [b"EznW", b"FtTnw", b"E~nW", b"FtTnw", b"EznW", b"FtTnw"]
+    # two graphs (n = 6 and n = 7) with one margin, both degenerate, so eigh
+    # solves them, in lines that put them in different units whose order is not
+    # the input order
+    lines = [b"EznW", b"FtTnw", b"EznW", b"FtTnw", b"EznW", b"FtTnw"]
     monkeypatch.setattr(rwj.search, "STACK_SIZE", stack_size)
     for convention in ("slem", "paper"):
         rows = [analyze_graph(parse_graph6(line), convention) for line in lines]
@@ -702,15 +755,15 @@ SBM_8_8 = ("sbm", {"sizes": (8, 8), "b": [[0.7, 0.05], [0.05, 0.7]]}, 60, 5)
     (SBM_8_8, "slem", 10, "0e5e3633693b3f7582774f9e539d9c7d1d1aaf58fd410510aede3ab7040efdac",
      "d126cfd99180ac69d4015824b702e7e2965bce06ec6eefb71323e45675bfdad1",
      "6217b4d64ada1e1cf49ce58282cd3ff0d3f50ef3337c934f855f5dd30bd74f32"),
-    (SBM_8_8, "slem", 10**9, "0a29116ede98e9072cf225d8b4f11ebf876090bc52d27f3e769f8d56060d294f",
-     "6a1c2042edbb990220ec1f9b4c91a96c30506f3b5d87067d7370d9d81b413862",
-     "2c86301dbe057cf46e5c2564e6a2ababb3ccc2138fc7eb09eac9d5c151dd78d4"),
+    (SBM_8_8, "slem", 10**9, "1a6fcf0ddb459101305fe9101c50a50e3f4cffa5ec832324149beb8160bc6719",
+     "77e601f087e05691f799a16bb33d32ed13c5be2ebd91b8fee18b7531b9970139",
+     "3467b41fdfed7db56a9e4c5c753019a3e7191d27ca98f6cd124792f8782eb570"),
     (SBM_8_8, "paper", 10, "70d1a8a86ab05ce8a12942be2ec43259ac87554078e2e3f652978f310be9231a",
      "394d9ef7c914d4891c2a405edc0a6f08f8f83209a826490bb476df692fa5ab40",
      "7a18fb4d824d28f86636ad11281dae641f67448fc5454f2f48bcaba6094b1bf8"),
-    (SBM_8_8, "paper", 10**9, "dcfd13e8736e9ddcb80d30bb7892c6124e1a7cb486d5ca0eb2da68a6be8845ba",
-     "b0cee728de78788119320c1ab06636504d17265e86b7667e9314ee4baf4fd99c",
-     "39c1fca3644706d4d32b3914ce4283600a251e44d30b3d7d71b9ff55812c8ffe"),
+    (SBM_8_8, "paper", 10**9, "11894331c2c78439400f2c156d1e0f43c8fa65ed55a90e743d5aaa603f9a54d4",
+     "df3deb8a34ff5f562bf8857dbb6958ad76730f62bd32cc5f5c1bd9efe79a182d",
+     "6a18e7699647a42f7de7ff9906b056cc143f267907a1a564f0f3e1fefea6db7a"),
 ])
 def test_scan_random_bytes_pinned(model, convention, top_k, unquoted_csv_sha256, summary_sha256, csv_sha256):
     # sha256 of the CSV, of the CSV without the quotes around its ids (the
@@ -744,6 +797,20 @@ def test_scan_random_skips_only_the_draw_that_exhausts_its_retries(monkeypatch):
     assert (summary.total, summary.classified, summary.skipped) == (9, 8, 1)
     rows = [analyze_graph(generate("er", seed=seed, n=30, p=0.1)) for seed in range(9) if seed != 1]
     assert records_to_csv(records) == records_to_csv(sorted(rows, key=lambda r: r.margin))
+
+
+def test_scan_builds_edge_tuples_for_reported_rows_only(monkeypatch):
+    # a unit keeps its closest rows' edges packed; only the top_k the scan
+    # reports become edge tuples, each its draw's edges
+    built = []
+    real = rwj.search.unpack_edges
+    monkeypatch.setattr(rwj.search, "unpack_edges", lambda n, bits: built.append(n) or real(n, bits))
+    summary, records = scan_random("er", {"n": 100, "p": 0.08}, 30, seed=3, top_k=4)
+    assert summary.classified == 30 and summary.counterexamples == 0
+    assert len(built) == len(records) == 4
+    for r in records:
+        seed = int(re.search(r"seed=(\d+)", r.id).group(1))
+        assert r.edges == generate("er", seed=seed, n=100, p=0.08).edges
 
 
 def test_scan_random_memory_does_not_grow_with_count():

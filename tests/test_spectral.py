@@ -30,7 +30,9 @@ from rwj import (
 from rwj.cli import main
 from rwj.perturb import FD_STEP, _branch_kept, stacked_finite_difference
 from rwj.search import analyze_graph
-from rwj.spectral import PAPER, _solve, alpha_bar_closed_form, normalize_convention, track_stack
+import rwj.spectral
+from rwj.spectral import (PAPER, SLEM, _certify, _similarity, _solve, alpha_bar_closed_form, normalize_convention,
+                         track_stack)
 
 from conftest import connected_weighted, random_connected_weighted, same_order_stacks
 from oracles import dobrushin_full_difference, dobrushin_min_form, split_form_transition
@@ -319,6 +321,26 @@ def test_alpha_bar_bipartite_slem(star4):
     assert bar.searched == pytest.approx(1e-3)
 
 
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_alpha_bar_reads_the_gaps_from_eigenvalues_alone(monkeypatch, convention):
+    # one eigvalsh per grid point up to the first hit, no eigh and no solve for
+    # a vector, and the first grid point whose spectrum has a larger gap
+    rng = np.random.default_rng(11)
+    graphs = [random_connected_weighted(rng, int(rng.integers(3, 10)), self_loops=True) for _ in range(6)]
+    graphs.append(generate("path", n=6))
+    grid = np.logspace(-3.0, 3.0, 64)
+    for g in graphs:
+        gamma0 = spectrum(build_transition(g, 0.0), convention).gap
+        hit = next((float(x) for x in grid if spectrum(build_transition(g, float(x)), convention).gap > gamma0), None)
+        with monkeypatch.context() as m:
+            for name in ("eigh", "solve"):
+                m.setattr(np.linalg, name, lambda *args, _name=name: pytest.fail(f"alpha_bar called {_name}"))
+            values = _counting(m, "eigvalsh")
+            bar = alpha_bar(g, gamma0, convention)
+        assert bar.searched == hit
+        assert len(values) == (list(grid).index(hit) + 1 if hit is not None else len(grid))
+
+
 def test_alpha_bar_guarantee_beyond_closed_form():
     rng = np.random.default_rng(3)
     for i in range(8):
@@ -337,17 +359,18 @@ def test_alpha_bar_skips_the_grid_at_unit_gap(data_dir, monkeypatch, capsys):
     base = spectrum(build_transition(g, 0.0), "paper")
     assert base.gap == 1.0
     calls = []
-    real = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or real(a))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda a, _real=getattr(np.linalg, name): calls.append(a) or _real(a))
     bar = alpha_bar(g, base.gap, "paper")
     assert calls == []
     assert (bar.gamma0, bar.closed_form, bar.searched) == (1.0, math.inf, None)
     monkeypatch.undo()
-    # rwj analyze prints what it printed when the grid was searched
+    # rwj analyze prints what it printed when the grid was searched, and its
+    # fd_agreement as the v* of inverse iteration gives it
     assert main(["analyze", "--input", str(data_dir / "two_node.el"), "--format", "edgelist"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1a9c174b5922175dbb0355c312d975cef9eae89e582f895b406ed11ca4b6f98e"
+        "accbed397fdba5e1851a0064ead7417ece79619866abaa0064ebea9daed9a11a"
     )
 
 
@@ -418,21 +441,23 @@ def test_stacked_spectrum_simple_rows_are_the_simple_spectrum_rows(stack):
             assert spec.gap[i] == s.gap
             assert np.array_equal(spec.v_star[i], s.v_star)
             assert (spec.tied_sign[i], spec.near_unit[i]) == (s.tied_sign, s.near_unit)
-            assert spec.summary(i, 0.0, s.convention).stack.eigenvectors.tobytes() == s.stack.eigenvectors.tobytes()
+            assert spec.held[i] == s.stack.held[0]
+            assert spec.summary(i, 0.0, s.convention).eigenvectors.tobytes() == s.eigenvectors.tobytes()
 
 
 @settings(max_examples=40)
 @given(same_order_stacks())
 def test_stacked_tracking_equals_track_branch_on_simple_rows(stack):
-    # the stack tracks from its held alpha = 0 spectra; track_branch, its one-graph
-    # case, gives the same eigenvalues whether it solves alpha = 0 again or not
+    # the stack tracks from alpha = 0, solved with the other rates; track_branch,
+    # its one-graph case, gives the same eigenvalues whether it is handed the
+    # alpha = 0 spectrum or not
     a, d, graphs = stack
     h = 1e-5
     grid = [0.0, h / 2.0, h]
     spec = _solve(a, d, 0.0, "slem")
     simple = (spec.level.sum(axis=-1) == 1) & (spec.gap > 0.0)
-    track = track_stack(a, d, grid, spec.basis[..., 0], {0.0: spec.solved})
-    estimate, fd_track, starts = stacked_finite_difference(a, d, spec.solved, spec.lambda_star, spec.basis[..., 0], h)
+    track = track_stack(a, d, grid, spec.basis[..., 0], {})
+    estimate, fd_track, starts = stacked_finite_difference(a, d, None, spec.lambda_star, spec.basis[..., 0], h)
     guard = fd_track.kept & starts
     assert np.array_equal(fd_track.eigenvalues, track.eigenvalues)
     for i in np.flatnonzero(simple):
@@ -455,37 +480,116 @@ def test_stacked_tracking_equals_track_branch_on_simple_rows(stack):
 
 
 # ---------------------------------------------------------------------------
+# eigenvalues first: v* by inverse iteration, accepted by a residual certificate
+# ---------------------------------------------------------------------------
+
+def _stack_bits(spec):
+    """Every field of a stack as bytes, a held row's eigenvectors included, so that equality is bit for bit."""
+    return [[None if x is None else x.tobytes() for x in f] if f.dtype == object
+            else (f.dtype.str, f.shape, f.tobytes()) for f in spec]
+
+
+def _wide_stack(n=7, k=40, seed=3):
+    rng = np.random.default_rng(seed)
+    graphs = [random_connected_weighted(rng, n, self_loops=True) for _ in range(k)]
+    return np.stack([g.adjacency() for g in graphs])
+
+
+@pytest.mark.parametrize("convention", [SLEM, PAPER])
+def test_certificate_accepts_the_eigenvector_of_lambda_star_alone(convention):
+    # an eigenvector of any other eigenvalue has a residual of at least sep, twice
+    # what the certificate accepts; the one of lambda_star passes
+    a = _wide_stack()
+    d = a.sum(axis=-1)
+    spec = _solve(a, d, 0.0, convention)
+    simple = spec.level.sum(axis=-1) == 1
+    sym, _ = _similarity(a, d, 0.0)
+    w, u = np.linalg.eigh(sym)
+    star = spec.order[np.arange(len(a)), spec.level.argmax(axis=-1)]
+    assert simple.sum() >= 30
+    for j in range(a.shape[-1]):
+        got = _certify(sym, spec.lambda_star, u[..., j], spec.sep)
+        assert np.array_equal(got[simple], (star == j)[simple]), j
+    # the vector inverse iteration gives is the one the certificate accepts
+    y = np.sqrt(d) * spec.basis[..., 0]
+    assert _certify(sym, spec.lambda_star, y, spec.sep)[simple].all()
+
+
+@pytest.mark.parametrize("convention", [SLEM, PAPER])
+def test_a_vector_the_certificate_rejects_takes_eigh(monkeypatch, convention):
+    # hand the certificate the eigenvector of another eigenvalue for every row:
+    # each row is then solved by eigh, and the stack is the one a solve of every
+    # row by eigh gives, bit for bit
+    a = _wide_stack(seed=5)
+    d = a.sum(axis=-1)
+    real = np.linalg.eigh
+
+    def wrong(matrices, lambda_star):
+        w, u = real(matrices)
+        far = np.argmax(np.abs(w - lambda_star[:, None]), axis=-1)
+        return u[np.arange(len(w)), :, far]
+
+    def nothing(matrices, lambda_star):
+        return np.full(matrices.shape[:2], np.nan)
+
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: solved.append(len(m)) or real(m, *args))
+    monkeypatch.setattr(rwj.spectral, "_inverse_iteration", wrong)
+    handed = _solve(a, d, 0.0, convention)
+    assert handed.held.all() and solved == [len(a)]
+    monkeypatch.setattr(rwj.spectral, "_inverse_iteration", nothing)
+    assert _stack_bits(handed) == _stack_bits(_solve(a, d, 0.0, convention))
+    # and every row solved by eigh is the row with_bases gives an unheld stack
+    monkeypatch.undo()
+    assert _stack_bits(_solve(a, d, 0.0, convention).with_bases(convention)) == _stack_bits(handed)
+
+
+# ---------------------------------------------------------------------------
 # eigensolve budget: no spectrum the caller holds is solved again
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def eigh_matrices(monkeypatch):
-    """Matrices each ``numpy.linalg.eigh`` call receives, in call order."""
+def _counting(monkeypatch, name):
+    """Matrices each call of ``numpy.linalg.<name>`` receives, in call order."""
     counts = []
-    real = np.linalg.eigh
+    real = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         counts.append(int(np.prod(np.shape(a)[:-2])))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return counts
 
 
-def test_analyze_graph_eigensolves_on_a_simple_level(eigh_matrices):
-    # alpha = 0 only: the derivative of a simple level is the entry of its 1 x 1
-    # reduced pencil, its check a stencil on a quadratic form, and its kept
-    # branch is proven from the alpha = 0 spectrum, all with no eigensolve
+@pytest.fixture
+def eigh_matrices(monkeypatch):
+    """Matrices each ``numpy.linalg.eigh`` call receives, in call order."""
+    return _counting(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def eigvalsh_matrices(monkeypatch):
+    """Matrices each ``numpy.linalg.eigvalsh`` call receives, in call order."""
+    return _counting(monkeypatch, "eigvalsh")
+
+
+def test_analyze_graph_eigensolves_on_a_simple_level(eigh_matrices, eigvalsh_matrices):
+    # alpha = 0 only, by eigvalsh: the vector of a simple level comes from
+    # inverse iteration with a residual certificate, its derivative is the entry
+    # of its 1 x 1 reduced pencil, its check a stencil on a quadratic form, and
+    # its kept branch is proven from the alpha = 0 spectrum, all with no eigh
     from rwj import analyze_graph, parse_graph6
 
     record = analyze_graph(parse_graph6(b"D^{"), "slem")
     assert not record.degenerate and record.classification == "IMPROVES"
-    assert eigh_matrices == [1]
+    assert eigh_matrices == []
+    assert eigvalsh_matrices == [1]
 
 
 def test_sweep_confirms_eigensolves(eigh_matrices, det_zero_pair):
-    # one grid of 0 and four positive rates: alpha = 0 is solved once, and the
-    # branches of a tied level share the other four solves
+    # one grid of 0 and four positive rates in one eigh, which the branches of a
+    # tied level share; the alpha = 0 spectrum solves by eigh only a level of
+    # several eigenvalues, here the tied one
     from rwj import classify_small_alpha, sweep_confirms
 
     for g, conv, branches in ((det_zero_pair, "slem", 1), (generate("path", n=4), "paper", 2)):
@@ -493,7 +597,7 @@ def test_sweep_confirms_eigensolves(eigh_matrices, det_zero_pair):
         assert len(r.branch_vectors([0])[0]) == branches
         eigh_matrices.clear()
         assert sweep_confirms(g, r)
-        assert eigh_matrices == [1, 4]
+        assert eigh_matrices == ([5] if branches == 1 else [1, 5])
 
 
 @pytest.mark.parametrize("steps", [1, 5])
@@ -506,11 +610,13 @@ def test_cli_sweep_eigensolves(eigh_matrices, data_dir, capsys, steps):
 
 
 @pytest.mark.parametrize("eps, tracked", [(None, False), (1e-7, True), (1e-3, False)])
-def test_cli_analyze_eigensolves(eigh_matrices, tmp_path, capsys, eps, tracked):
-    # alpha = 0, the printed eigh-tracked check at h/2 and h, and one alpha_bar
-    # point: the ER n = 400 graph and C5 with one edge weighted 1 + eps = 1 + 1e-3
-    # solve h/2 and h once, as the verdict core proves their branch kept; at
-    # eps = 1e-7 the core also tracks it at s/2 and s, s = FD_STEP * d_min
+def test_cli_analyze_eigensolves(eigh_matrices, eigvalsh_matrices, tmp_path, capsys, eps, tracked):
+    # the verdict takes eigvalsh at alpha = 0 and alpha_bar one eigvalsh per grid
+    # point; eigh solves alpha = 0 for the basis the printed eigh-tracked check
+    # starts from, then h/2 and h: the ER n = 400 graph and C5 with one edge
+    # weighted 1 + eps = 1 + 1e-3 solve nothing else, as the verdict core proves
+    # their branch kept; at eps = 1e-7 the core also tracks it at 0, s/2 and s,
+    # s = FD_STEP * d_min
     if eps is None:
         g = generate("er", seed=0, n=400, p=0.05)
     else:
@@ -519,10 +625,11 @@ def test_cli_analyze_eigensolves(eigh_matrices, tmp_path, capsys, eps, tracked):
     path.write_text(write_edgelist(g))
     assert main(["analyze", "--input", str(path), "--epsilon", "0.01", "--csv", str(tmp_path / "row.csv")]) == 0
     text = capsys.readouterr().out
-    assert eigh_matrices == ([1, 2, 2, 1] if tracked else [1, 2, 1])
+    assert eigh_matrices == ([3, 1, 2] if tracked else [1, 2])
+    assert eigvalsh_matrices == [1, 1]
     a = g.adjacency()[None]
     d = a.sum(axis=-1)
     spec = _solve(a, d, 0.0, PAPER)
     assert _branch_kept(d, spec, spec.level.sum(axis=-1) == 1, FD_STEP * d.min(axis=-1))[0] != tracked
-    s = spectrum(build_transition(g, 0.0), "paper")
-    assert f" fd={format(finite_difference_derivative(g, s.lambda_star, s.stack.basis[0, :, 0]), '.12g')} " in text
+    s = spectrum(build_transition(g, 0.0), "paper").stack.with_bases(PAPER)
+    assert f" fd={format(finite_difference_derivative(g, s.lambda_star[0], s.basis[0, :, 0]), '.12g')} " in text
