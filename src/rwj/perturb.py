@@ -17,11 +17,12 @@ over a D-orthonormalised eigenbasis V, whose eigenvalues are the per-branch
 derivatives; the worst branch governs the modulus and hence the classification.
 :func:`classify_stack` decides a stack of graphs at once into columns, the only form a verdict takes. Every check
 steps by s = FD_STEP * d_min of its row's graph, so a verdict depends on the graph alone, the same for A and cA. It
-checks every derivative by a stencil on a quadratic form, with no eigensolve, and solves at 0, s/2 and s only the
-rows whose kept branch the alpha = 0 spectrum cannot prove. :func:`sweep_stack` checks a stack's verdicts against
-branch-tracked gaps from the vectors of their branches and a WORSENS mask. :func:`classify_small_alpha`,
-:func:`sweep_confirms` and :func:`finite_difference_derivative` are their one-graph cases: each takes a graph and
-solves its alpha = 0 spectrum as a stack of one.
+checks every derivative by a stencil on a quadratic form, with no eigensolve (:func:`_hellmann_feynman`, which
+``rwj analyze`` prints at its ``--h``), and solves at 0, s/2 and s only the rows whose kept branch the alpha = 0
+spectrum cannot prove. :func:`sweep_stack` checks a stack's verdicts against branch-tracked gaps from the vectors
+of their branches and a WORSENS mask. :func:`classify_small_alpha`, :func:`sweep_confirms` and
+:func:`finite_difference_derivative` are their one-graph cases: each takes a graph and solves its alpha = 0
+spectrum as a stack of one.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def stacked_finite_difference(
     are solved; with None, alpha = 0 is solved with them in one batched ``eigh``.
     Returns the estimates, the track, and where it starts at ``lambda_star``.
     Independent of the analytic formula; alpha >= 0 forbids central differencing.
-    ``eigh`` tracks the branch; ``rwj analyze`` prints this stencil at its ``--h``.
+    ``eigh`` tracks the branch; it is the check :func:`classify_stack` runs on the rows :func:`_branch_kept` leaves
+    out, and ``rwj analyze`` prints :func:`_hellmann_feynman` at its ``--h`` instead.
     """
     _require_step(h)
     track = track_stack(a, d, [0.0, h / 2.0, h], v, {} if start is None else {0.0: start})

@@ -430,15 +430,23 @@ def _finalize(
     the closest calls are the first ``top_k`` IMPROVES rows by (margin,
     input position), so each unit only sends its own first ``top_k``; their
     records, edge tuples included, are built here, for the rows reported only. The units are merged
-    as they arrive, so a scan holds ``top_k`` closest calls, not ``top_k``
-    per unit.
+    as they arrive into a heap of at most ``top_k`` rows whose root is the last of them, so a scan holds
+    ``top_k`` closest calls, not ``top_k`` per unit, and sorts them once at the end.
     """
+    import heapq  # loaded by the first scan, not by importing rwj
+
     summary = ScanSummary(provenance=provenance, convention=convention, total=total)
-    counts, worsens, closest = [0] * len(_COUNTERS), [], []
+    counts, worsens, held = [0] * len(_COUNTERS), [], []  # held: (-margin, -position, fields), a max-heap
     for unit in units:
         counts = [x + y for x, y in zip(counts, unit.counts)]
         worsens += unit.worsens
-        closest = sorted(closest + unit.closest, key=itemgetter(0, 1))[:top_k]
+        for margin, position, fields in unit.closest:  # positions are unique, so no two keys tie
+            entry = (-margin, -position, fields)
+            if len(held) < top_k:
+                heapq.heappush(held, entry)
+            elif entry[:2] > held[0][:2]:
+                heapq.heapreplace(held, entry)
+    closest = sorted(((-margin, -position, fields) for margin, position, fields in held), key=itemgetter(0, 1))
     for name, value in zip(_COUNTERS, counts):
         setattr(summary, name, value)
     summary.skipped = total - summary.classified

@@ -95,9 +95,10 @@ class SpectralSummary:
     ``eigenvalues`` are sorted descending; ``eigenvectors`` columns, solved
     on first read, are D(alpha)-orthonormal and aligned with them. ``v_star``
     is the selected eigenvector renormalised to Euclidean unit length with its
-    largest-modulus entry made positive. ``level`` holds the indices of the
-    governing modulus level: the admissible eigenvalues within TOL_TIE of the
-    largest admissible modulus, lambda_star among them.
+    first entry within 1e-12 max|v| of the largest modulus made positive, so
+    a tie of moduli does not leave the sign to rounding. ``level`` holds the
+    indices of the governing modulus level: the admissible eigenvalues within
+    TOL_TIE of the largest admissible modulus, lambda_star among them.
     """
 
     alpha: float
@@ -379,7 +380,8 @@ def _assemble(sym, root, levels: _Levels, vectors, y, solve, convention: str) ->
             y[i] = row_vectors[:, star[i]]
     basis = ((1.0 / root) * y)[..., None]
     v = _unit(basis[..., 0])
-    sign = np.sign(v[rows, np.abs(v).argmax(axis=-1)])  # makes the largest-modulus entry positive
+    mods = np.abs(v)  # the first entry within 1e-12 max|v| of the largest modulus is made positive (cor2's band)
+    sign = np.sign(v[rows, (mods >= mods.max(axis=-1, keepdims=True) * (1.0 - 1e-12)).argmax(axis=-1)])
     return StackedSpectrum(*levels, sym=sym, root=root, vectors=vectors, basis=basis, v_star=v * sign[:, None])
 
 
@@ -445,21 +447,29 @@ def _require_epsilon(epsilon: float) -> None:
 
 
 def dobrushin(ts: TransitionSystem) -> float:
-    """Dobrushin ergodic coefficient: half the max total-variation row distance.
+    """Dobrushin ergodic coefficient in overlap form: 1 - min over row pairs i < j of sum_k min(P_ik, P_jk).
 
-    Row i is compared with the rows after it, one block at a time in one
-    reused n x n buffer, so memory stays O(n^2); each distance sums over
-    columns exactly as the full n x n x n difference would, and the distance
-    matrix is symmetric with a zero diagonal, so the maximum is unchanged.
+    This is half the max total-variation row distance, as rows sum to 1, and
+    it never exceeds 1: every overlap is a sum of nonnegative terms, and the
+    minimum starts from 1, the overlap of a row with itself, so identical rows
+    give 0 and one row alone gives 0. Row i is compared with the rows after
+    it, one block at a time in one reused n x n buffer, so memory stays
+    O(n^2): one ``np.minimum`` and one row sum per block. At alpha = 0 the
+    pattern S = (P > 0) is read first: a zero of S S^T is two rows that share
+    no column, whose overlap is exactly 0, so delta = 1.0 exactly from one
+    matrix product and no blocked pass.
     """
     p = ts.P
+    if ts.alpha == 0.0:
+        pattern = (p > 0.0).astype(float)
+        if not (pattern @ pattern.T).all():
+            return 1.0
     buffer = np.empty_like(p)
-    worst = 0.0
+    least = 1.0
     for i in range(p.shape[0] - 1):
-        block = buffer[i + 1:]
-        np.abs(np.subtract(p[i + 1:], p[i], out=block), out=block)
-        worst = max(worst, float(block.sum(axis=1).max()))
-    return worst / 2.0
+        block = np.minimum(p[i + 1:], p[i], out=buffer[i + 1:])
+        least = min(least, float(block.sum(axis=1).min()))
+    return 1.0 - least
 
 
 def dobrushin_bound(alpha: float, d_max: float) -> float:

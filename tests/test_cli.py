@@ -203,23 +203,23 @@ def test_conditions_command(det_zero_pair_file, capsys):
 
 
 @pytest.mark.parametrize("graph, convention, analyze_sha256, conditions_sha256", [
-    ("two_node", "slem", "b0ea45074c9596b7b89649d646445cd7bc8c18bed9d40664d23c2dfc8961f607",
+    ("two_node", "slem", "df9d5dc9aea78878237017ef6a31307645dd1bea646d9643b4fb22229f657221",
      "fbd851ec3ea9b51609ff76d6e1089ed643da037a48651c6b5b3458d36a51700c"),
-    ("two_node", "paper", "ebd1753bc28e806a453605e059f4f26377851893ac476d3530a962aa1d54acbc",
+    ("two_node", "paper", "37a3fbfb020f721de1296ac918fce49f3449941a39e6edc6e0232693fcac3926",
      "fbd851ec3ea9b51609ff76d6e1089ed643da037a48651c6b5b3458d36a51700c"),
-    ("Dhc", "slem", "034d3ddf7e2b4dcd6fc3887140131667351359c614555827eb235cec4a445a43",
+    ("Dhc", "slem", "36f735af8455ab3d90ced454cb7c9bb0a62c5152f80d55cee50da03cd3815288",
      "e3acd7b37e1e4a4e9937dc8b369bbb8bcc1fd3a24a756c0a4664de3c5a9d8806"),
-    ("Dhc", "paper", "b97e4ff697b625bf1f0f42fc6a4be364fd48771d4696def89990f9ee10b610b6",
+    ("Dhc", "paper", "830b821e837ca79510bc12d61b2275c9a30ec3753bdc73b15d8390c3c731bf91",
      "e3acd7b37e1e4a4e9937dc8b369bbb8bcc1fd3a24a756c0a4664de3c5a9d8806"),
-    ("C~", "slem", "d563ce63ce44a0cd1153ccd086cf2e960d3bb6da7c517d84d3249a23f152e521",
+    ("C~", "slem", "cda31f98e0ce3bf6043a0139bfff53fd4f5ff4cc76cbf006161d2dc8c75a8f9c",
      "a5f2f5cff5cb3267505d69cc5cb149de1d67aaef64c0102aa24215517c5173b2"),
-    ("C~", "paper", "0f9a07747ff4d79464ed0184f38f532c9baee7c157d162c94224c2f9f87833af",
+    ("C~", "paper", "2aae0b88eee23c148414fe37f1186ad5e32a98cc192011918abc816513bd5f78",
      "a5f2f5cff5cb3267505d69cc5cb149de1d67aaef64c0102aa24215517c5173b2"),
-    ("D`{", "slem", "cc2400279ee7005ba4ea69a0d0b3f87968019ed140fe59291731802a2880553d",
+    ("D`{", "slem", "868575e88fd9056098fb8043226cf021bc81ad29d53b1542b828b37d037b12a2",
      "b33ffe37e47a357f14431b853247ac7fa1e917188ec0f1eac4c2f8633da7ed66"),
-    ("D`{", "paper", "4d5fff8769949d707498db453195ec6ad8dcf4b0b28478cb5906ab64d4686656",
+    ("D`{", "paper", "c71d3f1da89525f41bac60818a1264dae5aeb7ae65751dd58088a182653f9fde",
      "b33ffe37e47a357f14431b853247ac7fa1e917188ec0f1eac4c2f8633da7ed66"),
-])
+], ids=[f"{graph}-{convention}" for graph in ("two_node", "Dhc", "C~", "D`{") for convention in ("slem", "paper")])
 def test_analyze_and_conditions_bytes_pinned(data_dir, tmp_path, capsys, graph, convention, analyze_sha256,
                                             conditions_sha256):
     # the WORSENS pair, the degenerate C5, K4 and the sign-tied D`{ (tied under
@@ -254,6 +254,27 @@ def test_analyze_condition_verdicts_match_the_csv_row(catalog_lines, tmp_path, c
                 printed[label.replace(" ", "_")] = rest.split("-> ")[1].split()[0] if "-> " in rest else "n/a"
         row = next(csv.DictReader(io.StringIO(csv_path.read_text())))
         assert printed == {key: row[key] for key in printed} and len(printed) == 5, (line, printed, row)
+
+
+@pytest.mark.parametrize("convention", ["slem", "paper"])
+def test_analyze_prints_the_verdict_cores_stencil_at_unit_d_min(catalog_lines, tmp_path, capsys, convention):
+    # at d_min = 1 the default --h is the core's step s = FD_STEP * d_min, so the
+    # printed fd= is the core's fd_estimate, bit for bit
+    from rwj import parse_graph6
+    from rwj.search import _decide_one
+    from rwj.spectral import normalize_convention
+
+    path, checked = tmp_path / "graph.g6", 0
+    for line in catalog_lines[5]:
+        g = parse_graph6(line)
+        if g.degrees().min() != 1.0:
+            continue
+        path.write_bytes(line + b"\n")
+        assert main(["analyze", "--input", str(path), "--convention", convention]) == EXIT_OK
+        fd = _decide_one(g, normalize_convention(convention)).verdicts.fd_estimate[0]
+        assert f" fd={fmt(fd)} " in capsys.readouterr().out, line
+        checked += 1
+    assert checked == 10
 
 
 def test_analyze_csv_row(det_zero_pair_file, tmp_path, capsys):

@@ -602,6 +602,24 @@ def test_scan_catalog_ranks_equal_margins_by_input_position(monkeypatch, stack_s
                 dataclasses.astuple(r) for r in rows[:top_k]]
 
 
+def test_scan_catalog_records_depend_on_neither_stack_size_nor_top_k(data_dir, monkeypatch):
+    # units merge their closest calls into a heap of top_k rows, sorted once at
+    # the end: graph7c in units of 1 and of 256 lines gives the same records,
+    # and top_k = 10 gives the first 10 closest calls of top_k = 10**9
+    got = {}
+    for stack_size in (1, rwj.search.STACK_SIZE):
+        monkeypatch.setattr(rwj.search, "STACK_SIZE", stack_size)
+        for top_k in (10, 10**9):
+            summary, records = scan_catalog(data_dir / "graph7c.g6", "slem", top_k=top_k)
+            assert summary.classified == 853 and not summary.counterexamples + summary.worsens_unconfirmed
+            got[stack_size, top_k] = [dataclasses.astuple(r) for r in records]
+            assert got[stack_size, top_k] == [dataclasses.astuple(r) for r in summary.min_margin_records]
+    for top_k in (10, 10**9):
+        assert got[1, top_k] == got[rwj.search.STACK_SIZE, top_k]
+    assert len(got[1, 10**9]) == 853 and got[1, 10] == got[1, 10**9][:10]
+    assert [r[6] for r in got[1, 10**9]] == sorted(r[6] for r in got[1, 10**9])
+
+
 def test_scan_catalog_runs_the_finite_difference_check(data_dir, monkeypatch):
     # scans never read fd_estimate, yet a row whose tracked branch does not
     # start at lambda_star still ends the scan

@@ -28,7 +28,9 @@ from rwj import (
     write_edgelist,
 )
 from rwj.cli import main
-from rwj.perturb import FD_STEP, _branch_kept, stacked_finite_difference
+from rwj.conditions import corollary2
+from rwj.graphs import decode_graph6_stack
+from rwj.perturb import FD_STEP, _branch_kept, _hellmann_feynman, stacked_finite_difference
 from rwj.search import analyze_graph
 import rwj.spectral
 from rwj.spectral import (PAPER, SLEM, _certify, _similarity, _solve, alpha_bar_closed_form, normalize_convention,
@@ -250,13 +252,17 @@ def test_dobrushin_k2_closed_form():
 @given(connected_weighted(max_n=8))
 @settings(max_examples=30)
 def test_dobrushin_forms_agree_and_chain(g):
+    # the overlap form bit for bit, except where the rows of A = cJ sum past 1
+    # by an ulp and the oracle's 1 - overlap goes below 0, and the full row
+    # difference within 1e-12
     base_gap = None
     d_max = float(g.degrees().max())
     for alpha in (0.0, 0.1, 1.0, 10.0):
         ts = build_transition(g, alpha)
         delta = dobrushin(ts)
-        assert delta == dobrushin_full_difference(ts)
-        assert abs(delta - dobrushin_min_form(ts)) <= 1e-12
+        assert 0.0 <= delta <= 1.0
+        assert delta == max(0.0, dobrushin_min_form(ts))
+        assert abs(delta - dobrushin_full_difference(ts)) <= 1e-12
         gap = spectrum(ts, "slem").gap
         bound = dobrushin_bound(alpha, d_max)
         assert gap - (1.0 - delta) >= -1e-12
@@ -267,7 +273,34 @@ def test_dobrushin_row_wise_equals_full_difference_er120():
     g = generate("er", n=120, p=0.1, seed=4)
     for alpha in (0.0, 0.5, 7.0):
         ts = build_transition(g, alpha)
-        assert dobrushin(ts) == dobrushin_full_difference(ts)
+        delta = dobrushin(ts)
+        assert delta == dobrushin_min_form(ts)
+        assert abs(delta - dobrushin_full_difference(ts)) <= 1e-12
+
+
+def test_dobrushin_is_one_at_alpha_zero_from_the_pattern_alone(monkeypatch):
+    # ER(400, 0.05) has two rows that share no column: delta = 1.0 exactly, from
+    # S S^T with no blocked pass (the full difference gave 1 + 2.2e-16)
+    ts = build_transition(generate("er", n=400, p=0.05, seed=0), 0.0)
+    monkeypatch.setattr(np, "minimum", lambda *args, **kwargs: pytest.fail("blocked pass at alpha = 0"))
+    assert dobrushin(ts) == 1.0
+    monkeypatch.undo()
+    assert dobrushin_min_form(ts) == 1.0
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_dobrushin_of_identical_rows_stays_in_range(n):
+    # A = cJ: every row of P(alpha) is 1/n, so delta is 0 in exact arithmetic;
+    # where the rows' overlap sums to 1 + 2.2e-16 the oracle's 1 - overlap goes
+    # below 0, and the overlap form, which starts from 1, gives 0
+    g = WeightedGraph(n, tuple((u, v, 0.1) for u in range(n) for v in range(u, n)))
+    below = 0
+    for alpha in (0.0, 0.1, 1.0, 10.0):
+        ts = build_transition(g, alpha)
+        delta, oracle = dobrushin(ts), dobrushin_min_form(ts)
+        assert delta == max(0.0, oracle) and 0.0 <= delta <= 4.0 * np.finfo(float).eps
+        below += oracle < 0.0
+    assert below
 
 
 def test_dobrushin_memory_is_quadratic():
@@ -365,12 +398,12 @@ def test_alpha_bar_skips_the_grid_at_unit_gap(data_dir, monkeypatch, capsys):
     assert calls == []
     assert (bar.gamma0, bar.closed_form, bar.searched) == (1.0, math.inf, None)
     monkeypatch.undo()
-    # rwj analyze prints what it printed when the grid was searched, and its
-    # fd_agreement as the v* of inverse iteration gives it
+    # rwj analyze prints what it printed when the grid was searched, with its
+    # fd= and fd_agreement from the Hellmann-Feynman stencil at --h
     assert main(["analyze", "--input", str(data_dir / "two_node.el"), "--format", "edgelist"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "accbed397fdba5e1851a0064ead7417ece79619866abaa0064ebea9daed9a11a"
+        "f59ce78cad596d4d4a0eb6c5261150d3215b748fbcd40a37ba7ba14de28d85f2"
     )
 
 
@@ -544,6 +577,23 @@ def test_a_vector_the_certificate_rejects_takes_eigh(monkeypatch, convention):
     assert _stack_bits(_solve(a, d, 0.0, convention).with_bases(convention)) == _stack_bits(handed)
 
 
+@pytest.mark.parametrize("convention", [SLEM, PAPER])
+def test_v_star_sign_does_not_follow_the_solver(catalog_lines, convention):
+    # on a symmetric graph the largest moduli of v* tie, so a sign taken from
+    # the largest-modulus entry follows rounding: the first entry of the tie is
+    # made positive, and cor2's mu from the v* of inverse iteration equals mu
+    # from the v* of eigh on every simple row of graph5c-graph7c
+    for n, lines in catalog_lines.items():
+        a, valid, connected = decode_graph6_stack(lines, n)
+        assert valid.all() and connected.all()
+        spec = _solve(a, a.sum(axis=-1), 0.0, convention)
+        rows = np.flatnonzero(spec.admissible() & ~spec.held)
+        by_eigh = spec.with_bases(convention).take(rows)
+        assert len(rows) > len(lines) / 2
+        assert np.array_equal(corollary2(spec.gap[rows], spec.v_star[rows]).mu,
+                              corollary2(by_eigh.gap, by_eigh.v_star).mu)
+
+
 # ---------------------------------------------------------------------------
 # eigensolve budget: no spectrum the caller holds is solved again
 # ---------------------------------------------------------------------------
@@ -612,11 +662,11 @@ def test_cli_sweep_eigensolves(eigh_matrices, data_dir, capsys, steps):
 @pytest.mark.parametrize("eps, tracked", [(None, False), (1e-7, True), (1e-3, False)])
 def test_cli_analyze_eigensolves(eigh_matrices, eigvalsh_matrices, tmp_path, capsys, eps, tracked):
     # the verdict takes eigvalsh at alpha = 0 and alpha_bar one eigvalsh per grid
-    # point; eigh solves alpha = 0 for the basis the printed eigh-tracked check
-    # starts from, then h/2 and h: the ER n = 400 graph and C5 with one edge
-    # weighted 1 + eps = 1 + 1e-3 solve nothing else, as the verdict core proves
-    # their branch kept; at eps = 1e-7 the core also tracks it at 0, s/2 and s,
-    # s = FD_STEP * d_min
+    # point; the printed fd= is the Hellmann-Feynman stencil at --h, which
+    # solves nothing: the ER n = 400 graph and C5 with one edge weighted
+    # 1 + eps = 1 + 1e-3 solve no matrix by eigh, as the verdict core proves
+    # their branch kept; at eps = 1e-7 the core tracks it at 0, s/2 and s,
+    # s = FD_STEP * d_min, in one eigh of three matrices
     if eps is None:
         g = generate("er", seed=0, n=400, p=0.05)
     else:
@@ -625,11 +675,12 @@ def test_cli_analyze_eigensolves(eigh_matrices, eigvalsh_matrices, tmp_path, cap
     path.write_text(write_edgelist(g))
     assert main(["analyze", "--input", str(path), "--epsilon", "0.01", "--csv", str(tmp_path / "row.csv")]) == 0
     text = capsys.readouterr().out
-    assert eigh_matrices == ([3, 1, 2] if tracked else [1, 2])
+    assert eigh_matrices == ([3] if tracked else [])
     assert eigvalsh_matrices == [1, 1]
     a = g.adjacency()[None]
     d = a.sum(axis=-1)
     spec = _solve(a, d, 0.0, PAPER)
     assert _branch_kept(d, spec, spec.level.sum(axis=-1) == 1, FD_STEP * d.min(axis=-1))[0] != tracked
-    s = spectrum(build_transition(g, 0.0), "paper").stack.with_bases(PAPER)
-    assert f" fd={format(finite_difference_derivative(g, s.lambda_star[0], s.basis[0, :, 0]), '.12g')} " in text
+    v = classify_small_alpha(g, "paper")
+    (fd,), _ = _hellmann_feynman(a, d, np.array([FD_STEP]), v.vector, v.lambda_first)
+    assert f" fd={format(fd, '.12g')} " in text
